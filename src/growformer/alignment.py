@@ -196,16 +196,13 @@ class AlignmentSnapshot:
         return np.array([self.up_pct, self.noc_pct, self.perf_pct])
 
 
-def base_projection_sample(params: dict, config: ModelConfig, rng: RngState) -> WeightSample:
+def base_projection_sample(
+    params: dict, config: ModelConfig, rng: RngState, source: str = "base-snapshot"
+) -> WeightSample:
+    """Subsample of every Q/K/V projection entry, labelled ``source``."""
     vals = np.concatenate([params[k].ravel() for k in projection_param_keys(config)])
     seed = rng.seed
-    return WeightSample(subsample(rng, vals, SUBSAMPLE_LIMIT), "base-snapshot", seed)
-
-
-def expanded_projection_sample(params: dict, config: ModelConfig, rng: RngState) -> WeightSample:
-    vals = np.concatenate([params[k].ravel() for k in projection_param_keys(config)])
-    seed = rng.seed
-    return WeightSample(subsample(rng, vals, SUBSAMPLE_LIMIT), "expanded-all", seed)
+    return WeightSample(subsample(rng, vals, SUBSAMPLE_LIMIT), source, seed)
 
 
 def new_block_sample(
@@ -247,7 +244,7 @@ def snapshot_alignment(
         )
     rng = RngState(subsample_seed)
     base_s = base_projection_sample(base_params, base_config, rng)
-    cur_s = expanded_projection_sample(current_params, current_config, rng)
+    cur_s = base_projection_sample(current_params, current_config, rng, "expanded-all")
     noc_val = noc(base_s, cur_s)
 
     delta_m = current_config.ladder_m - base_config.ladder_m

@@ -3,9 +3,15 @@
 Layout (little-endian): magic ``NXF1``, u32 format version, u32 JSON
 length, the JSON blob (model config, RNG state, counters, optional
 experiment config; sorted keys), u32 matrix count, then per matrix:
-u32 name length, name bytes, u32 rows, u32 cols, 2-byte dtype tag
-(``f8`` or ``f4``), raw row-major payload. Matrices are written in
-sorted name order, so save -> load -> save is byte-identical.
+u32 name length, name bytes, u32 rows, u32 cols, 2-byte dtype tag,
+raw row-major payload. Matrices are written in sorted name order, so
+save -> load -> save is byte-identical.
+
+Every matrix is written as ``f8``, so a reloaded checkpoint resumes
+bit-exactly. The loader also reads the ``f4`` tag, and ignores the
+``dtype`` and ``arithmetic`` header keys, of files from older writers.
+Every read is bounds-checked and trailing bytes are rejected: a
+truncated or padded file is a ValidationError.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .rng import RngState
 
 MAGIC = b"NXF1"
 FORMAT_VERSION = 1
-_DTYPES = {"f8": np.dtype("<f8"), "f4": np.dtype("<f4")}
+_DTYPES = {b"f8": np.dtype("<f8"), b"f4": np.dtype("<f4")}
 
 
 @dataclass
@@ -60,64 +66,76 @@ def _iter_matrices(ck: Checkpoint):
 def save_checkpoint(ck: Checkpoint, path) -> None:
     blob = _header_json(ck)
     entries = sorted(_iter_matrices(ck), key=lambda kv: kv[0])
-    dtype_tag = ck.model_config.dtype
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", ck.version, len(blob)))
         fh.write(blob)
         fh.write(struct.pack("<I", len(entries)))
         for name, mat in entries:
-            mat = np.ascontiguousarray(mat, dtype=_DTYPES[dtype_tag])
+            mat = np.ascontiguousarray(mat, dtype=_DTYPES[b"f8"])
             nb = name.encode("utf-8")
             fh.write(struct.pack("<I", len(nb)))
             fh.write(nb)
             fh.write(struct.pack("<II", mat.shape[0], mat.shape[1]))
-            fh.write(dtype_tag.encode("ascii"))
+            fh.write(b"f8")
             fh.write(mat.tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
     data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
-        raise ValidationError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
-    version, json_len = struct.unpack_from("<II", data, 4)
+    off = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal off
+        if n > len(data) - off:
+            raise ValidationError(f"{path}: truncated at byte {off}: {what} needs {n} bytes")
+        off += n
+        return data[off - n : off]
+
+    magic = take(4, "magic")
+    if magic != MAGIC:
+        raise ValidationError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+    version, json_len = struct.unpack("<II", take(8, "version and header length"))
     if version != FORMAT_VERSION:
         raise ValidationError(f"{path}: unsupported format version {version}")
-    off = 12
-    blob = json.loads(data[off : off + json_len].decode("utf-8"))
-    off += json_len
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
+    try:
+        blob = json.loads(take(json_len, "JSON header").decode("utf-8"))
+        model_config = ModelConfig.from_dict(blob["model"])
+        rng = RngState.from_dict(blob["rng"])
+        step, tokens = int(blob["step"]), int(blob["tokens"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: bad JSON header: {exc}") from exc
+    (count,) = struct.unpack("<I", take(4, "matrix count"))
     params: dict[str, np.ndarray] = {}
     adam_m: dict[str, np.ndarray] = {}
     adam_v: dict[str, np.ndarray] = {}
     groups = {"p/": params, "m/": adam_m, "v/": adam_v}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", data, off)
-        off += 4
-        name = data[off : off + name_len].decode("utf-8")
-        off += name_len
-        rows, cols = struct.unpack_from("<II", data, off)
-        off += 8
-        tag = data[off : off + 2].decode("ascii")
-        off += 2
+        (name_len,) = struct.unpack("<I", take(4, "matrix name length"))
+        try:
+            name = take(name_len, "matrix name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: matrix name is not UTF-8") from exc
+        rows, cols = struct.unpack("<II", take(8, f"shape of {name!r}"))
+        tag = take(2, f"dtype tag of {name!r}")
         if tag not in _DTYPES:
             raise ValidationError(f"{path}: unknown dtype tag {tag!r}")
-        nbytes = rows * cols * _DTYPES[tag].itemsize
-        mat = np.frombuffer(data[off : off + nbytes], dtype=_DTYPES[tag]).reshape(rows, cols)
-        off += nbytes
+        payload = take(rows * cols * _DTYPES[tag].itemsize, f"payload of {name!r}")
         prefix, base = name[:2], name[2:]
         if prefix not in groups:
             raise ValidationError(f"{path}: unknown matrix group {prefix!r}")
+        mat = np.frombuffer(payload, dtype=_DTYPES[tag]).reshape(rows, cols)
         groups[prefix][base] = mat.astype(np.float64)
+    if off != len(data):
+        raise ValidationError(f"{path}: {len(data) - off} trailing bytes after the last matrix")
     return Checkpoint(
-        model_config=ModelConfig.from_dict(blob["model"]),
+        model_config=model_config,
         params=params,
         adam_m=adam_m,
         adam_v=adam_v,
-        rng=RngState.from_dict(blob["rng"]),
-        step=int(blob["step"]),
-        tokens=int(blob["tokens"]),
+        rng=rng,
+        step=step,
+        tokens=tokens,
         experiment=blob.get("experiment"),
         version=version,
     )

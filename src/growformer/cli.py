@@ -17,6 +17,7 @@ import numpy as np
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import NumericError, ValidationError
 from .experiment import (
+    SNAPSHOT_COLUMNS,
     ablate_axes,
     analyze_snapshot_series,
     emit_reports,
@@ -58,15 +59,9 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _parse_policy(text: str) -> str:
-    if text in ("strict-zero", "guarded-zero") or text.startswith("noise:"):
-        return text
-    raise ValidationError(f"unknown init policy {text!r}")
-
-
 def _cmd_grow(args) -> int:
     ck = load_checkpoint(args.ckpt)
-    plan = GrowthPlan(args.dm, args.da, _parse_policy(args.init), seed=args.seed)
+    plan = GrowthPlan(args.dm, args.da, args.init, seed=args.seed)
     probe = None
     if ck.experiment is not None:
         probe = heldout_sequences(ExperimentConfig.from_dict(ck.experiment), count=4)
@@ -117,7 +112,7 @@ def _cmd_analyze(args) -> int:
     snapshots, trajectory, fits = analyze_snapshot_series(base, series, heldout)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["tokens,u_p,noc,up_pct,noc_pct,perf_pct,r,loss,ppl,r_g,r_e"]
+    lines = [SNAPSHOT_COLUMNS]
     lines.extend(",".join(cells) for cells in snapshot_rows(snapshots, trajectory))
     (out / "alignment.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out / "fits.json").write_text(json.dumps(fits, sort_keys=True, indent=2) + "\n",

@@ -31,13 +31,9 @@ from .model import heldout_loss
 from .rng import derive_seed
 from .seriesstats import fisher_g_test, harmonic_fit, scaling_law_fit
 from .trajectory import TrajectoryPoint, pca_fit, trajectory_series
-from .training import ExperimentConfig, TrainResult, heldout_sequences, train
+from .training import ExperimentConfig, heldout_sequences, start_checkpoint, train
 
 _CONTINUED_STREAM = 2  # continued training draws an unseen sample stream
-
-METRICS_COLUMNS = (
-    "path,tokens,u_p,noc,up_pct,noc_pct,perf_pct,r,loss,ppl,r_g,r_e"
-)
 
 
 @dataclass
@@ -149,17 +145,7 @@ def run_growth_experiment(
 
         cont = continued_config(base_exp, budget, cadence)
         cont = replace(cont, model=new_config, seed=derive_seed(base_exp.seed, plan.seed))
-        resume = Checkpoint(
-            model_config=new_config,
-            params=new_params,
-            adam_m={k: np.zeros_like(p) for k, p in new_params.items()},
-            adam_v={k: np.zeros_like(p) for k, p in new_params.items()},
-            rng=_fresh_order_rng(cont),
-            step=0,
-            tokens=0,
-            experiment=cont.to_dict(),
-        )
-        result = train(cont, resume=resume)
+        result = train(cont, resume=start_checkpoint(cont, new_params))
         snapshots, trajectory, fits = analyze_snapshot_series(
             base_ckpt, result.checkpoints, heldout
         )
@@ -172,12 +158,6 @@ def run_growth_experiment(
             fits=fits,
         )
     return out
-
-
-def _fresh_order_rng(config: ExperimentConfig):
-    from .rng import RngState
-
-    return RngState(derive_seed(config.seed, 0x0D0E))
 
 
 def _axis_order_label(d: int, m: int, a: int) -> str:
@@ -217,15 +197,7 @@ def ablate_axes(base_ckpt: Checkpoint, budget: int, delta_total: int | None = No
         cadence = budget  # only the endpoint matters here
         cont = continued_config(base_exp, budget, cadence)
         cont = replace(cont, model=new_config, seed=derive_seed(base_exp.seed, plan.seed))
-        resume = Checkpoint(
-            model_config=new_config,
-            params=new_params,
-            adam_m={k: np.zeros_like(p) for k, p in new_params.items()},
-            adam_v={k: np.zeros_like(p) for k, p in new_params.items()},
-            rng=_fresh_order_rng(cont),
-            experiment=cont.to_dict(),
-        )
-        result = train(cont, resume=resume)
+        result = train(cont, resume=start_checkpoint(cont, new_params))
         final_loss = heldout_loss(new_config, result.final.params, heldout)
         rows.append(
             {
@@ -308,12 +280,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
+SNAPSHOT_COLUMNS = "tokens,u_p,noc,up_pct,noc_pct,perf_pct,r,loss,ppl,r_g,r_e"
+
+
 def snapshot_rows(
     snapshots: list[AlignmentSnapshot], trajectory: list[TrajectoryPoint]
 ) -> list[list[str]]:
-    """One row of cells per snapshot: tokens, u_p, noc, up_pct, noc_pct,
-    perf_pct, r, loss, ppl, r_g, r_e. A degenerate (empty) trajectory
-    leaves the r_g and r_e cells empty."""
+    """One row of cells per snapshot, in ``SNAPSHOT_COLUMNS`` order. A
+    degenerate (empty) trajectory leaves the r_g and r_e cells empty."""
     points = trajectory or [None] * len(snapshots)
     rows = []
     for snap, tp in zip(snapshots, points, strict=True):
@@ -336,7 +310,7 @@ def snapshot_rows(
 
 
 def metrics_rows(series_by_label: dict[str, ExperimentSeries]) -> list[str]:
-    lines = [METRICS_COLUMNS]
+    lines = ["path," + SNAPSHOT_COLUMNS]
     for label in sorted(series_by_label):
         s = series_by_label[label]
         for cells in snapshot_rows(s.snapshots, s.trajectory):

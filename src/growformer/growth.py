@@ -18,6 +18,10 @@ initialisation policy:
   saddle in one step. Default for training experiments.
 * ``noise:<f>``    - all five blocks random with std equal to f times
   the std of the pretrained projection entries. Output is perturbed.
+
+One primitive, ``grow_projections``, grows any dict shaped like the
+parameters: ``grow_model`` applies it to the parameters under the plan,
+and in-run growth applies it with a strict-zero plan to the Adam moments.
 """
 
 from __future__ import annotations
@@ -164,6 +168,31 @@ def pretrained_projection_std(params: dict, config: ModelConfig) -> float:
     return float(np.std(vals))
 
 
+def grow_projections(
+    tensors: dict, config: ModelConfig, plan: GrowthPlan, rng: RngState, ref_std: float
+) -> dict:
+    """Grow every Q/K/V projection entry of a dict shaped like the params.
+
+    ``config`` is the pre-growth configuration. Entries that are not
+    projection stages are copied untouched. The new blocks are drawn from
+    ``rng`` under ``plan`` in the dict's key order; with a strict-zero plan
+    this grows optimizer moments, whose old block stays in the leading
+    ranges and whose new entries are zero.
+    """
+    proj_keys = set(projection_param_keys(config))
+    out: dict[str, np.ndarray] = {}
+    for key, w in tensors.items():
+        if key not in proj_keys:
+            out[key] = w.copy()
+        elif key.endswith("w_up"):
+            out[key] = grow_w_up(w, plan.delta_m, plan, rng, ref_std)
+        elif key.endswith("w_mid"):
+            out[key] = grow_w_mid(w, plan.delta_m, plan.delta_a, plan, rng, ref_std)
+        else:
+            out[key] = grow_w_down(w, plan.delta_a, plan, rng, ref_std)
+    return out
+
+
 def grow_model(
     params: dict,
     config: ModelConfig,
@@ -180,28 +209,13 @@ def grow_model(
     """
     new_config = config.grown(plan.delta_m, plan.delta_a)
     violations = validate_hierarchy(new_config.qkv_ladder, strict=strict_hierarchy)
-    ref_std = pretrained_projection_std(params, config)
     rng = RngState(derive_seed(plan.seed, 0x6702))
-    proj_keys = set(projection_param_keys(config))
-    new_params: dict[str, np.ndarray] = {}
-    block_init: dict[str, str] = {}
-    for key in params:
-        if key not in proj_keys:
-            new_params[key] = params[key].copy()
-            continue
-        w = params[key]
-        if key.endswith("w_up"):
-            shaped = grow_w_up(w, plan.delta_m, plan, rng, ref_std)
-            block_init["up_new"] = _describe(shaped[:, config.ladder_m :])
-        elif key.endswith("w_mid"):
-            shaped = grow_w_mid(w, plan.delta_m, plan.delta_a, plan, rng, ref_std)
-            block_init["mid_right"] = _describe(shaped[: config.ladder_m, config.ladder_a :])
-            block_init["mid_bottom"] = _describe(shaped[config.ladder_m :, : config.ladder_a])
-            block_init["mid_corner"] = _describe(shaped[config.ladder_m :, config.ladder_a :])
-        else:
-            shaped = grow_w_down(w, plan.delta_a, plan, rng, ref_std)
-            block_init["down_new"] = _describe(shaped[config.ladder_a :, :])
-        new_params[key] = shaped
+    new_params = grow_projections(
+        params, config, plan, rng, pretrained_projection_std(params, config)
+    )
+    block_init = {
+        name: _describe(block) for name, block in new_block_slices(new_params, new_config, plan)
+    }
 
     report = GrowthReport(
         old_m=config.ladder_m,

@@ -41,10 +41,6 @@ def exact_arithmetic():
         _EXACT_MODE = previous
 
 
-def exact_mode_active() -> bool:
-    return _EXACT_MODE
-
-
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting anything else."""
     a = np.asarray(x, dtype=np.float64)

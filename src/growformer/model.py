@@ -10,7 +10,7 @@ one sequence at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class ModelConfig:
     ladder_m: int
     ladder_a: int
     ffn_size: int
-    dtype: str = "f8"
 
     def __post_init__(self):
         if self.context_len < 1:
@@ -48,8 +47,6 @@ class ModelConfig:
             raise ValidationError(
                 f"n_heads {self.n_heads} does not divide hidden {self.hidden_size}"
             )
-        if self.dtype not in ("f8", "f4"):
-            raise ValidationError(f"unknown dtype tag {self.dtype!r}")
 
     @property
     def head_dim(self) -> int:
@@ -69,11 +66,21 @@ class ModelConfig:
             "ladder_m": self.ladder_m,
             "ladder_a": self.ladder_a,
             "ffn_size": self.ffn_size,
-            "dtype": self.dtype,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Build from ``to_dict`` output. A legacy ``dtype`` storage tag is
+        dropped; any other unknown or missing key is a ValidationError."""
+        if not isinstance(d, dict):
+            raise ValidationError(f"model config must be an object, got {type(d).__name__}")
+        d = {k: v for k, v in d.items() if k != "dtype"}
+        names = {f.name for f in fields(cls)}
+        if d.keys() != names:
+            raise ValidationError(
+                f"model config: unknown keys {sorted(d.keys() - names)}, "
+                f"missing keys {sorted(names - d.keys())}"
+            )
         return cls(**d)
 
     def grown(self, delta_m: int, delta_a: int) -> "ModelConfig":
@@ -304,10 +311,6 @@ def model_loss_and_grads(config: ModelConfig, params: dict, token_ids):
     np.add.at(grads["tok_emb"], ids, d_h)
     grads["pos_emb"][:n] = d_h
     return float(loss), grads
-
-
-def flatten_params(params: dict) -> np.ndarray:
-    return np.concatenate([params[k].ravel() for k in sorted(params)])
 
 
 def heldout_loss(config: ModelConfig, params: dict, sequences) -> float:

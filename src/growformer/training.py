@@ -14,9 +14,7 @@ from .errors import NumericError, ValidationError
 from .growth import (
     GrowthPlan,
     grow_model,
-    grow_w_down,
-    grow_w_mid,
-    grow_w_up,
+    grow_projections,
     require_exact_preservation,
     verify_function_preservation,
 )
@@ -24,10 +22,8 @@ from .model import ModelConfig, heldout_loss, init_params, model_loss_and_grads
 from .rng import RngState, derive_seed, seeded_ints
 
 _ADAM_EPS = 1e-8
-_HELDOUT_TAG = 0x4E1D  # stream salt for evaluation data
 _ORDER_TAG = 0x0D0E
 _INIT_TAG = 0x1217
-_GROW_ZERO = "strict-zero"
 
 
 @dataclass
@@ -105,7 +101,6 @@ class ExperimentConfig:
     growth_trigger: int | None = None
     rewarm_steps: int = 50
     out_dir: str | None = None
-    arithmetic: str = "f8"
 
     def __post_init__(self):
         if self.optimizer.lr <= 0:
@@ -139,7 +134,6 @@ class ExperimentConfig:
             "growth": growth,
             "rewarm_steps": self.rewarm_steps,
             "out_dir": self.out_dir,
-            "arithmetic": self.arithmetic,
         }
 
     @classmethod
@@ -165,7 +159,6 @@ class ExperimentConfig:
             growth_trigger=trigger,
             rewarm_steps=d.get("rewarm_steps", 50),
             out_dir=d.get("out_dir"),
-            arithmetic=d.get("arithmetic", "f8"),
         )
 
 
@@ -244,13 +237,31 @@ def _snapshot(config, model_config, params, m, v, order_rng, step, tokens) -> Ch
     )
 
 
+def start_checkpoint(config: ExperimentConfig, params: dict) -> Checkpoint:
+    """Step 0 of a run that starts from ``params``: zero Adam moments and
+    the data-order stream of ``config.seed``, so ``train(config,
+    resume=start_checkpoint(config, params))`` is a fresh run from them."""
+    return Checkpoint(
+        model_config=config.model,
+        params=params,
+        adam_m={k: np.zeros_like(p) for k, p in params.items()},
+        adam_v={k: np.zeros_like(p) for k, p in params.items()},
+        rng=RngState(derive_seed(config.seed, _ORDER_TAG)),
+        step=0,
+        tokens=0,
+        experiment=config.to_dict(),
+    )
+
+
 def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainResult:
     """Run the configured schedule; returns snapshots at every cadence
     boundary (including the starting state) and the loss log.
 
-    ``schedule.steps`` is the absolute step target: resuming a checkpoint
-    with the config that produced it continues to the same endpoint and
-    reproduces the remaining snapshots byte-for-byte.
+    Without ``resume`` the run starts from ``start_checkpoint`` over the
+    seeded initial parameters. ``schedule.steps`` is the absolute step
+    target: resuming a checkpoint with the config that produced it
+    continues to the same endpoint and reproduces the remaining snapshots
+    byte-for-byte.
     """
     stream = gen_corpus(
         config.corpus.generator, config.corpus.seed, config.corpus.length,
@@ -260,19 +271,16 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
     ctx = config.model.context_len
 
     if resume is None:
-        model_config = config.model
-        params = init_params(model_config, derive_seed(config.seed, _INIT_TAG))
-        m = {k: np.zeros_like(p) for k, p in params.items()}
-        v = {k: np.zeros_like(p) for k, p in params.items()}
-        order_rng = RngState(derive_seed(config.seed, _ORDER_TAG))
-        step0, tokens = 0, 0
-    else:
-        model_config = resume.model_config
-        params = {k: p.copy() for k, p in resume.params.items()}
-        m = {k: p.copy() for k, p in resume.adam_m.items()}
-        v = {k: p.copy() for k, p in resume.adam_v.items()}
-        order_rng = RngState(resume.rng.seed, resume.rng.position, resume.rng.algorithm)
-        step0, tokens = resume.step, resume.tokens
+        resume = start_checkpoint(
+            config, init_params(config.model, derive_seed(config.seed, _INIT_TAG))
+        )
+    model_config = resume.model_config
+    params = {k: p.copy() for k, p in resume.params.items()}
+    m = {k: p.copy() for k, p in resume.adam_m.items()}
+    v = {k: p.copy() for k, p in resume.adam_v.items()}
+    order_rng = RngState(resume.rng.seed, resume.rng.position, resume.rng.algorithm)
+    step0, tokens = resume.step, resume.tokens
+    del resume  # a fresh start checkpoint must not live beside the copies for the whole run
 
     growth_step = config.growth_trigger
     checkpoints: list[Checkpoint] = []
@@ -303,12 +311,9 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
                 old_params, old_config, params, model_config, heldout[:2]
             )
             require_exact_preservation(deviation, config.growth)
-            zero = GrowthPlan(
-                config.growth.delta_m, config.growth.delta_a, _GROW_ZERO, seed=0
-            )
-            grow_rng = RngState(0)
-            m = _grow_moments(m, old_config, zero, grow_rng)
-            v = _grow_moments(v, old_config, zero, grow_rng)
+            zero = GrowthPlan(config.growth.delta_m, config.growth.delta_a, "strict-zero", seed=0)
+            m = grow_projections(m, old_config, zero, RngState(0), ref_std=0.0)
+            v = grow_projections(v, old_config, zero, RngState(0), ref_std=0.0)
         start = int(seeded_ints(order_rng, 1, stream.size - ctx)[0])
         window = stream[start : start + ctx]
         loss, grads = model_loss_and_grads(model_config, params, window)
@@ -325,20 +330,3 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
         if (step + 1) % config.schedule.snapshot_every == 0:
             record(step + 1)
     return TrainResult(checkpoints=checkpoints, log=log, step_losses=step_losses)
-
-
-def _grow_moments(moments, old_config, zero_plan, rng):
-    from .growth import projection_param_keys
-
-    proj_keys = set(projection_param_keys(old_config))
-    out = {}
-    for key, mat in moments.items():
-        if key not in proj_keys:
-            out[key] = mat
-        elif key.endswith("w_up"):
-            out[key] = grow_w_up(mat, zero_plan.delta_m, zero_plan, rng)
-        elif key.endswith("w_mid"):
-            out[key] = grow_w_mid(mat, zero_plan.delta_m, zero_plan.delta_a, zero_plan, rng)
-        else:
-            out[key] = grow_w_down(mat, zero_plan.delta_a, zero_plan, rng)
-    return out

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -61,3 +64,61 @@ def test_header_magic_literal(tmp_path):
     path = tmp_path / "model.nxf"
     save_checkpoint(make_checkpoint(), path)
     assert path.read_bytes()[:4] == b"NXF1"
+
+
+def tiny_checkpoint():
+    ones = np.ones((2, 3))
+    return Checkpoint(
+        model_config=CFG,
+        params={"a": ones, "b": np.full((1, 1), 0.5)},
+        adam_m={"a": 2 * ones},
+        adam_v={"a": 3 * ones},
+        rng=RngState(5, position=6),
+        step=1,
+        tokens=8,
+    )
+
+
+def test_every_truncation_rejected(tmp_path):
+    full = tmp_path / "full.nxf"
+    save_checkpoint(tiny_checkpoint(), full)
+    data = full.read_bytes()
+    cut = tmp_path / "cut.nxf"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(ValidationError):
+            load_checkpoint(cut)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "padded.nxf"
+    save_checkpoint(tiny_checkpoint(), path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValidationError, match="trailing"):
+        load_checkpoint(path)
+
+
+def test_legacy_f4_file_with_dtype_and_arithmetic_keys_loads(tmp_path):
+    model = {**CFG.to_dict(), "dtype": "f4"}
+    experiment = {"arithmetic": "f8", "model": model, "seed": 0}
+    header = json.dumps(
+        {"version": 1, "model": model, "rng": RngState(7).to_dict(), "step": 3,
+         "tokens": 24, "experiment": experiment},
+        sort_keys=True, separators=(",", ":"),
+    ).encode("utf-8")
+    w = np.array([[0.1, -2.5, 3.0]])
+    blob = b"NXF1" + struct.pack("<II", 1, len(header)) + header + struct.pack("<I", 2)
+    for name in ("m/w", "p/w"):
+        nb = name.encode("utf-8")
+        blob += struct.pack("<I", len(nb)) + nb + struct.pack("<II", 1, 3) + b"f4"
+        blob += w.astype("<f4").tobytes()
+    path = tmp_path / "legacy.nxf"
+    path.write_bytes(blob)
+    back = load_checkpoint(path)
+    assert back.model_config == CFG
+    assert back.step == 3 and back.tokens == 24 and back.rng.seed == 7
+    assert back.experiment == experiment
+    assert back.params["w"].dtype == np.float64
+    assert np.array_equal(back.params["w"], w.astype(np.float32).astype(np.float64))
+    assert np.array_equal(back.adam_m["w"], back.params["w"])
+

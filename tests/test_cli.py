@@ -1,0 +1,70 @@
+import json
+
+import pytest
+
+from growformer import cli
+from growformer.checkpoint import save_checkpoint
+from growformer.model import ModelConfig
+from growformer.training import (
+    CorpusConfig,
+    ExperimentConfig,
+    OptimizerConfig,
+    ScheduleConfig,
+    train,
+)
+
+MODEL = ModelConfig(
+    vocab_size=64, context_len=16, hidden_size=8, n_heads=2, n_layers=1,
+    ladder_m=10, ladder_a=14, ffn_size=16,
+)
+
+
+@pytest.fixture(scope="module")
+def base_path(tmp_path_factory):
+    config = ExperimentConfig(
+        model=MODEL,
+        optimizer=OptimizerConfig(lr=3e-3),
+        schedule=ScheduleConfig(steps=4, warmup=2, snapshot_every=4),
+        corpus=CorpusConfig(generator="markov-k2", seed=2, length=2000),
+        seed=2,
+    )
+    path = tmp_path_factory.mktemp("base") / "base.nxf"
+    save_checkpoint(train(config).final, path)
+    return path
+
+
+def grow_args(base_path, out, init):
+    return ["grow", "--ckpt", str(base_path), "--dm", "2", "--da", "2",
+            "--init", init, "--out", str(out)]
+
+
+def test_guarded_zero_grow_then_verify_expect_zero(base_path, tmp_path, capsys):
+    grown = tmp_path / "grown.nxf"
+    assert cli.main(grow_args(base_path, grown, "guarded-zero")) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_output_deviation"] == 0.0
+    assert cli.main(["verify", "--old", str(base_path), "--new", str(grown), "--expect-zero"]) == 0
+    assert "max logit deviation: 0.0" in capsys.readouterr().out
+
+
+def test_unknown_init_policy_exits_1(base_path, tmp_path, capsys):
+    assert cli.main(grow_args(base_path, tmp_path / "x.nxf", "bogus")) == 1
+    assert "unknown init policy 'bogus'" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_exits_1(base_path, tmp_path, capsys):
+    cut = tmp_path / "cut.nxf"
+    data = base_path.read_bytes()
+    cut.write_bytes(data[: len(data) // 2])
+    assert cli.main(["verify", "--old", str(base_path), "--new", str(cut)]) == 1
+    assert "truncated" in capsys.readouterr().err
+
+
+def test_model_config_with_unknown_key_exits_1(tmp_path, capsys):
+    blob = MODEL.to_dict()
+    blob["hiden_size"] = blob.pop("hidden_size")
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    assert cli.main(["flops", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "hiden_size" in err and "hidden_size" in err

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from growformer.errors import NumericError, ValidationError
 from growformer.growth import (
     GrowthPlan,
     grow_model,
+    grow_projections,
     grow_w_down,
     grow_w_mid,
     grow_w_up,
     new_block_gradient_report,
     new_block_slices,
+    projection_param_keys,
     require_exact_preservation,
     verify_function_preservation,
 )
@@ -122,6 +126,29 @@ class TestGrowModel:
         _, cfg, report = grow_model(params, BASE, bad, strict_hierarchy=False)
         assert cfg.ladder_m == 22
         assert "hierarchy_warnings" in report.block_init
+
+
+class TestGrowProjections:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    def test_strict_zero_moments_keep_old_block(self, dm, da, seed):
+        assume(dm + da > 0)
+        moments = {k: np.abs(p) + 1.0 for k, p in init_params(BASE, seed=seed).items()}
+        plan = GrowthPlan(dm, da, "strict-zero", seed=0)
+        grown = grow_projections(moments, BASE, plan, RngState(seed), ref_std=0.0)
+        new_config = BASE.grown(dm, da)
+        proj_keys = set(projection_param_keys(BASE))
+        assert list(grown) == list(moments)
+        for key, old in moments.items():
+            new = grown[key]
+            if key not in proj_keys:
+                assert np.array_equal(new, old) and new is not old
+                continue
+            rows, cols = old.shape
+            assert np.array_equal(new[:rows, :cols], old)
+            assert np.count_nonzero(new) == old.size
+        for _, block in new_block_slices(grown, new_config, plan):
+            assert not block.any()
 
 
 class TestPreservation:

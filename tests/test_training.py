@@ -4,13 +4,16 @@ import pytest
 from growformer.checkpoint import load_checkpoint, save_checkpoint
 from growformer.errors import ValidationError
 from growformer.growth import GrowthPlan
-from growformer.model import ModelConfig
+from growformer.model import ModelConfig, init_params
+from growformer.rng import derive_seed
 from growformer.training import (
+    _INIT_TAG,
     CorpusConfig,
     ExperimentConfig,
     OptimizerConfig,
     ScheduleConfig,
     heldout_sequences,
+    start_checkpoint,
     train,
 )
 
@@ -45,6 +48,13 @@ class TestConfig:
         back = ExperimentConfig.from_dict(cfg.to_dict())
         assert back == cfg
 
+    def test_legacy_keys_ignored(self):
+        cfg = make_config()
+        blob = cfg.to_dict()
+        blob["arithmetic"] = "f8"
+        blob["model"]["dtype"] = "f4"
+        assert ExperimentConfig.from_dict(blob) == cfg
+
     def test_growth_needs_trigger(self):
         with pytest.raises(ValidationError, match="trigger"):
             make_config(growth=GrowthPlan(2, 2, "strict-zero", 5))
@@ -66,6 +76,18 @@ class TestTrain:
         assert a.step_losses == b.step_losses
         for ka, kb in zip(a.final.params, b.final.params):
             assert np.array_equal(a.final.params[ka], b.final.params[kb])
+
+    def test_fresh_run_is_start_checkpoint_of_initial_params(self):
+        cfg = make_config(steps=20, snapshot_every=10)
+        params = init_params(cfg.model, derive_seed(cfg.seed, _INIT_TAG))
+        direct = train(cfg)
+        started = train(cfg, resume=start_checkpoint(cfg, params))
+        assert direct.step_losses == started.step_losses
+        for group in ("params", "adam_m", "adam_v"):
+            a, b = getattr(direct.final, group), getattr(started.final, group)
+            assert list(a) == list(b)
+            assert all(np.array_equal(a[k], b[k]) for k in a)
+        assert direct.final.rng == started.final.rng
 
     def test_resume_reproduces_next_snapshot_bitwise(self, tmp_path):
         full = train(make_config(steps=40, snapshot_every=20))
