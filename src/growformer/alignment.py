@@ -16,20 +16,27 @@ Sample semantics: ``noc`` compares the frozen base projection entries
 against *all* projection entries of the current model, while ``u_p``
 compares only the entries that did not exist before the growth step
 against the frozen base distribution. Populations above 10^5 entries are
-subsampled with a seeded generator.
+subsampled with a seeded generator (``rng.subsample``). Which entries are
+drawn is a pure function of ``(seed, position, n, limit)``, not of the
+values, and is memoised: every snapshot of a series draws the same
+positions from populations of the same size, so only the first snapshot
+pays for the shuffle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import ValidationError
 from .growth import GrowthPlan, new_block_slices, projection_param_keys
-from .model import ModelConfig, heldout_loss
 from .rng import RngState, subsample
+
+if TYPE_CHECKING:  # annotations only: the statistics never run the model
+    from .model import ModelConfig
 
 SUBSAMPLE_LIMIT = 100_000
 DEFAULT_BINS = 128
@@ -71,20 +78,17 @@ def noc(f_sample: WeightSample, g_sample: WeightSample, bins: int = DEFAULT_BINS
 
 
 def _tie_averaged_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fractional ranks (1-based) and the tie-group sizes."""
+    """Fractional ranks (1-based) and the tie-group sizes, in sorted order."""
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
+    group_start = np.ones(values.size, dtype=bool)
+    group_start[1:] = sorted_vals[1:] != sorted_vals[:-1]
+    starts = np.flatnonzero(group_start)
+    sizes = np.diff(starts, append=values.size)
+    # a group over sorted slots i..j shares the rank 0.5 * (i + j) + 1
     ranks = np.empty(values.size, dtype=np.float64)
-    ties = []
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        ties.append(j - i + 1)
-        i = j + 1
-    return ranks, np.asarray(ties, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (2 * starts + sizes - 1) + 1.0, sizes)
+    return ranks, sizes.astype(np.float64)
 
 
 def _exact_u_counts(n1: int, n2: int) -> np.ndarray:
@@ -221,12 +225,18 @@ def snapshot_alignment(
     base_config: ModelConfig,
     current_params: dict,
     current_config: ModelConfig,
-    heldout,
+    loss: float,
     tokens: int,
     reference: AlignmentSnapshot | None = None,
     subsample_seed: int = 0,
 ) -> AlignmentSnapshot:
     """Assemble the full per-checkpoint alignment record.
+
+    ``loss`` is the current model's mean held-out loss, the performance
+    proxy (perf = -loss, ppl = exp(loss)). ``train`` logs it for every
+    checkpoint it returns (``LogRow.heldout_loss``, over the windows of
+    ``heldout_sequences``), so callers pass that figure rather than score
+    the checkpoint a second time.
 
     ``reference`` is the snapshot the percent shifts are measured against;
     None means this snapshot is its own reference (all shifts zero).
@@ -256,7 +266,6 @@ def snapshot_alignment(
     else:
         u_p = 1.0  # no new parameters: nothing can have diverged
 
-    loss = heldout_loss(current_config, current_params, heldout)
     ppl = float(np.exp(loss))
     perf = -loss
     if reference is None:

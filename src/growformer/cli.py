@@ -25,7 +25,7 @@ from .experiment import (
 )
 from .flops import breakdown_csv_rows, model_flops
 from .growth import GrowthPlan, grow_model, verify_function_preservation
-from .model import ModelConfig
+from .model import ModelConfig, heldout_loss
 from .seriesstats import fisher_g_test, harmonic_fit, scaling_law_fit
 from .training import ExperimentConfig, heldout_sequences, train
 
@@ -109,7 +109,8 @@ def _cmd_analyze(args) -> int:
     if base.experiment is None:
         raise ValidationError("base checkpoint carries no experiment config")
     heldout = heldout_sequences(ExperimentConfig.from_dict(base.experiment))
-    snapshots, trajectory, fits = analyze_snapshot_series(base, series, heldout)
+    losses = [heldout_loss(ck.model_config, ck.params, heldout) for ck in series]
+    snapshots, trajectory, fits = analyze_snapshot_series(base, series, losses)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = [SNAPSHOT_COLUMNS]

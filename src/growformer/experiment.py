@@ -73,10 +73,16 @@ def _fit_block(fn, *args, **kwargs) -> dict:
 
 
 def analyze_snapshot_series(
-    base_ckpt: Checkpoint, series_ckpts: list[Checkpoint], heldout, subsample_seed: int = 0
+    base_ckpt: Checkpoint,
+    series_ckpts: list[Checkpoint],
+    losses: list[float],
+    subsample_seed: int = 0,
 ) -> tuple[list[AlignmentSnapshot], list[TrajectoryPoint], dict]:
     """Alignment snapshots (first one is the reference), trajectory
     geometry, and the three series fits.
+
+    ``losses`` holds the held-out loss of each checkpoint, in the same
+    order; ``train`` logs them as ``LogRow.heldout_loss``.
 
     At least 2 checkpoints are required. PCA and the trajectory need 3
     states with nonzero variance; otherwise the trajectory is empty and
@@ -85,15 +91,19 @@ def analyze_snapshot_series(
     """
     if len(series_ckpts) < 2:
         raise ValidationError("need at least 2 checkpoints to analyze a series")
+    if len(losses) != len(series_ckpts):
+        raise ValidationError(
+            f"got {len(losses)} held-out losses for {len(series_ckpts)} checkpoints"
+        )
     snapshots: list[AlignmentSnapshot] = []
     reference = None
-    for ck in series_ckpts:
+    for ck, loss in zip(series_ckpts, losses, strict=True):
         snap = snapshot_alignment(
             base_ckpt.params,
             base_ckpt.model_config,
             ck.params,
             ck.model_config,
-            heldout,
+            loss,
             tokens=ck.tokens,
             reference=reference,
             subsample_seed=subsample_seed,
@@ -147,7 +157,7 @@ def run_growth_experiment(
         cont = replace(cont, model=new_config, seed=derive_seed(base_exp.seed, plan.seed))
         result = train(cont, resume=start_checkpoint(cont, new_params))
         snapshots, trajectory, fits = analyze_snapshot_series(
-            base_ckpt, result.checkpoints, heldout
+            base_ckpt, result.checkpoints, [row.heldout_loss for row in result.log]
         )
         out[label] = ExperimentSeries(
             label=label,
@@ -198,7 +208,7 @@ def ablate_axes(base_ckpt: Checkpoint, budget: int, delta_total: int | None = No
         cont = continued_config(base_exp, budget, cadence)
         cont = replace(cont, model=new_config, seed=derive_seed(base_exp.seed, plan.seed))
         result = train(cont, resume=start_checkpoint(cont, new_params))
-        final_loss = heldout_loss(new_config, result.final.params, heldout)
+        final_loss = result.log[-1].heldout_loss
         rows.append(
             {
                 "axis": axis,

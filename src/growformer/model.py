@@ -41,8 +41,12 @@ class ModelConfig:
     ffn_size: int
 
     def __post_init__(self):
-        if self.context_len < 1:
-            raise ValidationError("context_len must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValidationError(
+                    f"model config: {f.name} must be an integer >= 1, got {value!r}"
+                )
         if self.hidden_size % self.n_heads != 0:
             raise ValidationError(
                 f"n_heads {self.n_heads} does not divide hidden {self.hidden_size}"

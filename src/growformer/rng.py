@@ -8,6 +8,7 @@ use Box-Muller with two counter slots per value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,16 +91,32 @@ def seeded_ints(state: RngState, n: int, high: int) -> np.ndarray:
 def subsample(state: RngState, values: np.ndarray, limit: int) -> np.ndarray:
     """Draw ``limit`` entries without replacement (partial Fisher-Yates).
 
-    Returns ``values`` unchanged when it is already small enough.
+    Returns ``values`` unchanged, and leaves ``state`` where it was, when
+    it is already small enough. Otherwise the drawn index prefix is a pure
+    function of ``(seed, position, n, limit)``, independent of the values,
+    and is memoised on those four ints; the stream advances by ``limit``
+    and the result is a fresh array, ``values[prefix]``.
     """
     n = values.shape[0]
     if n <= limit:
         return values
-    u = _raw_uniforms(state, limit)
+    prefix = _fisher_yates_prefix(state.seed, state.position, n, limit)
+    state.position += limit
+    return values[prefix]
+
+
+@functools.lru_cache(maxsize=8)
+def _fisher_yates_prefix(seed: int, position: int, n: int, limit: int) -> np.ndarray:
+    """Read-only first ``limit`` entries of a seeded shuffle of range(n):
+    step i swaps slot i with slot i + int(u_i * (n - i))."""
+    u = _raw_uniforms(RngState(seed, position), limit)
+    steps = np.arange(limit)
+    targets = steps + (u * (n - steps)).astype(np.int64)
     idx = np.arange(n)
-    out = np.empty(limit, dtype=values.dtype)
-    for i in range(limit):
-        j = i + int(u[i] * (n - i))
-        idx[i], idx[j] = idx[j], idx[i]
-        out[i] = values[idx[i]]
-    return out
+    # memoryview items are Python ints, several times cheaper than numpy scalars
+    slots = memoryview(idx)
+    for i, j in enumerate(memoryview(targets)):
+        slots[i], slots[j] = slots[j], slots[i]
+    prefix = idx[:limit].copy()
+    prefix.flags.writeable = False
+    return prefix

@@ -33,6 +33,12 @@ class OptimizerConfig:
     betas: tuple[float, float] = (0.9, 0.95)
     weight_decay: float = 0.01
 
+    def __post_init__(self):
+        if self.kind != "adamw":
+            raise ValidationError(
+                f"optimizer kind {self.kind!r} is not implemented; the only kind is 'adamw'"
+            )
+
     def to_dict(self):
         return {
             "kind": self.kind,

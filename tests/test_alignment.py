@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from growformer import alignment
 from growformer.alignment import (
     AlignmentSnapshot,
     WeightSample,
@@ -19,8 +21,9 @@ from growformer.alignment import (
 )
 from growformer.errors import ValidationError
 from growformer.growth import GrowthPlan, grow_model
-from growformer.model import ModelConfig, init_params
+from growformer.model import ModelConfig, heldout_loss, init_params
 from growformer.rng import RngState, seeded_gaussian, seeded_ints
+
 
 def ws(values, source="test"):
     return WeightSample(np.asarray(values, dtype=float), source)
@@ -199,10 +202,14 @@ def heldout(seed=40, count=4):
     return [seeded_ints(RngState(seed + i), 12, 32) for i in range(count)]
 
 
+def loss_of(config, params):
+    return heldout_loss(config, params, heldout())
+
+
 class TestSnapshotAlignment:
     def test_self_comparison(self):
         params = init_params(BASE, seed=1)
-        snap = snapshot_alignment(params, BASE, params, BASE, heldout(), tokens=0)
+        snap = snapshot_alignment(params, BASE, params, BASE, loss_of(BASE, params), tokens=0)
         assert snap.noc == 1.0
         assert snap.u_p == 1.0
         assert snap.r == 0.0 and snap.up_pct == 0.0 and snap.noc_pct == 0.0
@@ -212,7 +219,7 @@ class TestSnapshotAlignment:
         nocs = []
         for dm, da in ((2, 2), (6, 8), (12, 16)):
             grown, cfg, _ = grow_model(params, BASE, GrowthPlan(dm, da, "strict-zero", 3))
-            snap = snapshot_alignment(params, BASE, grown, cfg, heldout(), tokens=0)
+            snap = snapshot_alignment(params, BASE, grown, cfg, loss_of(cfg, grown), tokens=0)
             assert snap.noc < 1.0
             nocs.append(snap.noc)
         assert nocs[0] > nocs[1] > nocs[2]
@@ -220,15 +227,17 @@ class TestSnapshotAlignment:
     def test_deterministic_replay(self):
         params = init_params(BASE, seed=4)
         grown, cfg, _ = grow_model(params, BASE, GrowthPlan(3, 3, "noise:0.1", 5))
-        a = snapshot_alignment(params, BASE, grown, cfg, heldout(), tokens=7)
-        b = snapshot_alignment(params, BASE, grown, cfg, heldout(), tokens=7)
+        a = snapshot_alignment(params, BASE, grown, cfg, loss_of(cfg, grown), tokens=7)
+        b = snapshot_alignment(params, BASE, grown, cfg, loss_of(cfg, grown), tokens=7)
         assert a == b
 
     def test_reference_shifts(self):
         params = init_params(BASE, seed=6)
         grown, cfg, _ = grow_model(params, BASE, GrowthPlan(3, 3, "noise:0.2", 7))
-        ref = snapshot_alignment(params, BASE, grown, cfg, heldout(), tokens=0)
-        snap = snapshot_alignment(params, BASE, grown, cfg, heldout(), tokens=5, reference=ref)
+        ref = snapshot_alignment(params, BASE, grown, cfg, loss_of(cfg, grown), tokens=0)
+        snap = snapshot_alignment(
+            params, BASE, grown, cfg, loss_of(cfg, grown), tokens=5, reference=ref
+        )
         assert snap.r == radial_energy(snap.up_pct, snap.noc_pct)
         assert abs(snap.ppl - math.exp(snap.loss)) < 1e-12 * snap.ppl
 
@@ -237,7 +246,9 @@ class TestSnapshotAlignment:
         smaller = ModelConfig(32, 12, 8, 2, 1, 10, 14, 16)
         s_params = init_params(smaller, seed=1)
         with pytest.raises(ValidationError, match="extend"):
-            snapshot_alignment(params, BASE, s_params, smaller, heldout(), tokens=0)
+            snapshot_alignment(
+                params, BASE, s_params, smaller, loss_of(smaller, s_params), tokens=0
+            )
 
 
 class TestSnapshotInvariants:
@@ -269,3 +280,66 @@ class TestSubsampling:
         b = subsample(RngState(3), big, 100_000)
         assert a.size == 100_000
         assert np.array_equal(a, b)
+
+
+def reference_tie_averaged_ranks(values):
+    """Oracle: the per-element loop that the vectorised ranking replaced."""
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    ranks = np.empty(values.size, dtype=np.float64)
+    ties = []
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        ties.append(j - i + 1)
+        i = j + 1
+    return ranks, np.asarray(ties, dtype=np.float64)
+
+
+@st.composite
+def tie_heavy(draw, min_size=1):
+    """Rounded normals, constant runs, or mixed signed zeros."""
+    n = draw(st.integers(min_size, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["rounded", "runs", "signed-zeros"]))
+    if kind == "rounded":
+        return np.round(rng.normal(size=n), draw(st.integers(0, 2)))
+    if kind == "runs":
+        levels = np.round(rng.normal(size=draw(st.integers(1, 6))), 1)
+        values = np.repeat(levels, rng.multinomial(n, np.full(levels.size, 1 / levels.size)))
+        return rng.permutation(values) if draw(st.booleans()) else values
+    return rng.choice(np.array([0.0, -0.0, 0.5, -0.5]), size=n)
+
+
+class TestRankOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(tie_heavy())
+    def test_ranks_and_ties_match_loop(self, values):
+        ranks, ties = alignment._tie_averaged_ranks(values)
+        ref_ranks, ref_ties = reference_tie_averaged_ranks(values)
+        assert np.array_equal(ranks, ref_ranks)
+        assert np.array_equal(ties, ref_ties)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tie_heavy(min_size=4), st.floats(0.0, 1.0))
+    def test_u_p_score_matches_loop(self, values, split):
+        n1 = min(max(2, int(split * values.size)), values.size - 2)
+        x, y = ws(values[:n1]), ws(values[n1:])
+        with mock.patch.object(alignment, "_tie_averaged_ranks", reference_tie_averaged_ranks):
+            expected = u_p_score(x, y)
+        assert u_p_score(x, y) == expected
+
+    def test_signed_zeros_share_one_group(self):
+        ranks, ties = alignment._tie_averaged_ranks(np.array([0.0, -0.0, 1.0, -0.0]))
+        assert ranks.tolist() == [2.0, 2.0, 4.0, 2.0]
+        assert ties.tolist() == [3.0, 1.0]
+
+    def test_workload_sized_population_matches_loop(self):
+        # base + new-block sample sizes of one TOY_CONFIG snapshot
+        values = np.round(np.random.default_rng(11).normal(size=173_728), 2)
+        ranks, ties = alignment._tie_averaged_ranks(values)
+        ref_ranks, ref_ties = reference_tie_averaged_ranks(values)
+        assert np.array_equal(ranks, ref_ranks) and np.array_equal(ties, ref_ties)

@@ -68,3 +68,29 @@ def test_model_config_with_unknown_key_exits_1(tmp_path, capsys):
     assert cli.main(["flops", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "hiden_size" in err and "hidden_size" in err
+
+
+def test_unimplemented_optimizer_kind_exits_1(tmp_path, capsys):
+    config = ExperimentConfig(
+        model=MODEL,
+        optimizer=OptimizerConfig(lr=3e-3),
+        schedule=ScheduleConfig(steps=2, warmup=1, snapshot_every=2),
+        corpus=CorpusConfig(generator="markov-k2", seed=2, length=2000),
+    ).to_dict()
+    config["optimizer"]["kind"] = "sgd"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 1
+    assert "'sgd'" in capsys.readouterr().err
+    assert not list(out.glob("*.nxf"))
+
+
+@pytest.mark.parametrize("value", ["16", 16.0, True, 0, -8, None])
+def test_model_config_with_non_integer_or_non_positive_value_exits_1(value, tmp_path, capsys):
+    blob = MODEL.to_dict()
+    blob["hidden_size"] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    assert cli.main(["flops", "--config", str(path)]) == 1
+    assert "hidden_size must be an integer >= 1" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from growformer import cli
+from growformer import cli, experiment
 from growformer.checkpoint import save_checkpoint
 from growformer.errors import ValidationError
 from growformer.experiment import (
@@ -17,7 +17,7 @@ from growformer.experiment import (
     run_growth_experiment,
 )
 from growformer.growth import GrowthPlan
-from growformer.model import ModelConfig
+from growformer.model import ModelConfig, heldout_loss
 from growformer.training import (
     CorpusConfig,
     ExperimentConfig,
@@ -84,6 +84,36 @@ class TestRunGrowthExperiment:
         assert s.trajectory == []
 
 
+class TestHeldoutLossReuse:
+    """The series reuses the held-out loss ``train`` logged for each
+    checkpoint instead of scoring it again."""
+
+    def test_snapshot_loss_is_checkpoint_heldout_loss(self, monkeypatch):
+        base = pretrained_base()
+        seen = []
+
+        def spy(base_ckpt, series_ckpts, losses, **kwargs):
+            seen.extend(series_ckpts)
+            return analyze_snapshot_series(base_ckpt, series_ckpts, losses, **kwargs)
+
+        monkeypatch.setattr(experiment, "analyze_snapshot_series", spy)
+        series = run_growth_experiment(
+            base, [GrowthPlan(2, 2, "guarded-zero", seed=5)], budget=20, cadence=10
+        )
+        (s,) = series.values()
+        heldout = heldout_sequences(ExperimentConfig.from_dict(base.experiment))
+        assert len(seen) == len(s.snapshots) == 3
+        for ck, snap in zip(seen, s.snapshots):
+            assert snap.loss == heldout_loss(ck.model_config, ck.params, heldout)
+
+    def test_wrong_number_of_losses_rejected(self):
+        base = pretrained_base(steps=10)
+        with pytest.raises(ValidationError, match="2 checkpoints"):
+            analyze_snapshot_series(base, [base, base], [1.0])
+        with pytest.raises(ValidationError, match="3 held-out losses"):
+            analyze_snapshot_series(base, [base, base], [1.0, 1.0, 1.0])
+
+
 class TestDegenerateSeries:
     """Series that PCA cannot fit keep every snapshot and report a
     flagged ``pca`` block instead of raising."""
@@ -97,8 +127,9 @@ class TestDegenerateSeries:
     def test_flat_series_flags_zero_variance(self):
         base = pretrained_base()
         heldout = heldout_sequences(ExperimentConfig.from_dict(base.experiment))
+        losses = [heldout_loss(base.model_config, base.params, heldout)] * 3
         snapshots, trajectory, fits = analyze_snapshot_series(
-            base, [base, base, base], heldout
+            base, [base, base, base], losses
         )
         assert len(snapshots) == 3
         assert trajectory == []

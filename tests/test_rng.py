@@ -1,6 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from growformer import rng
 from growformer.errors import ValidationError
 from growformer.rng import RngState, derive_seed, seeded_gaussian, seeded_ints, seeded_uniform, subsample
 
@@ -67,3 +72,57 @@ def test_subsample_deterministic_and_without_replacement():
 def test_subsample_passthrough_when_small():
     values = np.arange(10.0)
     assert subsample(RngState(3), values, 100) is values
+
+
+def reference_subsample(state, values, limit):
+    """Oracle: the per-element partial Fisher-Yates that the memoised
+    index prefix replaced."""
+    n = values.shape[0]
+    if n <= limit:
+        return values
+    u = rng._raw_uniforms(state, limit)
+    idx = np.arange(n)
+    out = np.empty(limit, dtype=values.dtype)
+    for i in range(limit):
+        j = i + int(u[i] * (n - i))
+        idx[i], idx[j] = idx[j], idx[i]
+        out[i] = values[idx[i]]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4000),
+    st.integers(1, 4000),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**40),
+)
+def test_subsample_matches_loop(n, limit, seed, position):
+    values = np.random.default_rng(seed % 2**32).normal(size=n)
+    ref_state = RngState(seed, position)
+    expected = reference_subsample(ref_state, values, limit)
+    state = RngState(seed, position)
+    got = subsample(state, values, limit)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    assert state.position == ref_state.position == position + (limit if n > limit else 0)
+    again = RngState(seed, position)
+    assert np.array_equal(subsample(again, values, limit), expected)  # memoised prefix
+    assert again.position == state.position
+
+
+def test_mutating_a_sample_leaves_the_next_draw_alone():
+    values = np.arange(5000.0)
+    first = subsample(RngState(8), values, 300)
+    expected = first.copy()
+    first[:] = -1.0
+    assert np.array_equal(subsample(RngState(8), values, 300), expected)
+    assert np.array_equal(values, np.arange(5000.0))
+
+
+def test_subsample_pinned_digest():
+    # recorded with the per-element loop, before the prefix was memoised
+    out = subsample(RngState(3), np.arange(150_000.0), 100_000)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == (
+        "ddeecfdc6eb911b6402169d3eb1ae35123d8836c1eb441ab8918ce0dbf59fdb9"
+    )
