@@ -15,6 +15,8 @@ Three deterministic generators over a 64-symbol vocabulary:
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .errors import ValidationError
@@ -63,6 +65,17 @@ def markov_table(seed: int) -> np.ndarray:
 
 
 def _markov_stream(seed: int, length: int, stream: int) -> np.ndarray:
+    """Inverse-CDF sampling from the transition rows: token i is the
+    number of entries of its context's cumulative row that are <= u_i.
+
+    That count is ``bisect.bisect_right`` over the row's slice of the
+    flattened cumulative table. A cumulative sum of non-negative weights
+    never decreases and floats compare exactly, so it is the same index
+    as ``np.searchsorted(row, u_i, side="right")``, one Python-level
+    bisection instead of one numpy call per token. The table, the
+    uniforms and the output are read and written through memoryviews,
+    whose items are Python floats and ints.
+    """
     table = markov_table(seed).reshape(VOCAB * VOCAB, VOCAB)
     cum = np.cumsum(table, axis=1)
     rng = RngState(derive_seed(seed, 0x3A3C + stream))
@@ -71,10 +84,12 @@ def _markov_stream(seed: int, length: int, stream: int) -> np.ndarray:
     out[0] = start[0]
     if length > 1:
         out[1] = start[1]
-    u = seeded_uniform(rng, 1, max(length - 2, 1)).ravel()
+    u = memoryview(seeded_uniform(rng, 1, max(length - 2, 1)).ravel())
+    flat = memoryview(cum.ravel())
+    tokens = memoryview(out)
     for i in range(2, length):
-        ctx = int(out[i - 2]) * VOCAB + int(out[i - 1])
-        out[i] = int(np.searchsorted(cum[ctx], u[i - 2], side="right"))
+        lo = (tokens[i - 2] * VOCAB + tokens[i - 1]) * VOCAB
+        tokens[i] = bisect_right(flat, u[i - 2], lo, lo + VOCAB) - lo
     return out
 
 

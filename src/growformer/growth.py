@@ -47,6 +47,14 @@ class GrowthPlan:
     seed: int
 
     def __post_init__(self):
+        for name in ("delta_m", "delta_a", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"growth plan: {name} must be an integer, got {value!r}")
+        if not isinstance(self.init_policy, str):
+            raise ValidationError(
+                f"growth plan: init_policy must be a string, got {self.init_policy!r}"
+            )
         if self.delta_m < 0 or self.delta_a < 0:
             raise ValidationError("growth deltas must be non-negative")
         if self.delta_m + self.delta_a == 0:

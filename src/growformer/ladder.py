@@ -114,6 +114,7 @@ class ForwardCache:
     x: np.ndarray
     pre: list[np.ndarray] = field(default_factory=list)
     post: list[np.ndarray] = field(default_factory=list)
+    cdf: list[np.ndarray] = field(default_factory=list)  # Phi(pre), reused by backward
 
 
 def ladder_forward(
@@ -134,8 +135,9 @@ def ladder_forward(
             counter.add("projection", 2 * h.shape[0] * h.shape[1] * w.shape[1])
         if i < last:
             cache.pre.append(z)
-            h = gelu(z)
+            h, cdf = gelu(z)
             cache.post.append(h)
+            cache.cdf.append(cdf)
         else:
             h = z
     return h, cache
@@ -157,7 +159,9 @@ def ladder_backward(
         h_in = cache.x if i == 0 else cache.post[i - 1]
         grads[i] = matmul(h_in.T, d)
         if i > 0:
-            d = matmul(d, layer.weights[i].T) * gelu_derivative(cache.pre[i - 1])
+            d = matmul(d, layer.weights[i].T) * gelu_derivative(
+                cache.pre[i - 1], cache.cdf[i - 1]
+            )
         else:
             d = matmul(d, layer.weights[i].T)
     return d, grads

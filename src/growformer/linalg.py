@@ -17,6 +17,7 @@ bit-identical, and it is what function-preservation checks run in.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable
 
 import numpy as np
@@ -26,19 +27,20 @@ from .errors import NumericError, ValidationError
 
 _INV_SQRT_2PI = 0.3989422804014327
 
-_EXACT_MODE = False
+# Per thread (and per asyncio task): entering the mode in one thread leaves
+# every other thread's matmuls on the BLAS path.
+_EXACT_MODE: ContextVar[bool] = ContextVar("exact_arithmetic", default=False)
 
 
 @contextmanager
 def exact_arithmetic():
-    """Shape-stable, channel-ordered summation for every matmul inside."""
-    global _EXACT_MODE
-    previous = _EXACT_MODE
-    _EXACT_MODE = True
+    """Shape-stable, channel-ordered summation for every matmul inside,
+    in the calling thread only."""
+    token = _EXACT_MODE.set(True)
     try:
         yield
     finally:
-        _EXACT_MODE = previous
+        _EXACT_MODE.reset(token)
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -67,21 +69,24 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"matmul shape mismatch: {a.shape[0]}x{a.shape[1]} @ "
             f"{b.shape[0]}x{b.shape[1]}"
         )
-    if _EXACT_MODE:
+    if _EXACT_MODE.get():
         return _matmul_channel_ordered(a, b)
     return a @ b
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact-CDF GeLU, x * Phi(x). Maps 0 to 0 bit-exactly."""
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-CDF GeLU. Returns (x * Phi(x), Phi(x)); the backward pass
+    hands Phi back to ``gelu_derivative``. Maps 0 to 0 bit-exactly."""
     x = np.asarray(x, dtype=np.float64)
-    return x * ndtr(x)
+    cdf = ndtr(x)
+    return x * cdf, cdf
 
 
-def gelu_derivative(x: np.ndarray) -> np.ndarray:
-    """d/dx of exact-CDF GeLU: Phi(x) + x * phi(x)."""
+def gelu_derivative(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d/dx of exact-CDF GeLU, Phi(x) + x * phi(x), given ``cdf`` =
+    Phi(x) as returned by ``gelu(x)``."""
     x = np.asarray(x, dtype=np.float64)
-    return ndtr(x) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    return cdf + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def softmax_rows(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:

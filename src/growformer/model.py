@@ -214,7 +214,7 @@ def _forward(config, params, ids, counter=None, keep_caches=False):
         h1 = h + att_out
         f_in, ln2_cache = _layernorm_forward(h1, params[p + "ln2.g"], params[p + "ln2.b"])
         ffn_pre = matmul(f_in, params[p + "ffn.w1"])
-        ffn_act = gelu(ffn_pre)
+        ffn_act, ffn_cdf = gelu(ffn_pre)
         ffn_out = matmul(ffn_act, params[p + "ffn.w2"])
         if counter is not None:
             counter.add("ffn", 2 * n * config.hidden_size * config.ffn_size * 2)
@@ -230,6 +230,7 @@ def _forward(config, params, ids, counter=None, keep_caches=False):
                     a_in=a_in,
                     ffn_pre=ffn_pre,
                     ffn_act=ffn_act,
+                    ffn_cdf=ffn_cdf,
                 )
             )
         h = h2
@@ -289,7 +290,7 @@ def model_loss_and_grads(config: ModelConfig, params: dict, token_ids):
         d_ffn_out = d_h
         grads[p + "ffn.w2"] = matmul(c["ffn_act"].T, d_ffn_out)
         d_act = matmul(d_ffn_out, params[p + "ffn.w2"].T)
-        d_pre = d_act * gelu_derivative(c["ffn_pre"])
+        d_pre = d_act * gelu_derivative(c["ffn_pre"], c["ffn_cdf"])
         grads[p + "ffn.w1"] = matmul(c["f_in"].T, d_pre)
         d_f_in = matmul(d_pre, params[p + "ffn.w1"].T)
         d_h1, dg, db = _layernorm_backward(d_f_in, params[p + "ln2.g"], c["ln2"])

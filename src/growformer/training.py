@@ -26,6 +26,24 @@ _ORDER_TAG = 0x0D0E
 _INIT_TAG = 0x1217
 
 
+def _required(d, key: str, block: str):
+    if not isinstance(d, dict):
+        raise ValidationError(f"{block} config must be an object, got {type(d).__name__}")
+    if key not in d:
+        raise ValidationError(f"{block} config: missing required key {key!r}")
+    return d[key]
+
+
+def _check_int(block: str, name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{block} config: {name} must be an integer, got {value!r}")
+
+
+def _check_real(block: str, name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{block} config: {name} must be a real number, got {value!r}")
+
+
 @dataclass
 class OptimizerConfig:
     kind: str = "adamw"
@@ -38,6 +56,15 @@ class OptimizerConfig:
             raise ValidationError(
                 f"optimizer kind {self.kind!r} is not implemented; the only kind is 'adamw'"
             )
+        _check_real("optimizer", "lr", self.lr)
+        _check_real("optimizer", "weight_decay", self.weight_decay)
+        if not isinstance(self.betas, (list, tuple)) or len(self.betas) != 2:
+            raise ValidationError(
+                f"optimizer config: betas must be a pair of real numbers, got {self.betas!r}"
+            )
+        for beta in self.betas:
+            _check_real("optimizer", "betas", beta)
+        self.betas = tuple(self.betas)
 
     def to_dict(self):
         return {
@@ -49,10 +76,11 @@ class OptimizerConfig:
 
     @classmethod
     def from_dict(cls, d):
+        lr = _required(d, "lr", "optimizer")
         return cls(
             kind=d.get("kind", "adamw"),
-            lr=d["lr"],
-            betas=tuple(d.get("betas", (0.9, 0.95))),
+            lr=lr,
+            betas=d.get("betas", (0.9, 0.95)),
             weight_decay=d.get("weight_decay", 0.01),
         )
 
@@ -63,12 +91,24 @@ class ScheduleConfig:
     warmup: int = 50
     snapshot_every: int = 100
 
+    def __post_init__(self):
+        for name in ("steps", "warmup", "snapshot_every"):
+            _check_int("schedule", name, getattr(self, name))
+        if self.snapshot_every < 1:
+            raise ValidationError(
+                f"schedule config: snapshot_every must be >= 1, got {self.snapshot_every}"
+            )
+
     def to_dict(self):
         return {"steps": self.steps, "warmup": self.warmup, "snapshot_every": self.snapshot_every}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(steps=d["steps"], warmup=d.get("warmup", 50), snapshot_every=d["snapshot_every"])
+        return cls(
+            steps=_required(d, "steps", "schedule"),
+            warmup=d.get("warmup", 50),
+            snapshot_every=_required(d, "snapshot_every", "schedule"),
+        )
 
 
 @dataclass
@@ -77,6 +117,14 @@ class CorpusConfig:
     seed: int = 0
     length: int = 100_000
     stream: int = 0  # disjoint sample stream within the same language
+
+    def __post_init__(self):
+        if not isinstance(self.generator, str):
+            raise ValidationError(
+                f"corpus config: generator must be a string, got {self.generator!r}"
+            )
+        for name in ("seed", "length", "stream"):
+            _check_int("corpus", name, getattr(self, name))
 
     def to_dict(self):
         return {
@@ -89,9 +137,9 @@ class CorpusConfig:
     @classmethod
     def from_dict(cls, d):
         return cls(
-            generator=d["generator"],
-            seed=d["seed"],
-            length=d["length"],
+            generator=_required(d, "generator", "corpus"),
+            seed=_required(d, "seed", "corpus"),
+            length=_required(d, "length", "corpus"),
             stream=d.get("stream", 0),
         )
 
@@ -109,6 +157,10 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        _check_int("experiment", "seed", self.seed)
+        _check_int("experiment", "rewarm_steps", self.rewarm_steps)
+        if self.growth_trigger is not None:
+            _check_int("growth", "trigger_step", self.growth_trigger)
         if self.optimizer.lr <= 0:
             raise ValidationError(f"lr must be positive, got {self.optimizer.lr}")
         if self.schedule.steps % self.schedule.snapshot_every != 0:
@@ -144,22 +196,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Build from ``to_dict`` output. A missing required key or a value
+        of the wrong type is a ValidationError naming it."""
+        model = ModelConfig.from_dict(_required(d, "model", "experiment"))
         growth = d.get("growth")
         plan = None
         trigger = None
         if growth is not None:
             plan = GrowthPlan(
-                delta_m=growth["delta_m"],
-                delta_a=growth["delta_a"],
-                init_policy=growth["init_policy"],
-                seed=growth["seed"],
+                delta_m=_required(growth, "delta_m", "growth"),
+                delta_a=_required(growth, "delta_a", "growth"),
+                init_policy=_required(growth, "init_policy", "growth"),
+                seed=_required(growth, "seed", "growth"),
             )
-            trigger = growth["trigger_step"]
+            trigger = _required(growth, "trigger_step", "growth")
         return cls(
-            model=ModelConfig.from_dict(d["model"]),
-            optimizer=OptimizerConfig.from_dict(d["optimizer"]),
-            schedule=ScheduleConfig.from_dict(d["schedule"]),
-            corpus=CorpusConfig.from_dict(d["corpus"]),
+            model=model,
+            optimizer=OptimizerConfig.from_dict(_required(d, "optimizer", "experiment")),
+            schedule=ScheduleConfig.from_dict(_required(d, "schedule", "experiment")),
+            corpus=CorpusConfig.from_dict(_required(d, "corpus", "experiment")),
             seed=d.get("seed", 0),
             growth=plan,
             growth_trigger=trigger,
@@ -207,17 +262,42 @@ def _no_decay(name: str) -> bool:
 
 
 def adamw_step(params, grads, m, v, t, lr, betas, weight_decay):
-    """One decoupled-weight-decay Adam update (in place on the dicts)."""
+    """One decoupled-weight-decay Adam update.
+
+    The arrays ``params[key]``, ``m[key]`` and ``v[key]`` are overwritten
+    in place, so the caller must own them: nothing else (a checkpoint, a
+    snapshot, a loaded file's buffer) may hold the same arrays. Each
+    elementwise operation runs in the order of the out-of-place formula
+
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        update = (m/c1) / (sqrt(v/c2) + eps) [+ wd*p];  p = p - lr*update
+
+    so the result is bit-identical to it.
+    """
     b1, b2 = betas
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     for key, g in grads.items():
-        m[key] = b1 * m[key] + (1.0 - b1) * g
-        v[key] = b2 * v[key] + (1.0 - b2) * g * g
-        update = (m[key] / c1) / (np.sqrt(v[key] / c2) + _ADAM_EPS)
+        mk, vk, p = m[key], v[key], params[key]
+        tmp = np.empty_like(g)
+        update = np.empty_like(g)
+        np.multiply(mk, b1, out=mk)
+        np.multiply(g, 1.0 - b1, out=tmp)
+        np.add(mk, tmp, out=mk)
+        np.multiply(vk, b2, out=vk)
+        np.multiply(g, 1.0 - b2, out=tmp)
+        np.multiply(tmp, g, out=tmp)
+        np.add(vk, tmp, out=vk)
+        np.divide(vk, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        np.add(tmp, _ADAM_EPS, out=tmp)
+        np.divide(mk, c1, out=update)
+        np.divide(update, tmp, out=update)
         if weight_decay and not _no_decay(key):
-            update = update + weight_decay * params[key]
-        params[key] = params[key] - lr * update
+            np.multiply(p, weight_decay, out=tmp)
+            np.add(update, tmp, out=update)
+        np.multiply(update, lr, out=update)
+        np.subtract(p, update, out=p)
 
 
 def _lr_at(config: ExperimentConfig, step: int, growth_step: int | None) -> float:

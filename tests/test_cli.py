@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -70,19 +71,52 @@ def test_model_config_with_unknown_key_exits_1(tmp_path, capsys):
     assert "hiden_size" in err and "hidden_size" in err
 
 
-def test_unimplemented_optimizer_kind_exits_1(tmp_path, capsys):
-    config = ExperimentConfig(
+def experiment_blob() -> dict:
+    return ExperimentConfig(
         model=MODEL,
         optimizer=OptimizerConfig(lr=3e-3),
         schedule=ScheduleConfig(steps=2, warmup=1, snapshot_every=2),
         corpus=CorpusConfig(generator="markov-k2", seed=2, length=2000),
     ).to_dict()
-    config["optimizer"]["kind"] = "sgd"
+
+
+def train_on(config: dict, tmp_path) -> tuple[int, Path]:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "run"
-    assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 1
+    return cli.main(["train", "--config", str(path), "--out", str(out)]), out
+
+
+def test_unimplemented_optimizer_kind_exits_1(tmp_path, capsys):
+    config = experiment_blob()
+    config["optimizer"]["kind"] = "sgd"
+    code, out = train_on(config, tmp_path)
+    assert code == 1
     assert "'sgd'" in capsys.readouterr().err
+    assert not list(out.glob("*.nxf"))
+
+
+@pytest.mark.parametrize(
+    "block, key, value, message",
+    [
+        ("schedule", "steps", "2", "schedule config: steps must be an integer, got '2'"),
+        ("optimizer", "lr", "0.003", "optimizer config: lr must be a real number, got '0.003'"),
+        ("corpus", "length", "2000", "corpus config: length must be an integer, got '2000'"),
+        ("optimizer", "lr", None, "optimizer config: missing required key 'lr'"),
+    ],
+    ids=["string-steps", "string-lr", "string-length", "missing-lr"],
+)
+def test_experiment_config_with_bad_value_or_missing_key_exits_1(
+    block, key, value, message, tmp_path, capsys
+):
+    config = experiment_blob()
+    if value is None:
+        del config[block][key]
+    else:
+        config[block][key] = value
+    code, out = train_on(config, tmp_path)
+    assert code == 1
+    assert message in capsys.readouterr().err
     assert not list(out.glob("*.nxf"))
 
 

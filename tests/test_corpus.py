@@ -1,6 +1,12 @@
+import hashlib
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from growformer import corpus
 from growformer.corpus import (
     PATTERN_PERIOD,
     VOCAB,
@@ -11,6 +17,28 @@ from growformer.corpus import (
     unigram_entropy,
 )
 from growformer.errors import ValidationError
+from growformer.rng import RngState, derive_seed, seeded_ints, seeded_uniform
+
+# sha256 of gen_corpus("mixed", 0, 100_000, stream=2), recorded from the
+# per-token searchsorted sampler
+MIXED_100K_SHA256 = "4a9ba56aad2f8f5cca8c8e073395710eef578c6a7e2e61d34d27dd3a957d398f"
+
+
+def searchsorted_markov_stream(seed, length, stream):
+    """Reference: the per-token np.searchsorted loop the bisect sampler replaced."""
+    table = markov_table(seed).reshape(VOCAB * VOCAB, VOCAB)
+    cum = np.cumsum(table, axis=1)
+    rng = RngState(derive_seed(seed, 0x3A3C + stream))
+    out = np.empty(length, dtype=np.int64)
+    start = seeded_ints(rng, 2, VOCAB)
+    out[0] = start[0]
+    if length > 1:
+        out[1] = start[1]
+    u = seeded_uniform(rng, 1, max(length - 2, 1)).ravel()
+    for i in range(2, length):
+        ctx = int(out[i - 2]) * VOCAB + int(out[i - 1])
+        out[i] = int(np.searchsorted(cum[ctx], u[i - 2], side="right"))
+    return out
 
 
 class TestDeterminism:
@@ -61,6 +89,26 @@ class TestMarkov:
         for i in range(2, 200):
             p = table[stream[i - 2], stream[i - 1], stream[i]]
             assert p > 0
+
+
+class TestSampler:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["markov-k2", "mixed"]),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 10_000),
+        st.integers(1, 5000),
+    )
+    def test_bisect_matches_searchsorted_loop(self, generator, seed, stream, length):
+        got = gen_corpus(generator, seed, length, stream=stream)
+        with patch.object(corpus, "_markov_stream", searchsorted_markov_stream):
+            want = gen_corpus(generator, seed, length, stream=stream)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_mixed_stream_digest_pinned(self):
+        stream = gen_corpus("mixed", 0, 100_000, stream=2)
+        assert hashlib.sha256(stream.tobytes()).hexdigest() == MIXED_100K_SHA256
 
 
 class TestMixed:

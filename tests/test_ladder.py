@@ -48,7 +48,7 @@ def scalar_loop_forward(layer, x):
                 for k in range(h.shape[1]):
                     acc += h[i, k] * w[k, j]
                 out[i, j] = acc
-        h = gelu(out) if idx < len(layer.weights) - 1 else out
+        h = gelu(out)[0] if idx < len(layer.weights) - 1 else out
     return h
 
 

@@ -1,12 +1,17 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
+from growformer import linalg
 from growformer.errors import ValidationError
 from growformer.linalg import (
     causal_mask,
     eig_sym3,
+    exact_arithmetic,
     finite_diff_grad,
     gelu,
     gelu_derivative,
@@ -77,20 +82,64 @@ class TestMatmul:
         scale = max(np.abs(left).max(), 1.0)
         assert np.abs(left - right).max() / scale < 1e-9
 
+    def test_exact_mode_is_per_thread(self, monkeypatch):
+        exact_calls = []
+        channel_ordered = linalg._matmul_channel_ordered
+
+        def spy(a, b):
+            exact_calls.append(threading.current_thread().name)
+            return channel_ordered(a, b)
+
+        monkeypatch.setattr(linalg, "_matmul_channel_ordered", spy)
+        a, b = np.ones((2, 3)), np.ones((3, 2))
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_exact_mode():
+            with exact_arithmetic():
+                matmul(a, b)
+                entered.set()
+                release.wait(timeout=10)
+                matmul(a, b)
+
+        holder = threading.Thread(target=hold_exact_mode, name="exact")
+        holder.start()
+        try:
+            assert entered.wait(timeout=10)
+            other = threading.Thread(target=matmul, args=(a, b), name="blas")
+            other.start()
+            other.join(timeout=10)
+            assert not other.is_alive()
+            matmul(a, b)
+        finally:
+            release.set()
+            holder.join(timeout=10)
+        assert not holder.is_alive()
+        assert exact_calls == ["exact", "exact"]
+
 
 class TestGelu:
     def test_zero_is_exactly_zero(self):
-        assert gelu(np.array([[0.0]]))[0, 0] == 0.0
+        assert gelu(np.array([[0.0]]))[0][0, 0] == 0.0
 
     def test_large_positive_asymptote(self):
         x = np.array([[12.0, 30.0]])
-        assert np.abs(gelu(x) / x - 1.0).max() < 1e-9
+        assert np.abs(gelu(x)[0] / x - 1.0).max() < 1e-9
 
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 3))
-        g = finite_diff_grad(lambda m: float(gelu(m).sum()), x)
-        assert np.abs(g - gelu_derivative(x)).max() < 1e-7
+        g = finite_diff_grad(lambda m: float(gelu(m)[0].sum()), x)
+        assert np.abs(g - gelu_derivative(x, ndtr(x))).max() < 1e-7
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=64))
+    def test_reused_cdf_is_bit_equal_to_recomputing_it(self, values):
+        x = np.array([values])
+        value, cdf = gelu(x)
+        # the one-argument formulas the forward cache replaced
+        assert value.tobytes() == (x * ndtr(x)).tobytes()
+        recomputed = ndtr(x) + x * 0.3989422804014327 * np.exp(-0.5 * x * x)
+        assert gelu_derivative(x, cdf).tobytes() == recomputed.tobytes()
 
 
 class TestSoftmaxRows:
@@ -259,8 +308,8 @@ class TestFiniteDiffGrad:
     def test_gelu_sum_cross_check(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(3, 3))
-        g = finite_diff_grad(lambda m: float(gelu(m).sum()), x)
-        assert np.abs(g - gelu_derivative(x)).max() < 1e-6
+        g = finite_diff_grad(lambda m: float(gelu(m)[0].sum()), x)
+        assert np.abs(g - gelu_derivative(x, ndtr(x))).max() < 1e-6
 
     def test_bad_eps(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growformer.checkpoint import load_checkpoint, save_checkpoint
 from growformer.errors import ValidationError
@@ -7,11 +11,14 @@ from growformer.growth import GrowthPlan
 from growformer.model import ModelConfig, init_params
 from growformer.rng import derive_seed
 from growformer.training import (
+    _ADAM_EPS,
     _INIT_TAG,
     CorpusConfig,
     ExperimentConfig,
     OptimizerConfig,
     ScheduleConfig,
+    _no_decay,
+    adamw_step,
     heldout_sequences,
     start_checkpoint,
     train,
@@ -23,6 +30,13 @@ TINY = ModelConfig(
 )
 
 
+# sha256 over step_losses and the final params, adam_m and adam_v of the
+# in-run guarded-zero growth run below, recorded from the out-of-place
+# AdamW update and the GeLU derivative that recomputed Phi
+GROWTH_RUN_SHA256 = "674638bb8953d4778dab8633858ef6af0cb43768b022e8424fc79d443601ea53"
+CHECKPOINT_GROUPS = ("params", "adam_m", "adam_v")
+
+
 def make_config(steps=40, snapshot_every=20, generator="markov-k2", seed=1, **kw):
     return ExperimentConfig(
         model=kw.pop("model", TINY),
@@ -32,6 +46,63 @@ def make_config(steps=40, snapshot_every=20, generator="markov-k2", seed=1, **kw
         seed=seed,
         **kw,
     )
+
+
+@pytest.fixture(scope="module")
+def growth_run():
+    return train(make_config(
+        steps=40, snapshot_every=20,
+        growth=GrowthPlan(4, 6, "guarded-zero", seed=9), growth_trigger=20,
+    ))
+
+
+def same_bits(a: dict, b: dict) -> bool:
+    return list(a) == list(b) and all(a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+def out_of_place_adamw_step(params, grads, m, v, t, lr, betas, weight_decay):
+    """Reference: the dict-rebinding update the in-place one replaced."""
+    b1, b2 = betas
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    for key, g in grads.items():
+        m[key] = b1 * m[key] + (1.0 - b1) * g
+        v[key] = b2 * v[key] + (1.0 - b2) * g * g
+        update = (m[key] / c1) / (np.sqrt(v[key] / c2) + _ADAM_EPS)
+        if weight_decay and not _no_decay(key):
+            update = update + weight_decay * params[key]
+        params[key] = params[key] - lr * update
+
+
+# decay and no-decay parameter names
+ADAM_KEYS = ("blocks.0.attn.q.w_up", "blocks.0.ln1.g", "ln_f.b", "unembed", "blocks.1.ln2.b")
+
+
+class TestAdamW:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), min_size=1, max_size=5),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 10_000),
+        st.floats(1e-6, 1.0),
+        st.sampled_from([0.0, 0.01]) | st.floats(0.0, 0.5),
+        st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.9999)),
+    )
+    def test_in_place_update_is_bit_equal_to_out_of_place(self, shapes, seed, t, lr, wd, betas):
+        rng = np.random.default_rng(seed)
+        keys = [ADAM_KEYS[i % len(ADAM_KEYS)] + f".{i}" for i in range(len(shapes))]
+        params = {k: rng.normal(size=s) for k, s in zip(keys, shapes)}
+        grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-6, 2) for k, s in zip(keys, shapes)}
+        m = {k: rng.normal(size=s) * 0.1 for k, s in zip(keys, shapes)}
+        v = {k: rng.random(size=s) * 0.1 for k, s in zip(keys, shapes)}
+        want_p, want_m, want_v = ({k: a.copy() for k, a in d.items()} for d in (params, m, v))
+        out_of_place_adamw_step(want_p, grads, want_m, want_v, t, lr, betas, wd)
+        grads_before = {k: g.copy() for k, g in grads.items()}
+        adamw_step(params, grads, m, v, t, lr, betas, wd)
+        assert same_bits(params, want_p)
+        assert same_bits(m, want_m)
+        assert same_bits(v, want_v)
+        assert same_bits(grads, grads_before)
 
 
 class TestConfig:
@@ -54,6 +125,30 @@ class TestConfig:
         blob["arithmetic"] = "f8"
         blob["model"]["dtype"] = "f4"
         assert ExperimentConfig.from_dict(blob) == cfg
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("schedule", "warmup", True),
+            ("corpus", "seed", 1.0),
+            ("optimizer", "betas", [0.9]),
+            ("optimizer", "weight_decay", False),
+        ],
+    )
+    def test_wrong_value_types_rejected(self, block, key, value):
+        blob = make_config().to_dict()
+        blob[block][key] = value
+        with pytest.raises(ValidationError, match=f"{block} config: {key} must be"):
+            ExperimentConfig.from_dict(blob)
+
+    @pytest.mark.parametrize("key, value", [("delta_m", "2"), ("seed", 1.5), ("trigger_step", "20")])
+    def test_wrong_growth_value_types_rejected(self, key, value):
+        blob = make_config(
+            growth=GrowthPlan(2, 2, "guarded-zero", 5), growth_trigger=20
+        ).to_dict()
+        blob["growth"][key] = value
+        with pytest.raises(ValidationError, match=f"growth.*{key} must be an integer"):
+            ExperimentConfig.from_dict(blob)
 
     def test_growth_needs_trigger(self):
         with pytest.raises(ValidationError, match="trigger"):
@@ -114,19 +209,41 @@ class TestTrain:
         result = train(cfg)
         assert float(np.mean(result.step_losses[-10:])) < 0.1
 
-    def test_in_run_growth_preserves_and_continues(self):
-        cfg = make_config(
-            steps=40, snapshot_every=20,
-            growth=GrowthPlan(4, 6, "guarded-zero", seed=9), growth_trigger=20,
-        )
-        result = train(cfg)
-        grown = result.checkpoints[-1]
+    def test_in_run_growth_preserves_and_continues(self, growth_run):
+        grown = growth_run.checkpoints[-1]
         assert grown.model_config.ladder_m == TINY.ladder_m + 4
         assert grown.model_config.ladder_a == TINY.ladder_a + 6
         # old optimizer moments survive in the old index ranges
         base = train(make_config(steps=20, snapshot_every=20)).final
         m_new = grown.adam_m["blocks.0.attn.q.w_mid"]
         assert m_new.shape == (24, 30)
+
+    def test_in_run_growth_trajectory_digest_pinned(self, growth_run):
+        digest = hashlib.sha256(np.asarray(growth_run.step_losses, dtype="<f8").tobytes())
+        for group in CHECKPOINT_GROUPS:
+            for key, a in getattr(growth_run.final, group).items():
+                digest.update(key.encode() + b"\0" + a.tobytes())
+        assert digest.hexdigest() == GROWTH_RUN_SHA256
+
+    def test_resume_leaves_checkpoint_unchanged(self):
+        cfg = make_config(steps=20, snapshot_every=10)
+        mid = train(cfg).checkpoints[1]
+        before = {g: {k: a.copy() for k, a in getattr(mid, g).items()} for g in CHECKPOINT_GROUPS}
+        rng_before = (mid.rng.seed, mid.rng.position)
+        train(cfg, resume=mid)
+        for group in CHECKPOINT_GROUPS:
+            assert same_bits(getattr(mid, group), before[group])
+        assert (mid.rng.seed, mid.rng.position) == rng_before
+
+    def test_early_snapshots_unchanged_by_later_steps(self):
+        cfg = make_config(steps=30, snapshot_every=10)
+        result = train(cfg)
+        first = result.checkpoints[0]
+        assert same_bits(first.params, init_params(cfg.model, derive_seed(cfg.seed, _INIT_TAG)))
+        assert all(not a.any() for g in ("adam_m", "adam_v") for a in getattr(first, g).values())
+        shorter = train(make_config(steps=10, snapshot_every=10)).final
+        for group in CHECKPOINT_GROUPS:
+            assert same_bits(getattr(result.checkpoints[1], group), getattr(shorter, group))
 
 
 def test_heldout_disjoint_from_training_stream():
