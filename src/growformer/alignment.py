@@ -48,7 +48,6 @@ class WeightSample:
 
     values: np.ndarray
     source: str
-    subsample_seed: int | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
@@ -205,19 +204,15 @@ def base_projection_sample(
 ) -> WeightSample:
     """Subsample of every Q/K/V projection entry, labelled ``source``."""
     vals = np.concatenate([params[k].ravel() for k in projection_param_keys(config)])
-    seed = rng.seed
-    return WeightSample(subsample(rng, vals, SUBSAMPLE_LIMIT), source, seed)
+    return WeightSample(subsample(rng, vals, SUBSAMPLE_LIMIT), source)
 
 
 def new_block_sample(
     params: dict, config: ModelConfig, plan: GrowthPlan, rng: RngState
-) -> WeightSample | None:
-    blocks = [np.asarray(b).ravel() for _, b in new_block_slices(params, config, plan)]
-    vals = np.concatenate(blocks) if blocks else np.array([])
-    if vals.size == 0:
-        return None
-    seed = rng.seed
-    return WeightSample(subsample(rng, vals, SUBSAMPLE_LIMIT), "new-blocks-only", seed)
+) -> WeightSample:
+    """Subsample of every entry the plan's growth step created."""
+    vals = np.concatenate([b.ravel() for _, b in new_block_slices(params, config, plan)])
+    return WeightSample(subsample(rng, vals, SUBSAMPLE_LIMIT), "new-blocks-only")
 
 
 def snapshot_alignment(
@@ -228,7 +223,6 @@ def snapshot_alignment(
     loss: float,
     tokens: int,
     reference: AlignmentSnapshot | None = None,
-    subsample_seed: int = 0,
 ) -> AlignmentSnapshot:
     """Assemble the full per-checkpoint alignment record.
 
@@ -252,7 +246,7 @@ def snapshot_alignment(
             f"base (m={base_config.ladder_m}, a={base_config.ladder_a}), "
             f"current (m={current_config.ladder_m}, a={current_config.ladder_a})"
         )
-    rng = RngState(subsample_seed)
+    rng = RngState(0)
     base_s = base_projection_sample(base_params, base_config, rng)
     cur_s = base_projection_sample(current_params, current_config, rng, "expanded-all")
     noc_val = noc(base_s, cur_s)

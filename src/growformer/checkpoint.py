@@ -42,12 +42,11 @@ class Checkpoint:
     step: int = 0
     tokens: int = 0
     experiment: dict | None = None
-    version: int = FORMAT_VERSION
 
 
 def _header_json(ck: Checkpoint) -> bytes:
     blob = {
-        "version": ck.version,
+        "version": FORMAT_VERSION,
         "model": ck.model_config.to_dict(),
         "rng": ck.rng.to_dict(),
         "step": ck.step,
@@ -68,7 +67,7 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     entries = sorted(_iter_matrices(ck), key=lambda kv: kv[0])
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<II", ck.version, len(blob)))
+        fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
         fh.write(blob)
         fh.write(struct.pack("<I", len(entries)))
         for name, mat in entries:
@@ -137,5 +136,4 @@ def load_checkpoint(path) -> Checkpoint:
         step=step,
         tokens=tokens,
         experiment=blob.get("experiment"),
-        version=version,
     )

@@ -1,8 +1,11 @@
 """Command-line surface.
 
 Subcommands: train, grow, verify, analyze, fit-scaling, periodicity,
-flops, ablate. Exit codes: 0 success, 1 validation failure, 2 numeric
-failure.
+flops, ablate. Exit codes: 0 success; 1 malformed or unreadable input
+(a config or metrics file that does not parse or lacks a field, a bad
+checkpoint, a missing path or a directory), reported as one ``error:``
+line without a traceback; 2 numeric failure, such as a zero-policy
+``grow`` whose probe deviation is not exactly 0.0.
 """
 
 from __future__ import annotations
@@ -16,29 +19,35 @@ import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import NumericError, ValidationError
-from .experiment import (
-    SNAPSHOT_COLUMNS,
-    ablate_axes,
-    analyze_snapshot_series,
-    emit_reports,
-    snapshot_rows,
-)
-from .flops import breakdown_csv_rows, model_flops
+from .experiment import SNAPSHOT_COLUMNS, ablate_axes, analyze_snapshot_series, snapshot_rows
+from .flops import breakdown_csv_rows
 from .growth import GrowthPlan, grow_model, verify_function_preservation
 from .model import ModelConfig, heldout_loss
 from .seriesstats import fisher_g_test, harmonic_fit, scaling_law_fit
 from .training import ExperimentConfig, heldout_sequences, train
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not a UTF-8 text file") from exc
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not a JSON file: {exc}") from exc
+
+
 def _load_experiment_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+    return ExperimentConfig.from_dict(_read_json(path))
 
 
 def _load_model_config(path: str) -> ModelConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
-    if "model" in blob:
+    blob = _read_json(path)
+    if isinstance(blob, dict) and "model" in blob:
         blob = blob["model"]
     return ModelConfig.from_dict(blob)
 
@@ -122,28 +131,31 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _read_metrics_csv(path: str) -> dict[str, list[float]]:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = lines[0].split(",")
-    cols: dict[str, list] = {h: [] for h in header}
-    for line in lines[1:]:
-        for h, cell in zip(header, line.split(",")):
-            cols[h].append(cell)
-    return cols
+def _read_metrics_csv(path: str, names: tuple[str, ...]) -> dict[str, list[float]]:
+    """The named columns of a metrics CSV, parsed as floats."""
+    rows = [line.split(",") for line in _read_text(path).strip().splitlines()]
+    header = rows[0] if rows else []
+    for name in names:
+        if name not in header:
+            raise ValidationError(f"{path}: no {name!r} column in header {header}")
+    try:
+        return {name: [float(row[header.index(name)]) for row in rows[1:]] for name in names}
+    except (IndexError, ValueError) as exc:  # a short row, or a cell that is not a number
+        raise ValidationError(f"{path}: malformed metrics row: {exc}") from exc
 
 
 def _cmd_fit_scaling(args) -> int:
-    cols = _read_metrics_csv(args.metrics)
-    pairs = [(float(r), float(p)) for r, p in zip(cols["r"], cols["ppl"])]
+    cols = _read_metrics_csv(args.metrics, ("r", "ppl"))
+    pairs = list(zip(cols["r"], cols["ppl"]))
     fit = scaling_law_fit(pairs)
     print(json.dumps(fit.to_dict(), sort_keys=True, indent=2))
     return 0
 
 
 def _cmd_periodicity(args) -> int:
-    cols = _read_metrics_csv(args.metrics)
-    tokens = [float(t) / 1000.0 for t in cols["tokens"]]
-    r = [float(x) for x in cols["r"]]
+    cols = _read_metrics_csv(args.metrics, ("tokens", "r"))
+    tokens = [t / 1000.0 for t in cols["tokens"]]
+    r = cols["r"]
     out = {
         "harmonic": harmonic_fit(tokens, r).to_dict(),
         "fisher_g": fisher_g_test(r, detrend=args.detrend).to_dict(),
@@ -230,7 +242,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, FileNotFoundError, KeyError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

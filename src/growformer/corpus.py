@@ -75,9 +75,15 @@ def _markov_stream(seed: int, length: int, stream: int) -> np.ndarray:
     bisection instead of one numpy call per token. The table, the
     uniforms and the output are read and written through memoryviews,
     whose items are Python floats and ints.
+
+    A row's float sum can end a few ulps below 1, and a uniform above its
+    end would count all ``VOCAB`` entries, one past the last token. Each
+    row's last entry is therefore set to 1.0, which every uniform in
+    (0, 1) lies below; no draw under the old end changes its token.
     """
     table = markov_table(seed).reshape(VOCAB * VOCAB, VOCAB)
     cum = np.cumsum(table, axis=1)
+    cum[:, -1] = 1.0
     rng = RngState(derive_seed(seed, 0x3A3C + stream))
     out = np.empty(length, dtype=np.int64)
     start = seeded_ints(rng, 2, VOCAB)
@@ -140,12 +146,13 @@ def gen_corpus(generator: str, seed: int, length: int, stream: int = 0) -> np.nd
     raise ValidationError(f"unknown generator {generator!r}; known: {GENERATORS}")
 
 
-def markov_stationary_unigram_entropy(seed: int, max_iter: int = 2000) -> float:
+def markov_stationary_unigram_entropy(seed: int) -> float:
     """Entropy (nats) of the stationary unigram distribution, computed by
-    power iteration over the 64^2 context-pair distribution."""
+    at most 2000 steps of power iteration over the 64^2 context-pair
+    distribution."""
     table = markov_table(seed)
     pi = np.full((VOCAB, VOCAB), 1.0 / (VOCAB * VOCAB))
-    for _ in range(max_iter):
+    for _ in range(2000):
         nxt = np.einsum("ab,abc->bc", pi, table)
         if np.abs(nxt - pi).sum() < 1e-13:
             pi = nxt

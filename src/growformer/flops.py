@@ -6,6 +6,10 @@ the full sequence length, the attention output projection, the FFN
 matmuls, and the vocabulary head. Normalisation, softmax, activations
 and embedding lookups are excluded. The tag on every breakdown records
 this so downstream comparisons know what they are looking at.
+
+``model_flops`` is checked against the matmuls a real forward pass
+performs, counted at 2*m*k*n each: per module in ``tests/test_flops.py``,
+and in total by the benchmark's tracer (``perfbench/test_perfbench.py``).
 """
 
 from __future__ import annotations
@@ -21,19 +25,6 @@ CONVENTION = (
 )
 
 
-class FlopCounter:
-    """Accumulates multiply-add counts by component during a forward pass."""
-
-    def __init__(self):
-        self.by_component: dict[str, int] = {}
-
-    def add(self, component: str, flops: int) -> None:
-        self.by_component[component] = self.by_component.get(component, 0) + int(flops)
-
-    def total(self) -> int:
-        return sum(self.by_component.values())
-
-
 @dataclass
 class FlopsBreakdown:
     qkv_projections: int
@@ -42,7 +33,6 @@ class FlopsBreakdown:
     output_projection: int
     ffn: int
     lm_head: int
-    convention: str = CONVENTION
 
     @property
     def total(self) -> int:
@@ -64,7 +54,7 @@ class FlopsBreakdown:
             "ffn": self.ffn,
             "lm_head": self.lm_head,
             "total": self.total,
-            "convention": self.convention,
+            "convention": CONVENTION,
         }
 
 

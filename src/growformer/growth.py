@@ -131,34 +131,35 @@ def _describe(block: np.ndarray) -> str:
     return "zero" if not block.any() else "random"
 
 
-def grow_w_up(w, delta_m: int, plan: GrowthPlan, rng: RngState, ref_std=None):
+def grow_w_up(w, delta_m: int, plan: GrowthPlan, rng: RngState, ref_std: float):
     """Append delta_m columns to the first-stage matrix."""
     if delta_m == 0:
         return w.copy()
-    ref = float(np.std(w)) if ref_std is None else ref_std
-    new = _new_block(w.shape[0], delta_m, plan, rng, ref, fan_in=w.shape[0], zero_under_guard=False)
+    new = _new_block(
+        w.shape[0], delta_m, plan, rng, ref_std, fan_in=w.shape[0], zero_under_guard=False
+    )
     return np.hstack([w, new])
 
 
-def grow_w_mid(w, delta_m: int, delta_a: int, plan: GrowthPlan, rng: RngState, ref_std=None):
+def grow_w_mid(w, delta_m: int, delta_a: int, plan: GrowthPlan, rng: RngState, ref_std: float):
     """Grow the middle matrix along both axes, creating up to four blocks."""
     if delta_m == 0 and delta_a == 0:
         return w.copy()
     m_old, a_old = w.shape
-    ref = float(np.std(w)) if ref_std is None else ref_std
     fan_in = m_old + delta_m
-    right = _new_block(m_old, delta_a, plan, rng, ref, fan_in, zero_under_guard=False)
-    bottom = _new_block(delta_m, a_old, plan, rng, ref, fan_in, zero_under_guard=True)
-    corner = _new_block(delta_m, delta_a, plan, rng, ref, fan_in, zero_under_guard=False)
+    right = _new_block(m_old, delta_a, plan, rng, ref_std, fan_in, zero_under_guard=False)
+    bottom = _new_block(delta_m, a_old, plan, rng, ref_std, fan_in, zero_under_guard=True)
+    corner = _new_block(delta_m, delta_a, plan, rng, ref_std, fan_in, zero_under_guard=False)
     return np.block([[w, right], [bottom, corner]])
 
 
-def grow_w_down(w, delta_a: int, plan: GrowthPlan, rng: RngState, ref_std=None):
+def grow_w_down(w, delta_a: int, plan: GrowthPlan, rng: RngState, ref_std: float):
     """Append delta_a rows to the final-stage matrix."""
     if delta_a == 0:
         return w.copy()
-    ref = float(np.std(w)) if ref_std is None else ref_std
-    new = _new_block(delta_a, w.shape[1], plan, rng, ref, fan_in=w.shape[0] + delta_a, zero_under_guard=True)
+    new = _new_block(
+        delta_a, w.shape[1], plan, rng, ref_std, fan_in=w.shape[0] + delta_a, zero_under_guard=True
+    )
     return np.vstack([w, new])
 
 
@@ -213,7 +214,8 @@ def grow_model(
     Non-projection parameters are copied untouched. When ``probe`` (a
     list of token sequences) is given the report also carries the max
     output deviation on the probe and the new-block gradient norms at
-    step 0.
+    step 0, and a zero policy whose deviation is not exactly 0.0 raises
+    NumericError (``require_exact_preservation``).
     """
     new_config = config.grown(plan.delta_m, plan.delta_a)
     violations = validate_hierarchy(new_config.qkv_ladder, strict=strict_hierarchy)
@@ -239,6 +241,7 @@ def grow_model(
         report.max_output_deviation = verify_function_preservation(
             params, config, new_params, new_config, probe
         )
+        require_exact_preservation(report.max_output_deviation, plan)
         report.new_block_grad_norms = new_block_gradient_report(
             new_params, new_config, plan, probe[0]
         )

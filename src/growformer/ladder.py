@@ -80,19 +80,6 @@ class LadderProjection:
                     f"({widths[i]}, {widths[i + 1]})"
                 )
 
-    # Two-stage accessors used by the growth code.
-    @property
-    def w_up(self) -> np.ndarray:
-        return self.weights[0]
-
-    @property
-    def w_mid(self) -> np.ndarray:
-        return self.weights[1]
-
-    @property
-    def w_down(self) -> np.ndarray:
-        return self.weights[2]
-
     @classmethod
     def init(
         cls, ladder: DimLadder, rng: RngState, strict: bool = True
@@ -117,9 +104,7 @@ class ForwardCache:
     cdf: list[np.ndarray] = field(default_factory=list)  # Phi(pre), reused by backward
 
 
-def ladder_forward(
-    layer: LadderProjection, x: np.ndarray, counter=None
-) -> tuple[np.ndarray, ForwardCache]:
+def ladder_forward(layer: LadderProjection, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """out = W_last . gelu( ... gelu(x W_1) ... ), returning the cache."""
     x = as_matrix(x, "x")
     if x.shape[1] != layer.ladder.d_in:
@@ -131,8 +116,6 @@ def ladder_forward(
     last = len(layer.weights) - 1
     for i, w in enumerate(layer.weights):
         z = matmul(h, w)
-        if counter is not None:
-            counter.add("projection", 2 * h.shape[0] * h.shape[1] * w.shape[1])
         if i < last:
             cache.pre.append(z)
             h, cdf = gelu(z)
@@ -177,7 +160,6 @@ class AttentionCache:
     v: np.ndarray
     probs: list[np.ndarray]  # per-head post-softmax attention weights
     n_heads: int
-    causal: bool
 
 
 def attention_forward(
@@ -186,10 +168,8 @@ def attention_forward(
     v_proj: LadderProjection,
     x: np.ndarray,
     n_heads: int,
-    causal: bool = True,
-    counter=None,
 ) -> tuple[np.ndarray, AttentionCache]:
-    """Multi-head scaled dot-product attention over staged projections.
+    """Multi-head causal scaled dot-product attention over staged projections.
 
     Returns the concatenated head outputs (no output projection here) and
     the cache for the backward pass.
@@ -208,24 +188,20 @@ def attention_forward(
     head_dim = d // n_heads
     scale = 1.0 / np.sqrt(head_dim)
 
-    q, q_cache = ladder_forward(q_proj, x, counter)
-    k, k_cache = ladder_forward(k_proj, x, counter)
-    v, v_cache = ladder_forward(v_proj, x, counter)
+    q, q_cache = ladder_forward(q_proj, x)
+    k, k_cache = ladder_forward(k_proj, x)
+    v, v_cache = ladder_forward(v_proj, x)
 
-    mask = causal_mask(n) if causal else None
+    mask = causal_mask(n)
     out = np.empty_like(q)
     probs = []
     for h in range(n_heads):
         sl = slice(h * head_dim, (h + 1) * head_dim)
         scores = matmul(q[:, sl], k[:, sl].T) * scale
-        if counter is not None:
-            counter.add("attention_scores", 2 * n * head_dim * n)
         p = softmax_rows(scores, mask)
         probs.append(p)
         out[:, sl] = matmul(p, v[:, sl])
-        if counter is not None:
-            counter.add("attention_aggregate", 2 * n * n * head_dim)
-    cache = AttentionCache(q_cache, k_cache, v_cache, q, k, v, probs, n_heads, causal)
+    cache = AttentionCache(q_cache, k_cache, v_cache, q, k, v, probs, n_heads)
     return out, cache
 
 
@@ -264,6 +240,9 @@ def attention_backward(
     return dx_q + dx_k + dx_v, q_grads, k_grads, v_grads
 
 
+_RANK_TOL = 1e-7
+
+
 @dataclass
 class RankReport:
     rank_x: int
@@ -272,8 +251,8 @@ class RankReport:
     inequality_holds: bool
 
 
-def _numeric_rank(m: np.ndarray, tol: float) -> int:
-    """Count singular values above tol * sigma_max."""
+def _numeric_rank(m: np.ndarray) -> int:
+    """Count singular values above _RANK_TOL * sigma_max."""
     if min(m.shape) <= 3:
         from .linalg import svd_small
 
@@ -284,15 +263,15 @@ def _numeric_rank(m: np.ndarray, tol: float) -> int:
         s = np.sqrt(np.clip(lam, 0.0, None))
     if s.size == 0 or s.max() == 0.0:
         return 0
-    return int((s > tol * s.max()).sum())
+    return int((s > _RANK_TOL * s.max()).sum())
 
 
-def rank_bottleneck_check(x: np.ndarray, w: np.ndarray, tol: float = 1e-7) -> RankReport:
+def rank_bottleneck_check(x: np.ndarray, w: np.ndarray) -> RankReport:
     """Numeric check that rank(x @ w) <= min(rank x, rank w).
 
-    The default threshold sits above sqrt(machine epsilon) because ranks
-    of wider matrices come from Gram-matrix eigenvalues, whose noise
-    floor is eps * lambda_max.
+    The relative threshold ``_RANK_TOL`` sits above sqrt(machine epsilon)
+    because ranks of wider matrices come from Gram-matrix eigenvalues,
+    whose noise floor is eps * lambda_max.
     """
     x = as_matrix(x, "x")
     w = as_matrix(w, "w")
@@ -300,7 +279,7 @@ def rank_bottleneck_check(x: np.ndarray, w: np.ndarray, tol: float = 1e-7) -> Ra
         raise ValidationError(
             f"rank_bottleneck_check shape mismatch: {x.shape} @ {w.shape}"
         )
-    rx = _numeric_rank(x, tol)
-    rw = _numeric_rank(w, tol)
-    rxw = _numeric_rank(matmul(x, w), tol)
+    rx = _numeric_rank(x)
+    rw = _numeric_rank(w)
+    rxw = _numeric_rank(matmul(x, w))
     return RankReport(rx, rw, rxw, rxw <= min(rx, rw))

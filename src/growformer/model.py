@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .ladder import (
-    AttentionCache,
     DimLadder,
     LadderProjection,
     attention_backward,
@@ -121,9 +120,9 @@ def param_names(config: ModelConfig) -> list[str]:
     return names
 
 
-def init_params(config: ModelConfig, seed: int, strict: bool = True) -> dict[str, np.ndarray]:
+def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     """Seeded Gaussian init, std 1/sqrt(fan_in) per matrix."""
-    validate_hierarchy(config.qkv_ladder, strict=strict)
+    validate_hierarchy(config.qkv_ladder, strict=True)
     rng = RngState(derive_seed(seed, 1))
     d, m, a, f = config.hidden_size, config.ladder_m, config.ladder_a, config.ffn_size
     params: dict[str, np.ndarray] = {}
@@ -195,7 +194,7 @@ def _check_tokens(config: ModelConfig, token_ids) -> np.ndarray:
     return ids
 
 
-def _forward(config, params, ids, counter=None, keep_caches=False):
+def _forward(config, params, ids, keep_caches=False):
     n = ids.shape[0]
     h = params["tok_emb"][ids] + params["pos_emb"][:n]
     caches = []
@@ -205,19 +204,13 @@ def _forward(config, params, ids, counter=None, keep_caches=False):
         q_proj = get_projection(params, config, i, "q")
         k_proj = get_projection(params, config, i, "k")
         v_proj = get_projection(params, config, i, "v")
-        att, att_cache = attention_forward(
-            q_proj, k_proj, v_proj, a_in, config.n_heads, causal=True, counter=counter
-        )
+        att, att_cache = attention_forward(q_proj, k_proj, v_proj, a_in, config.n_heads)
         att_out = matmul(att, params[p + "attn.w_o"])
-        if counter is not None:
-            counter.add("output_projection", 2 * n * config.hidden_size**2)
         h1 = h + att_out
         f_in, ln2_cache = _layernorm_forward(h1, params[p + "ln2.g"], params[p + "ln2.b"])
         ffn_pre = matmul(f_in, params[p + "ffn.w1"])
         ffn_act, ffn_cdf = gelu(ffn_pre)
         ffn_out = matmul(ffn_act, params[p + "ffn.w2"])
-        if counter is not None:
-            counter.add("ffn", 2 * n * config.hidden_size * config.ffn_size * 2)
         h2 = h1 + ffn_out
         if keep_caches:
             caches.append(
@@ -236,8 +229,6 @@ def _forward(config, params, ids, counter=None, keep_caches=False):
         h = h2
     hn, lnf_cache = _layernorm_forward(h, params["ln_f.g"], params["ln_f.b"])
     logits = matmul(hn, params["unembed"])
-    if counter is not None:
-        counter.add("lm_head", 2 * n * config.hidden_size * config.vocab_size)
     return logits, hn, lnf_cache, caches
 
 
@@ -252,10 +243,10 @@ def _loss_from_logits(logits, ids):
     return loss, probs, targets
 
 
-def model_forward(config: ModelConfig, params: dict, token_ids, counter=None):
+def model_forward(config: ModelConfig, params: dict, token_ids):
     """Return (logits, mean next-token cross-entropy loss)."""
     ids = _check_tokens(config, token_ids)
-    logits, _, _, _ = _forward(config, params, ids, counter=counter)
+    logits, _, _, _ = _forward(config, params, ids)
     loss, _, _ = _loss_from_logits(logits, ids)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss {loss}")

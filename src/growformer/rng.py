@@ -19,6 +19,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -59,8 +60,11 @@ def _raw_uniforms(state: RngState, n: int) -> np.ndarray:
     counters = np.arange(state.position, state.position + n, dtype=np.uint64)
     words = _mix64((counters + np.uint64(1)) * _GOLDEN + np.uint64(state.seed & _U64_MASK))
     state.position += n
-    # (0, 1): top 53 bits, offset by half an ulp so log() stays finite
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
+    # top 53 bits, offset by half an ulp so log() stays finite. The
+    # all-ones word rounds up to exactly 1.0 (2^53 - 1 + 0.5 is not a
+    # float64), so clamp: every draw lies in (0, 1).
+    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def seeded_uniform(state: RngState, rows: int, cols: int) -> np.ndarray:

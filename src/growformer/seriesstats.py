@@ -98,13 +98,12 @@ def _harmonic_design(t, f, trend):
 def harmonic_fit(
     times,
     values,
-    freq_grid: int = 512,
     freq: float | None = None,
     trend: str = "none",
 ) -> HarmonicFit:
     """Fit values ~ a0 + a1*cos(2*pi*f*t + phase) [+ slope*t] by OLS.
 
-    The frequency is searched on a dense grid over
+    The frequency is searched on a 512-point grid over
     [1/(2*span), 1/(2*min_spacing)] unless ``freq`` pins it; ties in the
     grid argmax resolve to the lowest frequency. The F statistic treats
     the frequency as fixed, which is only calibrated when ``freq`` is
@@ -139,7 +138,7 @@ def harmonic_fit(
     else:
         span = t[-1] - t[0]
         min_spacing = float(np.diff(t).min())
-        grid = np.linspace(1.0 / (2.0 * span), 1.0 / (2.0 * min_spacing), freq_grid)
+        grid = np.linspace(1.0 / (2.0 * span), 1.0 / (2.0 * min_spacing), 512)
 
     best_r2 = -np.inf
     best = None

@@ -11,13 +11,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .corpus import gen_corpus
 from .errors import NumericError, ValidationError
-from .growth import (
-    GrowthPlan,
-    grow_model,
-    grow_projections,
-    require_exact_preservation,
-    verify_function_preservation,
-)
+from .growth import GrowthPlan, grow_model, grow_projections
 from .model import ModelConfig, heldout_loss, init_params, model_loss_and_grads
 from .rng import RngState, derive_seed, seeded_ints
 
@@ -391,12 +385,10 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
     for local in range(config.schedule.steps - step0):
         step = step0 + local
         if growth_step is not None and config.growth is not None and step == growth_step:
-            old_params, old_config = params, model_config
-            params, model_config, _ = grow_model(old_params, old_config, config.growth)
-            deviation = verify_function_preservation(
-                old_params, old_config, params, model_config, heldout[:2]
+            old_config = model_config
+            params, model_config, _ = grow_model(
+                params, old_config, config.growth, probe=heldout[:2]
             )
-            require_exact_preservation(deviation, config.growth)
             zero = GrowthPlan(config.growth.delta_m, config.growth.delta_a, "strict-zero", seed=0)
             m = grow_projections(m, old_config, zero, RngState(0), ref_std=0.0)
             v = grow_projections(v, old_config, zero, RngState(0), ref_std=0.0)

@@ -19,19 +19,6 @@ from .errors import ValidationError
 from .linalg import as_matrix, eig_sym3, matmul, qr_thin
 
 
-@dataclass(frozen=True)
-class StateVector:
-    up_pct: float
-    noc_pct: float
-    perf_pct: float
-
-    def as_array(self) -> np.ndarray:
-        v = np.array([self.up_pct, self.noc_pct, self.perf_pct])
-        if not np.isfinite(v).all():
-            raise ValidationError("state vector has non-finite entries")
-        return v
-
-
 @dataclass
 class PcaModel:
     mean: np.ndarray  # (3,)
@@ -49,9 +36,7 @@ class SubspacePoint:
 def _states_matrix(states) -> np.ndarray:
     rows = []
     for s in states:
-        if isinstance(s, StateVector):
-            rows.append(s.as_array())
-        elif isinstance(s, AlignmentSnapshot):
+        if isinstance(s, AlignmentSnapshot):
             rows.append(s.state_vector)
         else:
             rows.append(np.asarray(s, dtype=np.float64))
@@ -61,7 +46,7 @@ def _states_matrix(states) -> np.ndarray:
     return x
 
 
-def pca_fit(states, center: bool = True) -> PcaModel:
+def pca_fit(states) -> PcaModel:
     """Eigendecomposition of the 3x3 sample covariance of the states.
 
     Needs at least 3 states: two points span a single direction, so PC2
@@ -72,7 +57,7 @@ def pca_fit(states, center: bool = True) -> PcaModel:
     n = x.shape[0]
     if n < 3:
         raise ValidationError(f"need at least 3 states for PCA, got {n}")
-    mean = x.mean(axis=0) if center else np.zeros(3)
+    mean = x.mean(axis=0)
     xc = x - mean
     cov = matmul(xc.T, xc) / (n - 1)
     vals, vecs = eig_sym3(cov)
@@ -162,11 +147,12 @@ def trajectory_series(model: PcaModel, snapshots) -> list[TrajectoryPoint]:
     return out
 
 
-def loadings_table(model: PcaModel, names=("up_pct", "noc_pct", "perf_pct")) -> str:
+def loadings_table(model: PcaModel) -> str:
     """Two-component loadings in a fixed text format, plus the variance
     explained by the leading pair."""
     v = model.eigenvectors
     pair = float(model.variance_ratios[:2].sum())
+    names = ("up_pct", "noc_pct", "perf_pct")
     width = max(len(n) for n in names) + 2
     lines = ["".join([" " * 5] + [n.rjust(width) for n in names])]
     for i, pc in enumerate(("PC1", "PC2")):

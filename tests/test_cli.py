@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from growformer import cli
+from growformer import cli, growth
 from growformer.checkpoint import save_checkpoint
 from growformer.model import ModelConfig
 from growformer.training import (
@@ -128,3 +128,34 @@ def test_model_config_with_non_integer_or_non_positive_value_exits_1(value, tmp_
     path.write_text(json.dumps(blob), encoding="utf-8")
     assert cli.main(["flops", "--config", str(path)]) == 1
     assert "hidden_size must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "flops"])
+@pytest.mark.parametrize("kind", ["malformed-json", "directory"])
+def test_unreadable_config_exits_1(command, kind, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_text('{"model": ', encoding="utf-8")
+    argv = [command, "--config", str(path)]
+    if command == "train":
+        argv += ["--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_metrics_csv_without_ppl_column_exits_1(tmp_path, capsys):
+    path = tmp_path / "metrics.csv"
+    path.write_text("tokens,r\n0,0.0\n320,0.5\n", encoding="utf-8")
+    assert cli.main(["fit-scaling", "--metrics", str(path)]) == 1
+    assert "no 'ppl' column" in capsys.readouterr().err
+
+
+def test_zero_policy_grow_with_nonzero_deviation_exits_2(base_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(growth, "verify_function_preservation", lambda *args: 1e-16)
+    out = tmp_path / "grown.nxf"
+    assert cli.main(grow_args(base_path, out, "guarded-zero")) == 2
+    assert "must preserve the output exactly" in capsys.readouterr().err
+    assert not out.exists()

@@ -110,6 +110,14 @@ class TestSampler:
         stream = gen_corpus("mixed", 0, 100_000, stream=2)
         assert hashlib.sha256(stream.tobytes()).hexdigest() == MIXED_100K_SHA256
 
+    def test_uniform_above_a_short_row_end_stays_in_vocab(self, monkeypatch):
+        # rows of the cumulative table can end a few ulps below 1; the
+        # largest uniform below 1 must still map to a token below VOCAB
+        monkeypatch.setattr(
+            corpus, "seeded_uniform", lambda state, rows, cols: np.full((rows, cols), 1 - 2**-53)
+        )
+        assert gen_corpus("markov-k2", 0, 2000).max() < VOCAB
+
 
 class TestMixed:
     def test_phrase_blocks_come_from_bank(self):

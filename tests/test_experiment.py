@@ -1,7 +1,7 @@
+import hashlib
 import json
 import math
 
-import numpy as np
 import pytest
 
 from growformer import cli, experiment
@@ -42,6 +42,10 @@ def pretrained_base(steps=60, seed=3):
         seed=seed,
     )
     return train(config).final
+
+
+# sha256 of the files test_emitted_bytes_digest_pinned writes
+EMITTED_BYTES_SHA256 = "a9c02fbe258df2e7dd4f3649a36b5c699eb2d9dcb08e5e18654e454be2828ac6"
 
 
 class TestPlanLabel:
@@ -270,6 +274,24 @@ class TestEmitReports:
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             emit_reports({}, tmp_path)
+
+    def test_emitted_bytes_digest_pinned(self, tmp_path):
+        # every file a small base save plus a three-policy experiment
+        # writes, hashed with its relative path; a refactor that changes
+        # no arithmetic must leave this digest unchanged
+        base = pretrained_base(steps=20)
+        save_checkpoint(base, tmp_path / "base.nxf")
+        plans = [
+            GrowthPlan(3, 4, "strict-zero", seed=2),
+            GrowthPlan(3, 4, "guarded-zero", seed=2),
+            GrowthPlan(3, 4, "noise:0.2", seed=2),
+        ]
+        emit_reports(run_growth_experiment(base, plans, budget=8, cadence=2), tmp_path / "out")
+        digest = hashlib.sha256()
+        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(tmp_path).as_posix().encode("utf-8") + b"\0")
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == EMITTED_BYTES_SHA256
 
 
 class TestContinuedConfig:

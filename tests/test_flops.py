@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 
+from growformer import ladder, model
 from growformer.errors import ValidationError
 from growformer.flops import (
-    FlopCounter,
     breakdown_csv_rows,
     efficiency_ratio,
     model_flops,
@@ -66,25 +65,36 @@ class TestModelFlops:
         )
         assert b.total == parts
 
-    def test_counter_oracle_matches_analytic(self):
-        # run the real forward with an instrumented counter; per-sequence
-        # counts must equal seq_len times the per-token analytic model
+    def test_counted_matmuls_match_analytic(self, monkeypatch):
+        # count 2*m*k*n for every product a real forward pass performs;
+        # per sequence, each module's count must equal seq_len times its
+        # share of the per-token analytic model
         cfg = ModelConfig(
             vocab_size=16, context_len=8, hidden_size=8, n_heads=2, n_layers=2,
             ladder_m=12, ladder_a=16, ffn_size=16,
         )
         params = init_params(cfg, seed=0)
         ids = seeded_ints(RngState(1), 8, 16)
-        counter = FlopCounter()
-        model_forward(cfg, params, ids, counter=counter)
+        counted = {"ladder": 0, "model": 0}
+
+        def counting(name, real):
+            def matmul(a, b):
+                counted[name] += 2 * a.shape[0] * a.shape[1] * b.shape[1]
+                return real(a, b)
+
+            return matmul
+
+        monkeypatch.setattr(ladder, "matmul", counting("ladder", ladder.matmul))
+        monkeypatch.setattr(model, "matmul", counting("model", model.matmul))
+        model_forward(cfg, params, ids)
         n = len(ids)
         analytic = model_flops(cfg, seq_len=n)
-        assert counter.by_component["projection"] == n * analytic.qkv_projections
-        assert counter.by_component["attention_scores"] == n * analytic.attention_scores
-        assert counter.by_component["attention_aggregate"] == n * analytic.attention_aggregate
-        assert counter.by_component["output_projection"] == n * analytic.output_projection
-        assert counter.by_component["ffn"] == n * analytic.ffn
-        assert counter.by_component["lm_head"] == n * analytic.lm_head
+        assert counted["ladder"] == n * (
+            analytic.qkv_projections + analytic.attention_scores + analytic.attention_aggregate
+        )
+        assert counted["model"] == n * (
+            analytic.output_projection + analytic.ffn + analytic.lm_head
+        )
 
 
 class TestMeasuredAnchors:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from growformer import growth
 from growformer.errors import NumericError, ValidationError
 from growformer.growth import (
     GrowthPlan,
@@ -17,7 +18,7 @@ from growformer.growth import (
     require_exact_preservation,
     verify_function_preservation,
 )
-from growformer.model import ModelConfig, init_params, model_forward
+from growformer.model import ModelConfig, init_params
 from growformer.rng import RngState, seeded_gaussian, seeded_ints
 
 BASE = ModelConfig(
@@ -49,42 +50,44 @@ class TestBlockGrowth:
     def test_grow_w_up_zero_delta_identity(self):
         w = seeded_gaussian(RngState(1), 4, 6)
         plan = GrowthPlan(0, 2, "strict-zero", seed=0)
-        assert np.array_equal(grow_w_up(w, 0, plan, RngState(2)), w)
+        assert np.array_equal(grow_w_up(w, 0, plan, RngState(2), float(np.std(w))), w)
 
     def test_grow_w_up_strict_zero_columns(self):
         w = seeded_gaussian(RngState(1), 4, 6)
         plan = GrowthPlan(3, 0, "strict-zero", seed=0)
-        grown = grow_w_up(w, 3, plan, RngState(2))
+        grown = grow_w_up(w, 3, plan, RngState(2), float(np.std(w)))
         assert grown.shape == (4, 9)
         assert np.array_equal(grown[:, :6], w)
         assert not grown[:, 6:].any()
 
     def test_grow_w_mid_blocks_by_policy(self):
         w = seeded_gaussian(RngState(3), 6, 8)
-        strict = grow_w_mid(w, 2, 3, GrowthPlan(2, 3, "strict-zero", 0), RngState(4))
+        ref = float(np.std(w))
+        strict = grow_w_mid(w, 2, 3, GrowthPlan(2, 3, "strict-zero", 0), RngState(4), ref)
         assert np.array_equal(strict[:6, :8], w)
         assert not strict[6:, :].any() and not strict[:, 8:].any()
 
-        guarded = grow_w_mid(w, 2, 3, GrowthPlan(2, 3, "guarded-zero", 0), RngState(4))
+        guarded = grow_w_mid(w, 2, 3, GrowthPlan(2, 3, "guarded-zero", 0), RngState(4), ref)
         assert np.array_equal(guarded[:6, :8], w)
         assert not guarded[6:, :8].any()  # bottom-left stays zero
         assert guarded[:6, 8:].any() and guarded[6:, 8:].any()
 
     def test_grow_w_down_guarded_rows_zero(self):
         w = seeded_gaussian(RngState(5), 8, 4)
-        grown = grow_w_down(w, 2, GrowthPlan(0, 2, "guarded-zero", 0), RngState(6))
+        plan = GrowthPlan(0, 2, "guarded-zero", 0)
+        grown = grow_w_down(w, 2, plan, RngState(6), float(np.std(w)))
         assert np.array_equal(grown[:8], w)
         assert not grown[8:].any()
 
     def test_noise_scale_tracks_old_std(self):
         w = seeded_gaussian(RngState(7), 40, 50, std=0.05)
         plan = GrowthPlan(10, 0, "noise:0.1", seed=0)
-        grown = grow_w_up(w, 10, plan, RngState(8))
+        grown = grow_w_up(w, 10, plan, RngState(8), float(np.std(w)))
         target = 0.1 * w.std()
         assert abs(grown[:, 50:].std() - target) / target < 0.2
 
         plan_d = GrowthPlan(0, 20, "noise:0.2", seed=0)
-        grown_d = grow_w_down(w.T.copy(), 20, plan_d, RngState(9))
+        grown_d = grow_w_down(w.T.copy(), 20, plan_d, RngState(9), float(np.std(w)))
         target_d = 0.2 * w.std()
         assert abs(grown_d[50:, :].std() - target_d) / target_d < 0.2
 
@@ -237,3 +240,47 @@ class TestReportWithProbe:
         blob = report.to_dict()
         assert blob["init_policy"] == "strict-zero"
         assert blob["new_block_grad_norms"]["down_new"] == 0.0
+
+    def test_zero_policy_gate_inside_grow_model(self, monkeypatch):
+        monkeypatch.setattr(growth, "verify_function_preservation", lambda *args: 1e-16)
+        params = init_params(BASE, seed=10)
+        with pytest.raises(NumericError, match="guarded-zero"):
+            grow_model(params, BASE, GrowthPlan(3, 3, "guarded-zero", 11), probe=probe_batch())
+        noise = GrowthPlan(3, 3, "noise:0.1", 11)
+        _, _, report = grow_model(params, BASE, noise, probe=probe_batch())
+        assert report.max_output_deviation == 1e-16
+
+
+class TestZeroPolicyProperties:
+    """The paper's invariant at random toy widths. Head widths start at 2:
+    a width-1 LayerNorm outputs only its bias, so every gradient is 0."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(2, 4),
+        st.integers(0, 5),
+        st.integers(0, 5),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["strict-zero", "guarded-zero"]),
+    )
+    def test_exact_preservation_and_new_block_gradients(
+        self, heads, head_dim, dm, da, seed, policy
+    ):
+        assume(dm + da > 0)
+        d = heads * head_dim
+        config = ModelConfig(
+            vocab_size=16, context_len=8, hidden_size=d, n_heads=heads, n_layers=1,
+            ladder_m=d + 2, ladder_a=d + 4, ffn_size=8,
+        )
+        params = init_params(config, seed=seed)
+        plan = GrowthPlan(dm, da, policy, seed=seed)
+        probe = probe_batch(count=2, seed=seed, n=8, vocab=16)
+        _, _, report = grow_model(params, config, plan, strict_hierarchy=False, probe=probe)
+        assert report.max_output_deviation == 0.0
+        norms = report.new_block_grad_norms
+        if policy == "strict-zero":
+            assert all(value == 0.0 for value in norms.values()), norms
+        else:
+            assert (norms["down_new"] > 0.0) == (da > 0), norms
+            assert (norms["mid_bottom"] > 0.0) == (dm > 0), norms

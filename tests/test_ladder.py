@@ -160,10 +160,10 @@ class TestAttention:
         q, k, v = self._three(4, 6, 8, 2)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(5, 4))
-        out, _ = attention_forward(q, k, v, x, n_heads=2, causal=True)
+        out, _ = attention_forward(q, k, v, x, n_heads=2)
         x2 = x.copy()
         x2[3] += rng.normal(size=4)
-        out2, _ = attention_forward(q, k, v, x2, n_heads=2, causal=True)
+        out2, _ = attention_forward(q, k, v, x2, n_heads=2)
         assert np.array_equal(out[:3], out2[:3])
         assert np.abs(out2[3:] - out[3:]).max() > 0
 
@@ -172,7 +172,7 @@ class TestAttention:
         # three staged projections applied first
         q, k, v = self._three(4, 6, 8, 3)
         x = np.random.default_rng(7).normal(size=(3, 4))
-        out, _ = attention_forward(q, k, v, x, n_heads=1, causal=True)
+        out, _ = attention_forward(q, k, v, x, n_heads=1)
         qm, _ = ladder_forward(q, x)
         km, _ = ladder_forward(k, x)
         vm, _ = ladder_forward(v, x)

@@ -126,3 +126,15 @@ def test_subsample_pinned_digest():
     assert hashlib.sha256(out.tobytes()).hexdigest() == (
         "ddeecfdc6eb911b6402169d3eb1ae35123d8836c1eb441ab8918ce0dbf59fdb9"
     )
+
+
+def test_all_ones_word_stays_below_one(monkeypatch):
+    # the top 53 bits of an all-ones word, plus half an ulp, round to 1.0
+    monkeypatch.setattr(rng, "_mix64", lambda x: np.full_like(x, np.uint64(2**64 - 1)))
+    rng._fisher_yates_prefix.cache_clear()
+    try:
+        assert (seeded_uniform(RngState(0), 2, 3) < 1.0).all()
+        picked = subsample(RngState(0), np.arange(10), 3)
+        assert picked.min() >= 0 and picked.max() < 10
+    finally:
+        rng._fisher_yates_prefix.cache_clear()

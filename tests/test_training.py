@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growformer.checkpoint import load_checkpoint, save_checkpoint
+from growformer.checkpoint import save_checkpoint
 from growformer.errors import ValidationError
 from growformer.growth import GrowthPlan
 from growformer.model import ModelConfig, init_params

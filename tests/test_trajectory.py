@@ -4,7 +4,6 @@ import pytest
 from growformer.errors import ValidationError
 from growformer.trajectory import (
     PcaModel,
-    StateVector,
     SubspacePoint,
     grassmann_distance,
     lift_subspace,
@@ -209,9 +208,3 @@ class TestLoadingsTable:
         assert "variance explained (PC1+PC2):" in lines[3]
         pct = float(lines[3].split(":")[1].strip().rstrip("%"))
         assert abs(pct - 100 * model.variance_ratios[:2].sum()) < 0.01
-
-    def test_state_vector_inputs(self):
-        states = [StateVector(0.1 * i, -0.05 * i, 0.02 * i * i) for i in range(6)]
-        model = pca_fit(states)
-        z = pca_project(model, states[3])
-        assert z.shape == (2,)
