@@ -21,7 +21,7 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import NumericError, ValidationError
 from .flops import FlopsBreakdown, efficiency_ratio, model_flops, nexus_proj_flops, standard_proj_flops
 from .growth import GrowthPlan, GrowthReport, grow_model, new_block_gradient_report, verify_function_preservation
-from .ladder import DimLadder, LadderProjection, attention_forward, ladder_forward, rank_bottleneck_check, validate_hierarchy
+from .ladder import attention_forward, ladder_forward, rank_bottleneck_check, validate_hierarchy
 from .model import ModelConfig, TOY_CONFIG, init_params, model_forward, model_loss_and_grads
 from .rng import RngState, seeded_gaussian
 from .seriesstats import fisher_g_test, harmonic_fit, ols_linear, scaling_law_fit
@@ -31,12 +31,10 @@ from .training import ExperimentConfig, train
 __all__ = [
     "AlignmentSnapshot",
     "Checkpoint",
-    "DimLadder",
     "ExperimentConfig",
     "FlopsBreakdown",
     "GrowthPlan",
     "GrowthReport",
-    "LadderProjection",
     "ModelConfig",
     "NumericError",
     "PcaModel",

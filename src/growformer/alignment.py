@@ -26,17 +26,14 @@ pays for the shuffle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import ValidationError
-from .growth import GrowthPlan, new_block_slices, projection_param_keys
+from .growth import new_block_slices
+from .model import ModelConfig, projection_keys
 from .rng import RngState, subsample
-
-if TYPE_CHECKING:  # annotations only: the statistics never run the model
-    from .model import ModelConfig
 
 SUBSAMPLE_LIMIT = 100_000
 DEFAULT_BINS = 128
@@ -203,15 +200,16 @@ def base_projection_sample(
     params: dict, config: ModelConfig, rng: RngState, source: str = "base-snapshot"
 ) -> WeightSample:
     """Subsample of every Q/K/V projection entry, labelled ``source``."""
-    vals = np.concatenate([params[k].ravel() for k in projection_param_keys(config)])
+    vals = np.concatenate([params[k].ravel() for k in projection_keys(config)])
     return WeightSample(subsample(rng, vals, SUBSAMPLE_LIMIT), source)
 
 
 def new_block_sample(
-    params: dict, config: ModelConfig, plan: GrowthPlan, rng: RngState
+    params: dict, config: ModelConfig, delta_m: int, delta_a: int, rng: RngState
 ) -> WeightSample:
-    """Subsample of every entry the plan's growth step created."""
-    vals = np.concatenate([b.ravel() for _, b in new_block_slices(params, config, plan)])
+    """Subsample of every entry a growth by (delta_m, delta_a) created."""
+    blocks = new_block_slices(params, config, delta_m, delta_a)
+    vals = np.concatenate([b.ravel() for _, b in blocks])
     return WeightSample(subsample(rng, vals, SUBSAMPLE_LIMIT), "new-blocks-only")
 
 
@@ -254,8 +252,7 @@ def snapshot_alignment(
     delta_m = current_config.ladder_m - base_config.ladder_m
     delta_a = current_config.ladder_a - base_config.ladder_a
     if delta_m + delta_a > 0:
-        plan = GrowthPlan(delta_m, delta_a, "strict-zero", seed=0)
-        new_s = new_block_sample(current_params, current_config, plan, rng)
+        new_s = new_block_sample(current_params, current_config, delta_m, delta_a, rng)
         u_p = u_p_score(new_s, base_s)
     else:
         u_p = 1.0  # no new parameters: nothing can have diverged

@@ -12,6 +12,12 @@ bit-exactly. The loader also reads the ``f4`` tag, and ignores the
 ``dtype`` and ``arithmetic`` header keys, of files from older writers.
 Every read is bounds-checked and trailing bytes are rejected: a
 truncated or padded file is a ValidationError.
+
+Shape contract: the parameters and both Adam moments each hold exactly
+the matrices that ``model.param_shapes`` lists for the header's model
+config, each of that shape. ``load_checkpoint`` checks this before it
+returns, so a missing, extra or misshapen matrix is a ValidationError
+naming it, never a later failure inside the model.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .model import ModelConfig
+from .model import ModelConfig, check_params
 from .rng import RngState
 
 MAGIC = b"NXF1"
@@ -36,8 +42,8 @@ _DTYPES = {b"f8": np.dtype("<f8"), b"f4": np.dtype("<f4")}
 class Checkpoint:
     model_config: ModelConfig
     params: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_v: dict[str, np.ndarray] = field(default_factory=dict)
+    adam_m: dict[str, np.ndarray]
+    adam_v: dict[str, np.ndarray]
     rng: RngState = field(default_factory=lambda: RngState(0))
     step: int = 0
     tokens: int = 0
@@ -127,6 +133,8 @@ def load_checkpoint(path) -> Checkpoint:
         groups[prefix][base] = mat.astype(np.float64)
     if off != len(data):
         raise ValidationError(f"{path}: {len(data) - off} trailing bytes after the last matrix")
+    for label, group in (("params", params), ("adam_m", adam_m), ("adam_v", adam_v)):
+        check_params(model_config, group, f"{path}: {label}")
     return Checkpoint(
         model_config=model_config,
         params=params,

@@ -2,10 +2,12 @@
 
 Subcommands: train, grow, verify, analyze, fit-scaling, periodicity,
 flops, ablate. Exit codes: 0 success; 1 malformed or unreadable input
-(a config or metrics file that does not parse or lacks a field, a bad
-checkpoint, a missing path or a directory), reported as one ``error:``
-line without a traceback; 2 numeric failure, such as a zero-policy
-``grow`` whose probe deviation is not exactly 0.0.
+(a config or metrics file that does not parse or lacks a field, a
+metrics series with a non-finite value, a bad checkpoint such as one
+truncated or one whose matrices are missing, extra or misshapen for its
+model config, a missing path or a directory), reported as one
+``error:`` line without a traceback; 2 numeric failure, such as a
+zero-policy ``grow`` whose probe deviation is not exactly 0.0.
 """
 
 from __future__ import annotations

@@ -27,11 +27,11 @@ from .alignment import AlignmentSnapshot, snapshot_alignment
 from .checkpoint import Checkpoint
 from .errors import ValidationError
 from .growth import GrowthPlan, GrowthReport, grow_model
-from .model import heldout_loss
+from .model import heldout_loss, model_loss_and_grads
 from .rng import derive_seed
 from .seriesstats import fisher_g_test, harmonic_fit, scaling_law_fit
 from .trajectory import TrajectoryPoint, pca_fit, trajectory_series
-from .training import ExperimentConfig, heldout_sequences, start_checkpoint, train
+from .training import ExperimentConfig, adamw_step, heldout_sequences, start_checkpoint, train
 
 _CONTINUED_STREAM = 2  # continued training draws an unseen sample stream
 
@@ -233,9 +233,6 @@ def adaptation_comparison(
     are measured on those same windows, so the comparison isolates how
     much of the set each model has the capacity to absorb.
     """
-    from .model import model_loss_and_grads
-    from .training import adamw_step
-
     if base_ckpt.experiment is None:
         raise ValidationError("base checkpoint carries no experiment config")
     base_exp = ExperimentConfig.from_dict(base_ckpt.experiment)

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .ladder import validate_hierarchy
 from .linalg import exact_arithmetic
-from .model import PROJ_NAMES, ModelConfig, model_forward, model_loss_and_grads
+from .model import PROJ_NAMES, ModelConfig, model_forward, model_loss_and_grads, projection_keys
 from .rng import RngState, derive_seed, seeded_gaussian
 
 NEW_BLOCKS = ("up_new", "mid_right", "mid_bottom", "mid_corner", "down_new")
@@ -163,17 +163,8 @@ def grow_w_down(w, delta_a: int, plan: GrowthPlan, rng: RngState, ref_std: float
     return np.vstack([w, new])
 
 
-def projection_param_keys(config: ModelConfig) -> list[str]:
-    keys = []
-    for i in range(config.n_layers):
-        for proj in PROJ_NAMES:
-            for stage in ("w_up", "w_mid", "w_down"):
-                keys.append(f"blocks.{i}.attn.{proj}.{stage}")
-    return keys
-
-
 def pretrained_projection_std(params: dict, config: ModelConfig) -> float:
-    vals = np.concatenate([params[k].ravel() for k in projection_param_keys(config)])
+    vals = np.concatenate([params[k].ravel() for k in projection_keys(config)])
     return float(np.std(vals))
 
 
@@ -188,7 +179,7 @@ def grow_projections(
     this grows optimizer moments, whose old block stays in the leading
     ranges and whose new entries are zero.
     """
-    proj_keys = set(projection_param_keys(config))
+    proj_keys = set(projection_keys(config))
     out: dict[str, np.ndarray] = {}
     for key, w in tensors.items():
         if key not in proj_keys:
@@ -218,13 +209,16 @@ def grow_model(
     NumericError (``require_exact_preservation``).
     """
     new_config = config.grown(plan.delta_m, plan.delta_a)
-    violations = validate_hierarchy(new_config.qkv_ladder, strict=strict_hierarchy)
+    violations = validate_hierarchy(
+        new_config.hidden_size, new_config.ladder_m, new_config.ladder_a, strict=strict_hierarchy
+    )
     rng = RngState(derive_seed(plan.seed, 0x6702))
     new_params = grow_projections(
         params, config, plan, rng, pretrained_projection_std(params, config)
     )
     block_init = {
-        name: _describe(block) for name, block in new_block_slices(new_params, new_config, plan)
+        name: _describe(block)
+        for name, block in new_block_slices(new_params, new_config, plan.delta_m, plan.delta_a)
     }
 
     report = GrowthReport(
@@ -273,19 +267,20 @@ def verify_function_preservation(
     return worst
 
 
-def new_block_slices(grads_or_params: dict, config: ModelConfig, plan: GrowthPlan):
-    """Yield (block_name, array_view) for every new block of every projection.
+def new_block_slices(tensors: dict, config: ModelConfig, delta_m: int, delta_a: int):
+    """Yield (block_name, array_view) for every block of every projection
+    that a growth by (delta_m, delta_a) created.
 
     ``config`` is the post-growth configuration.
     """
-    m_old = config.ladder_m - plan.delta_m
-    a_old = config.ladder_a - plan.delta_a
+    m_old = config.ladder_m - delta_m
+    a_old = config.ladder_a - delta_a
     for i in range(config.n_layers):
         for proj in PROJ_NAMES:
             p = f"blocks.{i}.attn.{proj}."
-            up = grads_or_params[p + "w_up"]
-            mid = grads_or_params[p + "w_mid"]
-            down = grads_or_params[p + "w_down"]
+            up = tensors[p + "w_up"]
+            mid = tensors[p + "w_mid"]
+            down = tensors[p + "w_down"]
             yield "up_new", up[:, m_old:]
             yield "mid_right", mid[:m_old, a_old:]
             yield "mid_bottom", mid[m_old:, :a_old]
@@ -299,7 +294,7 @@ def new_block_gradient_report(
     """Frobenius norm of the loss gradient over each new block type."""
     _, grads = model_loss_and_grads(new_config, new_params, batch)
     sums = {name: 0.0 for name in NEW_BLOCKS}
-    for name, block in new_block_slices(grads, new_config, plan):
+    for name, block in new_block_slices(grads, new_config, plan.delta_m, plan.delta_a):
         sums[name] += float((block**2).sum())
     return {name: float(np.sqrt(s)) for name, s in sums.items()}
 

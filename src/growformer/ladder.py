@@ -1,53 +1,34 @@
-"""Staged projection layers: d_in -> d_1 -> ... -> d_k -> d_out with a GeLU
-after every stage except the last, and multi-head attention built from
-three such layers in place of the usual linear Q/K/V maps.
+"""Nexus-Rank projection, the three-stage map d -> m -> a -> d, and
+multi-head attention built from three of them in place of linear Q/K/V.
 
-The two-stage case (d_in, mid, over, d_in) is the workhorse: ``w_up``
-lifts into the intermediate width, ``w_mid`` expands into the
-over-capacity width, ``w_down`` projects back. Because there are no bias
-terms and GeLU(0) = 0, zero-initialised blocks appended to these matrices
-contribute exactly nothing to the output, which is what makes lossless
-width growth possible.
+A projection is the weight triple ``(w_up, w_mid, w_down)`` of shapes
+(d, m), (m, a), (a, d), with a GeLU after each of the first two stages.
+There are no bias terms and GeLU(0) = 0, so zero blocks appended to
+these matrices contribute exactly nothing to the output: that is what
+makes lossless width growth possible. Shapes are checked once, where
+parameters enter the program (``model.check_params``); ``matmul`` still
+rejects any product whose inner dimensions disagree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, causal_mask, gelu, gelu_derivative, matmul, softmax_rows
-from .rng import RngState, seeded_gaussian
+from .linalg import as_matrix, causal_mask, gelu, gelu_derivative, matmul, softmax_rows, svd_small
+
+Triple = tuple[np.ndarray, np.ndarray, np.ndarray]  # (w_up, w_mid, w_down)
 
 
-@dataclass(frozen=True)
-class DimLadder:
-    """Widths of a staged projection: d_in, the inner rungs, d_out."""
-
-    d_in: int
-    inner: tuple[int, ...]
-    d_out: int
-
-    def __post_init__(self):
-        if len(self.inner) == 0:
-            raise ValidationError("DimLadder needs at least one inner width")
-        for d in (self.d_in, *self.inner, self.d_out):
-            if d < 1:
-                raise ValidationError(f"ladder widths must be >= 1, got {d}")
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return (self.d_in, *self.inner, self.d_out)
-
-
-def validate_hierarchy(ladder: DimLadder, strict: bool = False) -> list[str]:
-    """Check d_in < d_1 < ... < d_k (the output width is unconstrained).
+def validate_hierarchy(d: int, m: int, a: int, strict: bool = False) -> list[str]:
+    """Check d < m < a.
 
     Returns the list of violations; in strict mode the first violation
     raises instead.
     """
-    chain = (ladder.d_in, *ladder.inner)
+    chain = (d, m, a)
     violations = []
     for i in range(1, len(chain)):
         if chain[i] <= chain[i - 1]:
@@ -60,101 +41,34 @@ def validate_hierarchy(ladder: DimLadder, strict: bool = False) -> list[str]:
     return violations
 
 
-@dataclass
-class LadderProjection:
-    """Weights of one staged projection; weights[i] maps width i to i+1."""
-
-    ladder: DimLadder
-    weights: list[np.ndarray]
-
-    def __post_init__(self):
-        widths = self.ladder.widths
-        if len(self.weights) != len(widths) - 1:
-            raise ValidationError(
-                f"expected {len(widths) - 1} weight matrices, got {len(self.weights)}"
-            )
-        for i, w in enumerate(self.weights):
-            if w.shape != (widths[i], widths[i + 1]):
-                raise ValidationError(
-                    f"weight {i} has shape {w.shape}, expected "
-                    f"({widths[i]}, {widths[i + 1]})"
-                )
-
-    @classmethod
-    def init(
-        cls, ladder: DimLadder, rng: RngState, strict: bool = True
-    ) -> "LadderProjection":
-        """Gaussian init with std 1/sqrt(fan_in) per matrix."""
-        validate_hierarchy(ladder, strict=strict)
-        widths = ladder.widths
-        weights = [
-            seeded_gaussian(rng, widths[i], widths[i + 1], 0.0, 1.0 / np.sqrt(widths[i]))
-            for i in range(len(widths) - 1)
-        ]
-        return cls(ladder, weights)
+def ladder_forward(ws: Triple, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """out = gelu(gelu(x W_up) W_mid) W_down, and the cache of stage inputs,
+    pre-activations and Phi(pre-activation) that ladder_backward reuses."""
+    w_up, w_mid, w_down = ws
+    z_up = matmul(x, w_up)
+    h_up, cdf_up = gelu(z_up)
+    z_mid = matmul(h_up, w_mid)
+    h_mid, cdf_mid = gelu(z_mid)
+    return matmul(h_mid, w_down), (x, z_up, h_up, cdf_up, z_mid, h_mid, cdf_mid)
 
 
-@dataclass
-class ForwardCache:
-    """Intermediates needed by the backward pass."""
-
-    x: np.ndarray
-    pre: list[np.ndarray] = field(default_factory=list)
-    post: list[np.ndarray] = field(default_factory=list)
-    cdf: list[np.ndarray] = field(default_factory=list)  # Phi(pre), reused by backward
-
-
-def ladder_forward(layer: LadderProjection, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """out = W_last . gelu( ... gelu(x W_1) ... ), returning the cache."""
-    x = as_matrix(x, "x")
-    if x.shape[1] != layer.ladder.d_in:
-        raise ValidationError(
-            f"input width {x.shape[1]} != ladder d_in {layer.ladder.d_in}"
-        )
-    cache = ForwardCache(x=x)
-    h = x
-    last = len(layer.weights) - 1
-    for i, w in enumerate(layer.weights):
-        z = matmul(h, w)
-        if i < last:
-            cache.pre.append(z)
-            h, cdf = gelu(z)
-            cache.post.append(h)
-            cache.cdf.append(cdf)
-        else:
-            h = z
-    return h, cache
-
-
-def ladder_backward(
-    layer: LadderProjection, cache: ForwardCache, d_out: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Reverse-mode gradients; returns (d_x, [d_W per stage])."""
-    d_out = as_matrix(d_out, "d_out")
-    if d_out.shape[1] != layer.ladder.d_out or d_out.shape[0] != cache.x.shape[0]:
-        raise ValidationError(
-            f"d_out shape {d_out.shape} inconsistent with cache "
-            f"({cache.x.shape[0]}, {layer.ladder.d_out})"
-        )
-    grads: list[np.ndarray] = [None] * len(layer.weights)
-    d = d_out
-    for i in range(len(layer.weights) - 1, -1, -1):
-        h_in = cache.x if i == 0 else cache.post[i - 1]
-        grads[i] = matmul(h_in.T, d)
-        if i > 0:
-            d = matmul(d, layer.weights[i].T) * gelu_derivative(
-                cache.pre[i - 1], cache.cdf[i - 1]
-            )
-        else:
-            d = matmul(d, layer.weights[i].T)
-    return d, grads
+def ladder_backward(ws: Triple, cache: tuple, d_out: np.ndarray) -> tuple[np.ndarray, Triple]:
+    """Reverse-mode gradients; returns ``(d_x, (d_w_up, d_w_mid, d_w_down))``."""
+    w_up, w_mid, w_down = ws
+    x, z_up, h_up, cdf_up, z_mid, h_mid, cdf_mid = cache
+    g_down = matmul(h_mid.T, d_out)
+    d = matmul(d_out, w_down.T) * gelu_derivative(z_mid, cdf_mid)
+    g_mid = matmul(h_up.T, d)
+    d = matmul(d, w_mid.T) * gelu_derivative(z_up, cdf_up)
+    g_up = matmul(x.T, d)
+    return matmul(d, w_up.T), (g_up, g_mid, g_down)
 
 
 @dataclass
 class AttentionCache:
-    q_cache: ForwardCache
-    k_cache: ForwardCache
-    v_cache: ForwardCache
+    q_cache: tuple
+    k_cache: tuple
+    v_cache: tuple
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
@@ -163,34 +77,25 @@ class AttentionCache:
 
 
 def attention_forward(
-    q_proj: LadderProjection,
-    k_proj: LadderProjection,
-    v_proj: LadderProjection,
-    x: np.ndarray,
-    n_heads: int,
+    q_ws: Triple, k_ws: Triple, v_ws: Triple, x: np.ndarray, n_heads: int
 ) -> tuple[np.ndarray, AttentionCache]:
-    """Multi-head causal scaled dot-product attention over staged projections.
+    """Multi-head causal scaled dot-product attention over three staged
+    projections.
 
     Returns the concatenated head outputs (no output projection here) and
     the cache for the backward pass.
     """
     x = as_matrix(x, "x")
     d = x.shape[1]
-    for name, proj in (("q", q_proj), ("k", k_proj), ("v", v_proj)):
-        if proj.ladder.d_in != d or proj.ladder.d_out != d:
-            raise ValidationError(
-                f"{name} projection must map width {d} to {d}, "
-                f"got {proj.ladder.d_in}->{proj.ladder.d_out}"
-            )
     if d % n_heads != 0:
         raise ValidationError(f"n_heads {n_heads} does not divide width {d}")
     n = x.shape[0]
     head_dim = d // n_heads
     scale = 1.0 / np.sqrt(head_dim)
 
-    q, q_cache = ladder_forward(q_proj, x)
-    k, k_cache = ladder_forward(k_proj, x)
-    v, v_cache = ladder_forward(v_proj, x)
+    q, q_cache = ladder_forward(q_ws, x)
+    k, k_cache = ladder_forward(k_ws, x)
+    v, v_cache = ladder_forward(v_ws, x)
 
     mask = causal_mask(n)
     out = np.empty_like(q)
@@ -206,16 +111,12 @@ def attention_forward(
 
 
 def attention_backward(
-    q_proj: LadderProjection,
-    k_proj: LadderProjection,
-    v_proj: LadderProjection,
-    cache: AttentionCache,
-    d_out: np.ndarray,
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    q_ws: Triple, k_ws: Triple, v_ws: Triple, cache: AttentionCache, d_out: np.ndarray
+) -> tuple[np.ndarray, Triple, Triple, Triple]:
     """Gradients of attention_forward's output.
 
-    Returns (d_x, q_grads, k_grads, v_grads) where the grad lists follow
-    the per-stage layout of ladder_backward.
+    Returns (d_x, q_grads, k_grads, v_grads) where each grad triple
+    follows the (w_up, w_mid, w_down) layout of ladder_backward.
     """
     q, k, v = cache.q, cache.k, cache.v
     n, d = q.shape
@@ -234,9 +135,9 @@ def attention_backward(
         ds = p * (dp - (dp * p).sum(axis=1, keepdims=True))
         dq[:, sl] = matmul(ds, k[:, sl]) * scale
         dk[:, sl] = matmul(ds.T, q[:, sl]) * scale
-    dx_q, q_grads = ladder_backward(q_proj, cache.q_cache, dq)
-    dx_k, k_grads = ladder_backward(k_proj, cache.k_cache, dk)
-    dx_v, v_grads = ladder_backward(v_proj, cache.v_cache, dv)
+    dx_q, q_grads = ladder_backward(q_ws, cache.q_cache, dq)
+    dx_k, k_grads = ladder_backward(k_ws, cache.k_cache, dk)
+    dx_v, v_grads = ladder_backward(v_ws, cache.v_cache, dv)
     return dx_q + dx_k + dx_v, q_grads, k_grads, v_grads
 
 
@@ -254,8 +155,6 @@ class RankReport:
 def _numeric_rank(m: np.ndarray) -> int:
     """Count singular values above _RANK_TOL * sigma_max."""
     if min(m.shape) <= 3:
-        from .linalg import svd_small
-
         _, s, _ = svd_small(m)
     else:
         small = matmul(m.T, m) if m.shape[0] >= m.shape[1] else matmul(m, m.T)

@@ -6,6 +6,9 @@ projection) and a pre-norm GeLU FFN, both with residual connections,
 then a final norm and an unembedding matrix. All linear maps are
 bias-free. Forward and backward are hand-written on 2-D float64 arrays,
 one sequence at a time.
+
+``param_shapes`` is the one statement of the parameter layout, and
+``check_params`` holds a parameter set to it where one enters the program.
 """
 
 from __future__ import annotations
@@ -15,13 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .ladder import (
-    DimLadder,
-    LadderProjection,
-    attention_backward,
-    attention_forward,
-    validate_hierarchy,
-)
+from .ladder import Triple, attention_backward, attention_forward, validate_hierarchy
 from .linalg import gelu, gelu_derivative, matmul
 from .rng import RngState, derive_seed, seeded_gaussian
 
@@ -54,10 +51,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.hidden_size // self.n_heads
-
-    @property
-    def qkv_ladder(self) -> DimLadder:
-        return DimLadder(self.hidden_size, (self.ladder_m, self.ladder_a), self.hidden_size)
 
     def to_dict(self) -> dict:
         return {
@@ -107,53 +100,75 @@ PROJ_NAMES = ("q", "k", "v")
 PROJ_STAGES = ("w_up", "w_mid", "w_down")
 
 
-def param_names(config: ModelConfig) -> list[str]:
-    names = ["tok_emb", "pos_emb"]
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
+    """(rows, cols) of every parameter, in the order ``init_params`` draws them."""
+    d, m, a, f = config.hidden_size, config.ladder_m, config.ladder_a, config.ffn_size
+    shapes = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.context_len, d)}
     for i in range(config.n_layers):
         p = f"blocks.{i}."
-        names += [p + "ln1.g", p + "ln1.b"]
+        shapes[p + "ln1.g"] = shapes[p + "ln1.b"] = (1, d)
         for proj in PROJ_NAMES:
-            for stage in PROJ_STAGES:
-                names.append(p + f"attn.{proj}.{stage}")
-        names += [p + "attn.w_o", p + "ln2.g", p + "ln2.b", p + "ffn.w1", p + "ffn.w2"]
-    names += ["ln_f.g", "ln_f.b", "unembed"]
-    return names
+            shapes[p + f"attn.{proj}.w_up"] = (d, m)
+            shapes[p + f"attn.{proj}.w_mid"] = (m, a)
+            shapes[p + f"attn.{proj}.w_down"] = (a, d)
+        shapes[p + "attn.w_o"] = (d, d)
+        shapes[p + "ln2.g"] = shapes[p + "ln2.b"] = (1, d)
+        shapes[p + "ffn.w1"] = (d, f)
+        shapes[p + "ffn.w2"] = (f, d)
+    shapes["ln_f.g"] = shapes["ln_f.b"] = (1, d)
+    shapes["unembed"] = (d, config.vocab_size)
+    return shapes
+
+
+def projection_keys(config: ModelConfig) -> list[str]:
+    """Names of every Q/K/V projection stage, in ``param_shapes`` order."""
+    return [name for name in param_shapes(config) if name.endswith(PROJ_STAGES)]
+
+
+def check_params(config: ModelConfig, params: dict, label: str) -> None:
+    """Raise ValidationError unless ``params`` holds exactly the matrices
+    of ``param_shapes(config)``, each of that shape. ``label`` names the
+    set (parameters or a moment) in the message."""
+    shapes = param_shapes(config)
+    missing = [name for name in shapes if name not in params]
+    extra = sorted(name for name in params if name not in shapes)
+    if missing or extra:
+        raise ValidationError(f"{label}: missing matrices {missing}, unexpected matrices {extra}")
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
+            raise ValidationError(
+                f"{label}: {name} has shape {params[name].shape}, expected {shape}"
+            )
 
 
 def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
-    """Seeded Gaussian init, std 1/sqrt(fan_in) per matrix."""
-    validate_hierarchy(config.qkv_ladder, strict=True)
+    """Seeded init in ``param_shapes`` order: norm gains one, norm biases
+    zero, embeddings std 1/sqrt(cols), the unembedding 0.5/sqrt(rows) (a
+    half-scale head keeps the initial loss near ln(vocab)), every other
+    matrix std 1/sqrt(fan_in)."""
+    validate_hierarchy(config.hidden_size, config.ladder_m, config.ladder_a, strict=True)
     rng = RngState(derive_seed(seed, 1))
-    d, m, a, f = config.hidden_size, config.ladder_m, config.ladder_a, config.ffn_size
     params: dict[str, np.ndarray] = {}
-    params["tok_emb"] = seeded_gaussian(rng, config.vocab_size, d, 0.0, 1.0 / np.sqrt(d))
-    params["pos_emb"] = seeded_gaussian(rng, config.context_len, d, 0.0, 1.0 / np.sqrt(d))
-    for i in range(config.n_layers):
-        p = f"blocks.{i}."
-        params[p + "ln1.g"] = np.ones((1, d))
-        params[p + "ln1.b"] = np.zeros((1, d))
-        for proj in PROJ_NAMES:
-            params[p + f"attn.{proj}.w_up"] = seeded_gaussian(rng, d, m, 0.0, 1.0 / np.sqrt(d))
-            params[p + f"attn.{proj}.w_mid"] = seeded_gaussian(rng, m, a, 0.0, 1.0 / np.sqrt(m))
-            params[p + f"attn.{proj}.w_down"] = seeded_gaussian(rng, a, d, 0.0, 1.0 / np.sqrt(a))
-        params[p + "attn.w_o"] = seeded_gaussian(rng, d, d, 0.0, 1.0 / np.sqrt(d))
-        params[p + "ln2.g"] = np.ones((1, d))
-        params[p + "ln2.b"] = np.zeros((1, d))
-        params[p + "ffn.w1"] = seeded_gaussian(rng, d, f, 0.0, 1.0 / np.sqrt(d))
-        params[p + "ffn.w2"] = seeded_gaussian(rng, f, d, 0.0, 1.0 / np.sqrt(f))
-    params["ln_f.g"] = np.ones((1, d))
-    params["ln_f.b"] = np.zeros((1, d))
-    # half-scale head keeps the initial loss near ln(vocab)
-    params["unembed"] = seeded_gaussian(rng, d, config.vocab_size, 0.0, 0.5 / np.sqrt(d))
+    for name, (rows, cols) in param_shapes(config).items():
+        if name.endswith(".g"):
+            params[name] = np.ones((rows, cols))
+        elif name.endswith(".b"):
+            params[name] = np.zeros((rows, cols))
+        else:
+            if name.endswith("_emb"):
+                std = 1.0 / np.sqrt(cols)
+            elif name == "unembed":
+                std = 0.5 / np.sqrt(rows)
+            else:
+                std = 1.0 / np.sqrt(rows)
+            params[name] = seeded_gaussian(rng, rows, cols, 0.0, std)
     return params
 
 
-def get_projection(params: dict, config: ModelConfig, layer: int, which: str) -> LadderProjection:
-    p = f"blocks.{layer}.attn.{which}."
-    return LadderProjection(
-        config.qkv_ladder,
-        [params[p + "w_up"], params[p + "w_mid"], params[p + "w_down"]],
-    )
+def _projections(params: dict, layer: int) -> list[Triple]:
+    """The q, k and v weight triples of one layer."""
+    p = f"blocks.{layer}.attn."
+    return [tuple(params[f"{p}{proj}.{stage}"] for stage in PROJ_STAGES) for proj in PROJ_NAMES]
 
 
 def _layernorm_forward(x, g, b):
@@ -201,10 +216,7 @@ def _forward(config, params, ids, keep_caches=False):
     for i in range(config.n_layers):
         p = f"blocks.{i}."
         a_in, ln1_cache = _layernorm_forward(h, params[p + "ln1.g"], params[p + "ln1.b"])
-        q_proj = get_projection(params, config, i, "q")
-        k_proj = get_projection(params, config, i, "k")
-        v_proj = get_projection(params, config, i, "v")
-        att, att_cache = attention_forward(q_proj, k_proj, v_proj, a_in, config.n_heads)
+        att, att_cache = attention_forward(*_projections(params, i), a_in, config.n_heads)
         att_out = matmul(att, params[p + "attn.w_o"])
         h1 = h + att_out
         f_in, ln2_cache = _layernorm_forward(h1, params[p + "ln2.g"], params[p + "ln2.b"])
@@ -292,11 +304,8 @@ def model_loss_and_grads(config: ModelConfig, params: dict, token_ids):
         d_att_out = d_h1
         grads[p + "attn.w_o"] = matmul(c["att_concat"].T, d_att_out)
         d_att = matmul(d_att_out, params[p + "attn.w_o"].T)
-        q_proj = get_projection(params, config, i, "q")
-        k_proj = get_projection(params, config, i, "k")
-        v_proj = get_projection(params, config, i, "v")
-        d_a_in, q_g, k_g, v_g = attention_backward(q_proj, k_proj, v_proj, c["att"], d_att)
-        for which, gs in (("q", q_g), ("k", k_g), ("v", v_g)):
+        d_a_in, *proj_grads = attention_backward(*_projections(params, i), c["att"], d_att)
+        for which, gs in zip(PROJ_NAMES, proj_grads):
             for stage, g in zip(PROJ_STAGES, gs):
                 grads[p + f"attn.{which}.{stage}"] = g
         d_hprev, dg, db = _layernorm_backward(d_a_in, params[p + "ln1.g"], c["ln1"])

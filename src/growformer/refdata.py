@@ -7,6 +7,8 @@ trajectories of the 380M path, the model dimension tables, and the
 profiler FLOP/perplexity measurements.
 """
 
+from .model import ModelConfig
+
 # Indicator trajectories along the 240M -> 380M growth path, recorded at
 # 3B-token intervals of continued training, for the three new-block
 # initialisation settings. "r" is the radial indicator derived from the
@@ -105,10 +107,8 @@ AXIS_ABLATION_ROWS = [
 ]
 
 
-def ladder_model_config(size: str):
+def ladder_model_config(size: str) -> ModelConfig:
     """ModelConfig for a recorded staged-projection scale."""
-    from .model import ModelConfig
-
     layers, hidden, vocab, ffn, mid, over = LADDER_MODEL_DIMS[size]
     return ModelConfig(
         vocab_size=vocab,
@@ -122,14 +122,12 @@ def ladder_model_config(size: str):
     )
 
 
-def baseline_model_config(size: str):
+def baseline_model_config(size: str) -> ModelConfig:
     """ModelConfig carrying a recorded plain-projection baseline's dims.
 
     Only meaningful for FLOP accounting with projection="standard"; the
     ladder widths are placeholders.
     """
-    from .model import ModelConfig
-
     layers, hidden, vocab, ffn = BASELINE_MODEL_DIMS[size]
     heads = next(h for h in (8, 4, 2, 1) if hidden % h == 0)
     return ModelConfig(

@@ -113,6 +113,8 @@ def harmonic_fit(
     v = np.asarray(values, dtype=np.float64)
     if t.shape != v.shape or t.ndim != 1:
         raise ValidationError("times and values must be 1-D and equally long")
+    if not (np.isfinite(t).all() and np.isfinite(v).all()):
+        raise ValidationError("times and values must be finite")
     n = t.size
     if n < 4:
         raise ValidationError(f"need at least 4 observations, got {n}")
@@ -211,6 +213,8 @@ def fisher_g_test(values, detrend: str = "linear") -> FisherGResult:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValidationError("values must be 1-D")
+    if not np.isfinite(v).all():
+        raise ValidationError("values must be finite")
     n = v.size
     if n < 5:
         raise ValidationError(f"need at least 5 observations, got {n}")
@@ -257,6 +261,8 @@ def scaling_law_fit(pairs) -> ScalingFit:
     rs, ppls = [], []
     excluded = 0
     for r, ppl in pairs:
+        if not (math.isfinite(r) and math.isfinite(ppl)):
+            raise ValidationError(f"r and ppl must be finite, got ({r}, {ppl})")
         if ppl <= 0:
             raise ValidationError(f"ppl must be positive, got {ppl}")
         if r < 0:

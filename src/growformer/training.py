@@ -12,7 +12,7 @@ from .checkpoint import Checkpoint
 from .corpus import gen_corpus
 from .errors import NumericError, ValidationError
 from .growth import GrowthPlan, grow_model, grow_projections
-from .model import ModelConfig, heldout_loss, init_params, model_loss_and_grads
+from .model import ModelConfig, heldout_loss, init_params, model_loss_and_grads, param_shapes
 from .rng import RngState, derive_seed, seeded_ints
 
 _ADAM_EPS = 1e-8
@@ -355,9 +355,13 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
             config, init_params(config.model, derive_seed(config.seed, _INIT_TAG))
         )
     model_config = resume.model_config
-    params = {k: p.copy() for k, p in resume.params.items()}
-    m = {k: p.copy() for k, p in resume.adam_m.items()}
-    v = {k: p.copy() for k, p in resume.adam_v.items()}
+    # ``param_shapes`` order whatever the source (a loaded checkpoint is in
+    # sorted-name order): in-run growth draws its new blocks in key order,
+    # so this keeps a resume across the growth trigger bit-exact
+    order = param_shapes(model_config)
+    params = {k: resume.params[k].copy() for k in order}
+    m = {k: resume.adam_m[k].copy() for k in order}
+    v = {k: resume.adam_v[k].copy() for k in order}
     order_rng = RngState(resume.rng.seed, resume.rng.position, resume.rng.algorithm)
     step0, tokens = resume.step, resume.tokens
     del resume  # a fresh start checkpoint must not live beside the copies for the whole run

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from growformer.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from growformer.errors import ValidationError
-from growformer.model import ModelConfig, init_params
+from growformer.model import ModelConfig, init_params, param_shapes
 from growformer.rng import RngState
 
 CFG = ModelConfig(
@@ -66,13 +67,27 @@ def test_header_magic_literal(tmp_path):
     assert path.read_bytes()[:4] == b"NXF1"
 
 
+# width 1 everywhere: the smallest complete parameter set, so a checkpoint
+# of it is small enough to cut at every byte
+UNIT = ModelConfig(
+    vocab_size=1, context_len=1, hidden_size=1, n_heads=1, n_layers=1,
+    ladder_m=1, ladder_a=1, ffn_size=1,
+)
+
+
+def unit_matrices(scale):
+    return {
+        name: np.full(shape, scale * (i + 1))
+        for i, (name, shape) in enumerate(param_shapes(UNIT).items())
+    }
+
+
 def tiny_checkpoint():
-    ones = np.ones((2, 3))
     return Checkpoint(
-        model_config=CFG,
-        params={"a": ones, "b": np.full((1, 1), 0.5)},
-        adam_m={"a": 2 * ones},
-        adam_v={"a": 3 * ones},
+        model_config=UNIT,
+        params=unit_matrices(0.5),
+        adam_m=unit_matrices(2.0),
+        adam_v=unit_matrices(3.0),
         rng=RngState(5, position=6),
         step=1,
         tokens=8,
@@ -82,6 +97,7 @@ def tiny_checkpoint():
 def test_every_truncation_rejected(tmp_path):
     full = tmp_path / "full.nxf"
     save_checkpoint(tiny_checkpoint(), full)
+    load_checkpoint(full)  # only the cuts may fail
     data = full.read_bytes()
     cut = tmp_path / "cut.nxf"
     for n in range(len(data)):
@@ -99,26 +115,53 @@ def test_trailing_bytes_rejected(tmp_path):
 
 
 def test_legacy_f4_file_with_dtype_and_arithmetic_keys_loads(tmp_path):
-    model = {**CFG.to_dict(), "dtype": "f4"}
+    model = {**UNIT.to_dict(), "dtype": "f4"}
     experiment = {"arithmetic": "f8", "model": model, "seed": 0}
     header = json.dumps(
         {"version": 1, "model": model, "rng": RngState(7).to_dict(), "step": 3,
          "tokens": 24, "experiment": experiment},
         sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
-    w = np.array([[0.1, -2.5, 3.0]])
-    blob = b"NXF1" + struct.pack("<II", 1, len(header)) + header + struct.pack("<I", 2)
-    for name in ("m/w", "p/w"):
+    w = np.array([[0.1]])
+    names = sorted(g + k for g in ("m/", "p/", "v/") for k in param_shapes(UNIT))
+    blob = b"NXF1" + struct.pack("<II", 1, len(header)) + header
+    blob += struct.pack("<I", len(names))
+    for name in names:
         nb = name.encode("utf-8")
-        blob += struct.pack("<I", len(nb)) + nb + struct.pack("<II", 1, 3) + b"f4"
+        blob += struct.pack("<I", len(nb)) + nb + struct.pack("<II", 1, 1) + b"f4"
         blob += w.astype("<f4").tobytes()
     path = tmp_path / "legacy.nxf"
     path.write_bytes(blob)
     back = load_checkpoint(path)
-    assert back.model_config == CFG
+    assert back.model_config == UNIT
     assert back.step == 3 and back.tokens == 24 and back.rng.seed == 7
     assert back.experiment == experiment
-    assert back.params["w"].dtype == np.float64
-    assert np.array_equal(back.params["w"], w.astype(np.float32).astype(np.float64))
-    assert np.array_equal(back.adam_m["w"], back.params["w"])
+    assert list(back.params) == sorted(param_shapes(UNIT))
+    for name, p in back.params.items():
+        assert p.dtype == np.float64
+        assert np.array_equal(p, w.astype(np.float32).astype(np.float64))
+        assert np.array_equal(back.adam_m[name], p) and np.array_equal(back.adam_v[name], p)
+
+
+@pytest.mark.parametrize(
+    "group, name, shape",
+    [
+        ("params", "blocks.0.attn.q.w_mid", None),
+        ("params", "blocks.0.attn.q.w_extra", (1, 1)),
+        ("params", "ln_f.g", (1, 15)),
+        ("adam_v", "unembed", (2, 1)),
+    ],
+    ids=["missing-matrix", "extra-matrix", "misshapen-ln_f.g", "misshapen-moment"],
+)
+def test_matrix_set_must_match_model_config(group, name, shape, tmp_path):
+    ck = tiny_checkpoint()
+    matrices = getattr(ck, group)
+    if shape is None:
+        del matrices[name]
+    else:
+        matrices[name] = np.ones(shape)
+    path = tmp_path / "bad.nxf"
+    save_checkpoint(ck, path)
+    with pytest.raises(ValidationError, match=rf"{group}: .*{re.escape(name)}"):
+        load_checkpoint(path)
 

@@ -1,10 +1,12 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from growformer import cli, growth
-from growformer.checkpoint import save_checkpoint
+from growformer.checkpoint import load_checkpoint, save_checkpoint
 from growformer.model import ModelConfig
 from growformer.training import (
     CorpusConfig,
@@ -151,6 +153,101 @@ def test_metrics_csv_without_ppl_column_exits_1(tmp_path, capsys):
     path.write_text("tokens,r\n0,0.0\n320,0.5\n", encoding="utf-8")
     assert cli.main(["fit-scaling", "--metrics", str(path)]) == 1
     assert "no 'ppl' column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [("blocks.0.attn.q.w_mid", None), ("blocks.0.attn.q.w_extra", (1, 1)), ("ln_f.g", (1, 15))],
+    ids=["missing-matrix", "extra-matrix", "misshapen-ln_f.g"],
+)
+def test_checkpoint_off_its_parameter_layout_exits_1(name, shape, base_path, tmp_path, capsys):
+    ck = load_checkpoint(base_path)
+    if shape is None:
+        del ck.params[name]
+    else:
+        ck.params[name] = np.ones(shape)
+    bad = tmp_path / "bad.nxf"
+    save_checkpoint(ck, bad)
+    assert cli.main(["verify", "--old", str(base_path), "--new", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_metrics_exit_1(bad, tmp_path, capsys):
+    path = tmp_path / "metrics.csv"
+    rows = [f"{320 * i},{0.1 * (i + 1)},{3.0 + i}" for i in range(8)]
+    rows[3] = f"960,{bad},6.0"
+    path.write_text("tokens,r,ppl\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    for command in ("fit-scaling", "periodicity"):
+        assert cli.main([command, "--metrics", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+
+
+def test_periodicity_exits_0(tmp_path, capsys):
+    path = tmp_path / "metrics.csv"
+    rows = [f"{320 * i},{0.5 + 0.3 * math.cos(2 * math.pi * i / 4) + 0.01 * i}" for i in range(12)]
+    path.write_text("tokens,r\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    assert cli.main(["periodicity", "--metrics", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["harmonic"]["degenerate"] is False
+    assert abs(out["harmonic"]["freq"] - 1 / 1.28) < 0.05  # one cycle per 4 rows of 320 tokens
+    assert out["fisher_g"]["fourier_term_count"] == 5
+
+
+def test_ablate_exits_0(base_path, capsys):
+    assert cli.main(["ablate", "--ckpt", str(base_path), "--budget", "2",
+                     "--delta-total", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "axis,order,m,a,ppl"
+    assert [line.split(",")[:4] for line in lines[1:]] == [
+        ["M", "M>A>D", "18", "14"],
+        ["A", "A>M>D", "10", "22"],
+        ["M+A", "M>A>D", "17", "15"],
+        ["M+A", "A>M>D", "11", "21"],
+    ]
+    assert all(float(line.split(",")[4]) > 1.0 for line in lines[1:])
+
+
+def write_config(config: dict, tmp_path) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
+def test_train_resume_final_checkpoint_matches_direct_run(tmp_path):
+    config = experiment_blob()
+    config["schedule"] = {"steps": 4, "warmup": 2, "snapshot_every": 2}
+    path = write_config(config, tmp_path)
+    direct, resumed = tmp_path / "direct", tmp_path / "resumed"
+    assert cli.main(["train", "--config", path, "--out", str(direct)]) == 0
+    assert cli.main(["train", "--config", path, "--out", str(resumed),
+                     "--resume", str(direct / "step00000002.nxf")]) == 0
+    assert sorted(p.name for p in resumed.glob("*.nxf")) == ["step00000002.nxf",
+                                                             "step00000004.nxf"]
+    final = "step00000004.nxf"
+    assert (resumed / final).read_bytes() == (direct / final).read_bytes()
+
+
+def test_analyze_grown_series_exits_0(base_path, tmp_path, capsys):
+    grown = tmp_path / "grown.nxf"
+    assert cli.main(grow_args(base_path, grown, "guarded-zero")) == 0
+    config = experiment_blob()
+    config["schedule"] = {"steps": 8, "warmup": 2, "snapshot_every": 2}
+    series, out = tmp_path / "series", tmp_path / "out"
+    assert cli.main(["train", "--config", write_config(config, tmp_path), "--out", str(series),
+                     "--resume", str(grown)]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", "--base", str(base_path), "--series", str(series),
+                     "--out", str(out)]) == 0
+    assert "analyzed 3 snapshots" in capsys.readouterr().out
+    lines = (out / "alignment.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["64", "96", "128"]
+    # every snapshot of the grown series has new blocks to locate
+    assert all(0.0 <= float(line.split(",")[1]) <= 1.0 for line in lines[1:])
+    fits = json.loads((out / "fits.json").read_text(encoding="utf-8"))
+    assert {"harmonic", "fisher_g", "scaling_law"} <= set(fits)
 
 
 def test_zero_policy_grow_with_nonzero_deviation_exits_2(base_path, tmp_path, capsys, monkeypatch):

@@ -14,11 +14,10 @@ from growformer.growth import (
     grow_w_up,
     new_block_gradient_report,
     new_block_slices,
-    projection_param_keys,
     require_exact_preservation,
     verify_function_preservation,
 )
-from growformer.model import ModelConfig, init_params
+from growformer.model import ModelConfig, init_params, projection_keys
 from growformer.rng import RngState, seeded_gaussian, seeded_ints
 
 BASE = ModelConfig(
@@ -140,7 +139,7 @@ class TestGrowProjections:
         plan = GrowthPlan(dm, da, "strict-zero", seed=0)
         grown = grow_projections(moments, BASE, plan, RngState(seed), ref_std=0.0)
         new_config = BASE.grown(dm, da)
-        proj_keys = set(projection_param_keys(BASE))
+        proj_keys = set(projection_keys(BASE))
         assert list(grown) == list(moments)
         for key, old in moments.items():
             new = grown[key]
@@ -150,7 +149,7 @@ class TestGrowProjections:
             rows, cols = old.shape
             assert np.array_equal(new[:rows, :cols], old)
             assert np.count_nonzero(new) == old.size
-        for _, block in new_block_slices(grown, new_config, plan):
+        for _, block in new_block_slices(grown, new_config, dm, da):
             assert not block.any()
 
 
@@ -223,7 +222,7 @@ class TestSaddleDiagnostic:
         plan = GrowthPlan(4, 5, "strict-zero", seed=9)
         new_params, new_config, _ = grow_model(params, BASE, plan)
         new_count = sum(
-            b.size for _, b in new_block_slices(new_params, new_config, plan)
+            b.size for _, b in new_block_slices(new_params, new_config, 4, 5)
         )
         d, m0, a0 = BASE.hidden_size, BASE.ladder_m, BASE.ladder_a
         per_proj = d * 4 + (m0 * 5 + 4 * a0 + 4 * 5) + 5 * d

@@ -1,8 +1,12 @@
-"""Every imported name in the package and its tests is used.
+"""Every imported name in the package and its tests is used, and every
+module-level function and class of the package is referenced.
 
-A stdlib-``ast`` stand-in for a linter's unused-import rule: a name
-bound by an import must appear as a name somewhere else in the module,
-or in the module's ``__all__``.
+Stdlib-``ast`` stand-ins for a linter's unused-import rule (a name bound
+by an import must appear as a name somewhere else in the module, or in
+the module's ``__all__``) and for a dead-code finder (a function or class
+defined at the top of a package module must be named somewhere in the
+package, its tests or the benchmark harness: as a name, an attribute, an
+imported name or a string such as a tracer's span key).
 """
 
 import ast
@@ -11,8 +15,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "growformer").glob("*.py"))
-SOURCES += sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "growformer").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +46,43 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def references(source: str) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unreferenced_definitions(module: str, used: set[str]) -> list[str]:
+    return [
+        node.name
+        for node in ast.parse(module).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    ]
+
+
+def test_detects_an_unreferenced_definition():
+    module = "def kept():\n    pass\n\n\nclass Dead:\n    pass\n\n\ndef spanned():\n    pass\n"
+    user = "from m import kept\nkept()\nSPANS = {('m', 'spanned'): ()}\n"
+    used = references(module) | references(user)
+    assert unreferenced_definitions(module, used) == ["Dead"]
+
+
+def test_every_package_definition_is_referenced():
+    files = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*(references(path.read_text(encoding="utf-8")) for path in files))
+    dead = {
+        path.name: unreferenced_definitions(path.read_text(encoding="utf-8"), used)
+        for path in PACKAGE
+    }
+    assert {name: defs for name, defs in dead.items() if defs} == {}

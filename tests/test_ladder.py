@@ -3,8 +3,6 @@ import pytest
 
 from growformer.errors import ValidationError
 from growformer.ladder import (
-    DimLadder,
-    LadderProjection,
     attention_backward,
     attention_forward,
     ladder_backward,
@@ -13,34 +11,39 @@ from growformer.ladder import (
     validate_hierarchy,
 )
 from growformer.linalg import finite_diff_grad, gelu, softmax_rows
-from growformer.rng import RngState
+from growformer.rng import RngState, seeded_gaussian
+
+
+def init_triple(d, m, a, rng):
+    """Gaussian (w_up, w_mid, w_down) with std 1/sqrt(fan_in) per matrix."""
+    return tuple(
+        seeded_gaussian(rng, rows, cols, 0.0, 1.0 / np.sqrt(rows))
+        for rows, cols in ((d, m), (m, a), (a, d))
+    )
 
 
 class TestHierarchy:
     def test_production_ladder_is_valid(self):
-        assert validate_hierarchy(DimLadder(768, (780, 960), 768)) == []
+        assert validate_hierarchy(768, 780, 960) == []
 
     def test_inner_inversion_flagged_but_permitted(self):
-        violations = validate_hierarchy(DimLadder(768, (1180, 960), 768))
+        violations = validate_hierarchy(768, 1180, 960)
         assert len(violations) == 1
         assert "960" in violations[0] and "1180" in violations[0]
 
     def test_equal_first_stage(self):
-        violations = validate_hierarchy(DimLadder(4, (4, 8), 4))
+        violations = validate_hierarchy(4, 4, 8)
         assert len(violations) == 1
 
     def test_strict_mode_raises(self):
         with pytest.raises(ValidationError, match="hierarchy"):
-            validate_hierarchy(DimLadder(4, (4, 8), 4), strict=True)
-
-    def test_output_width_unconstrained(self):
-        assert validate_hierarchy(DimLadder(4, (8, 16), 4)) == []
+            validate_hierarchy(4, 4, 8, strict=True)
 
 
-def scalar_loop_forward(layer, x):
+def scalar_loop_forward(ws, x):
     """Oracle: the staged map evaluated with explicit scalar loops."""
     h = x
-    for idx, w in enumerate(layer.weights):
+    for idx, w in enumerate(ws):
         out = np.zeros((h.shape[0], w.shape[1]))
         for i in range(h.shape[0]):
             for j in range(w.shape[1]):
@@ -48,77 +51,63 @@ def scalar_loop_forward(layer, x):
                 for k in range(h.shape[1]):
                     acc += h[i, k] * w[k, j]
                 out[i, j] = acc
-        h = gelu(out)[0] if idx < len(layer.weights) - 1 else out
+        h = gelu(out)[0] if idx < len(ws) - 1 else out
     return h
 
 
 class TestLadderForward:
     def test_zero_input_gives_zero_output(self):
-        layer = LadderProjection.init(DimLadder(4, (6, 8), 4), RngState(1))
-        out, _ = ladder_forward(layer, np.zeros((3, 4)))
+        ws = init_triple(4, 6, 8, RngState(1))
+        out, _ = ladder_forward(ws, np.zeros((3, 4)))
         assert np.array_equal(out, np.zeros((3, 4)))
 
     def test_zero_weights_give_zero_output(self):
-        ladder = DimLadder(4, (6, 8), 4)
-        layer = LadderProjection(
-            ladder, [np.zeros((4, 6)), np.zeros((6, 8)), np.zeros((8, 4))]
-        )
+        ws = (np.zeros((4, 6)), np.zeros((6, 8)), np.zeros((8, 4)))
         x = np.random.default_rng(0).normal(size=(3, 4))
-        out, _ = ladder_forward(layer, x)
+        out, _ = ladder_forward(ws, x)
         assert np.array_equal(out, np.zeros((3, 4)))
 
     def test_matches_scalar_loop_oracle(self):
-        layer = LadderProjection.init(DimLadder(4, (6, 8), 4), RngState(9))
+        ws = init_triple(4, 6, 8, RngState(9))
         x = np.random.default_rng(1).normal(size=(2, 4))
-        out, _ = ladder_forward(layer, x)
-        assert np.abs(out - scalar_loop_forward(layer, x)).max() < 1e-12
-
-    def test_output_width_equals_d_out(self):
-        for ladder in (DimLadder(3, (5, 7), 3), DimLadder(2, (4,), 6)):
-            layer = LadderProjection.init(ladder, RngState(2), strict=False)
-            out, _ = ladder_forward(layer, np.ones((2, ladder.d_in)))
-            assert out.shape == (2, ladder.d_out)
+        out, _ = ladder_forward(ws, x)
+        assert np.abs(out - scalar_loop_forward(ws, x)).max() < 1e-12
 
     def test_width_mismatch(self):
-        layer = LadderProjection.init(DimLadder(4, (6, 8), 4), RngState(1))
-        with pytest.raises(ValidationError, match="width"):
-            ladder_forward(layer, np.zeros((3, 5)))
+        ws = init_triple(4, 6, 8, RngState(1))
+        with pytest.raises(ValidationError, match="shape mismatch: 3x5 @ 4x6"):
+            ladder_forward(ws, np.zeros((3, 5)))
 
 
 class TestLadderBackward:
     def test_zero_upstream_gives_zero_grads(self):
-        layer = LadderProjection.init(DimLadder(3, (4, 5), 3), RngState(4))
+        ws = init_triple(3, 4, 5, RngState(4))
         x = np.random.default_rng(2).normal(size=(2, 3))
-        _, cache = ladder_forward(layer, x)
-        dx, grads = ladder_backward(layer, cache, np.zeros((2, 3)))
+        _, cache = ladder_forward(ws, x)
+        dx, grads = ladder_backward(ws, cache, np.zeros((2, 3)))
         assert np.array_equal(dx, np.zeros_like(x))
         for g in grads:
             assert not g.any()
 
     def test_matches_finite_differences(self):
-        layer = LadderProjection.init(DimLadder(3, (4, 5), 3), RngState(7))
+        ws = init_triple(3, 4, 5, RngState(7))
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3))
         proj = rng.normal(size=(2, 3))  # fixed linear functional of the output
 
-        def loss_with(weights):
-            temp = LadderProjection(layer.ladder, weights)
-            out, _ = ladder_forward(temp, x)
-            return float((out * proj).sum())
-
-        _, cache = ladder_forward(layer, x)
-        dx, grads = ladder_backward(layer, cache, proj)
+        _, cache = ladder_forward(ws, x)
+        dx, grads = ladder_backward(ws, cache, proj)
         for i in range(3):
             def f(w, i=i):
-                ws = [m.copy() for m in layer.weights]
-                ws[i] = w
-                return loss_with(ws)
+                trial = [m.copy() for m in ws]
+                trial[i] = w
+                return float((ladder_forward(trial, x)[0] * proj).sum())
 
-            fd = finite_diff_grad(f, layer.weights[i], eps=1e-5)
+            fd = finite_diff_grad(f, ws[i], eps=1e-5)
             denom = np.maximum(np.abs(fd), 1e-4)
             assert (np.abs(grads[i] - fd) / denom).max() < 1e-5
         fd_x = finite_diff_grad(
-            lambda m: float((ladder_forward(layer, m)[0] * proj).sum()), x, eps=1e-5
+            lambda m: float((ladder_forward(ws, m)[0] * proj).sum()), x, eps=1e-5
         )
         assert np.abs(dx - fd_x).max() < 1e-6
 
@@ -126,14 +115,12 @@ class TestLadderBackward:
         # with w_mid and w_down zero nothing reaches the output, and the
         # chain rule kills d_w_mid and d_w_up exactly (d_w_down too,
         # since its input gelu(0) is exactly zero)
-        ladder = DimLadder(3, (4, 5), 3)
-        layer = LadderProjection.init(ladder, RngState(5))
-        layer.weights[1] = np.zeros((4, 5))
-        layer.weights[2] = np.zeros((5, 3))
+        w_up, _, _ = init_triple(3, 4, 5, RngState(5))
+        ws = (w_up, np.zeros((4, 5)), np.zeros((5, 3)))
         x = np.random.default_rng(4).normal(size=(2, 3))
-        out, cache = ladder_forward(layer, x)
+        out, cache = ladder_forward(ws, x)
         assert np.array_equal(out, np.zeros((2, 3)))
-        _, grads = ladder_backward(layer, cache, np.ones((2, 3)))
+        _, grads = ladder_backward(ws, cache, np.ones((2, 3)))
         assert not grads[0].any()
         assert not grads[1].any()
         assert not grads[2].any()
@@ -142,12 +129,7 @@ class TestLadderBackward:
 class TestAttention:
     def _three(self, d, m, a, seed):
         rng = RngState(seed)
-        ladder = DimLadder(d, (m, a), d)
-        return (
-            LadderProjection.init(ladder, rng),
-            LadderProjection.init(ladder, rng),
-            LadderProjection.init(ladder, rng),
-        )
+        return init_triple(d, m, a, rng), init_triple(d, m, a, rng), init_triple(d, m, a, rng)
 
     def test_single_token_returns_value_row(self):
         q, k, v = self._three(4, 6, 8, 1)
@@ -195,12 +177,10 @@ class TestAttention:
         assert np.abs(dx - fd_x).max() < 1e-6
 
         def f_w(w):
-            ws = [m.copy() for m in q.weights]
-            ws[0] = w
-            q2 = LadderProjection(q.ladder, ws)
+            q2 = (w, *q[1:])
             return float((attention_forward(q2, k, v, x, n_heads=2)[0] * proj).sum())
 
-        fd_w = finite_diff_grad(f_w, q.weights[0], eps=1e-5)
+        fd_w = finite_diff_grad(f_w, q[0], eps=1e-5)
         denom = np.maximum(np.abs(fd_w), 1e-4)
         assert (np.abs(q_g[0] - fd_w) / denom).max() < 1e-5
 

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from growformer.errors import ValidationError
-from growformer.ladder import DimLadder, LadderProjection, ladder_backward, ladder_forward
+from growformer.ladder import ladder_backward, ladder_forward
 from growformer.model import (
     ModelConfig,
+    check_params,
     heldout_loss,
     init_params,
     model_forward,
     model_loss_and_grads,
-    param_names,
+    param_shapes,
+    projection_keys,
 )
-from growformer.rng import RngState, seeded_ints
+from growformer.rng import RngState, seeded_gaussian, seeded_ints
 from growformer.training import adamw_step
 
 TINY = ModelConfig(
@@ -32,9 +34,18 @@ class TestConfig:
     def test_roundtrip(self):
         assert ModelConfig.from_dict(TINY.to_dict()) == TINY
 
-    def test_param_names_cover_params(self):
+    def test_param_shapes_cover_params(self):
         params = init_params(TINY, seed=0)
-        assert sorted(param_names(TINY)) == sorted(params)
+        shapes = param_shapes(TINY)
+        assert list(shapes) == list(params)
+        assert all(params[name].shape == shape for name, shape in shapes.items())
+        check_params(TINY, params, "params")
+
+    def test_projection_keys_are_the_qkv_stages(self):
+        keys = projection_keys(TINY)
+        assert len(keys) == TINY.n_layers * 3 * 3
+        assert keys[:3] == [f"blocks.0.attn.q.{s}" for s in ("w_up", "w_mid", "w_down")]
+        assert param_shapes(TINY)[keys[1]] == (TINY.ladder_m, TINY.ladder_a)
 
 
 class TestForward:
@@ -144,19 +155,23 @@ class TestExpressivityWitness:
         linear_mse = float(((design @ coef - y.ravel()) ** 2).mean())
         assert linear_mse > 1e-1
 
-        layer = LadderProjection.init(DimLadder(1, (8, 16), 1), RngState(0))
-        m = [np.zeros_like(w) for w in layer.weights]
-        v = [np.zeros_like(w) for w in layer.weights]
+        rng = RngState(0)
+        ws = [
+            seeded_gaussian(rng, rows, cols, 0.0, 1.0 / np.sqrt(rows))
+            for rows, cols in ((1, 8), (8, 16), (16, 1))
+        ]
+        m = [np.zeros_like(w) for w in ws]
+        v = [np.zeros_like(w) for w in ws]
         mse = np.inf
         for t in range(1, 4001):
-            out, cache = ladder_forward(layer, x)
+            out, cache = ladder_forward(ws, x)
             err = out - y
             mse = float((err**2).mean())
-            _, grads = ladder_backward(layer, cache, 2 * err / err.size)
+            _, grads = ladder_backward(ws, cache, 2 * err / err.size)
             for i, g in enumerate(grads):
                 m[i] = 0.9 * m[i] + 0.1 * g
                 v[i] = 0.999 * v[i] + 0.001 * g * g
-                layer.weights[i] -= (
+                ws[i] -= (
                     2e-2 * (m[i] / (1 - 0.9**t)) / (np.sqrt(v[i] / (1 - 0.999**t)) + 1e-8)
                 )
         assert mse < 1e-2

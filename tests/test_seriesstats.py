@@ -97,6 +97,14 @@ class TestHarmonicFit:
         with pytest.raises(ValidationError):
             harmonic_fit([0.0, 2.0, 1.0, 3.0], [1.0, 2.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        times = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        with pytest.raises(ValidationError, match="finite"):
+            harmonic_fit(times, [1.0, 2.0, bad, 0.0, 1.0, 2.0])
+        with pytest.raises(ValidationError, match="finite"):
+            harmonic_fit([*times[:-1], bad], [1.0, 2.0, 1.0, 0.0, 1.0, 2.0])
+
 
 class TestFisherG:
     def test_exact_formula_hand_value(self):
@@ -148,6 +156,12 @@ class TestFisherG:
         with pytest.raises(ValidationError):
             fisher_g_test([1.0, 2.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("detrend", ["linear", "none"])
+    def test_non_finite_rejected(self, bad, detrend):
+        with pytest.raises(ValidationError, match="finite"):
+            fisher_g_test([1.0, 2.0, bad, 2.0, 1.0, 3.0], detrend=detrend)
+
 
 class TestScalingLaw:
     def test_recovers_exact_generator(self):
@@ -183,6 +197,11 @@ class TestScalingLaw:
     def test_bad_ppl(self):
         with pytest.raises(ValidationError):
             scaling_law_fit([(0.5, -1.0), (0.2, 3.0)])
+
+    @pytest.mark.parametrize("pair", [(np.nan, 3.0), (0.2, np.nan), (np.inf, 3.0), (0.2, np.inf)])
+    def test_non_finite_rejected(self, pair):
+        with pytest.raises(ValidationError, match="finite"):
+            scaling_law_fit([(0.5, 12.0), pair, (0.1, 10.0)])
 
 
 class TestReportedValueConsistency:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growformer.checkpoint import save_checkpoint
+from growformer.checkpoint import load_checkpoint, save_checkpoint
 from growformer.errors import ValidationError
 from growformer.growth import GrowthPlan
 from growformer.model import ModelConfig, init_params
@@ -224,6 +224,24 @@ class TestTrain:
             for key, a in getattr(growth_run.final, group).items():
                 digest.update(key.encode() + b"\0" + a.tobytes())
         assert digest.hexdigest() == GROWTH_RUN_SHA256
+
+    @pytest.mark.parametrize("policy", ["strict-zero", "guarded-zero", "noise:0.1"])
+    def test_resume_across_growth_trigger_is_bit_exact(self, policy, tmp_path):
+        cfg = make_config(
+            steps=40, snapshot_every=10,
+            growth=GrowthPlan(4, 6, policy, seed=9), growth_trigger=20,
+        )
+        full = train(cfg)
+        assert [ck.step for ck in full.checkpoints] == [0, 10, 20, 30, 40]
+        for ck in full.checkpoints:
+            path = tmp_path / f"step{ck.step}.nxf"
+            save_checkpoint(ck, path)
+            resumed = train(cfg, resume=load_checkpoint(path))
+            assert resumed.step_losses == full.step_losses[ck.step:]
+            assert resumed.final.model_config == full.final.model_config
+            for group in CHECKPOINT_GROUPS:
+                assert same_bits(getattr(resumed.final, group), getattr(full.final, group))
+            assert resumed.final.rng == full.final.rng
 
     def test_resume_leaves_checkpoint_unchanged(self):
         cfg = make_config(steps=20, snapshot_every=10)
