@@ -177,19 +177,23 @@ class AlignmentSnapshot:
     tokens: int
     u_p: float
     noc: float
-    perf: float
     loss: float
-    ppl: float
     up_pct: float
     noc_pct: float
     perf_pct: float
-    r: float
 
-    def __post_init__(self):
-        if abs(self.ppl - np.exp(self.loss)) > 1e-12 * max(1.0, self.ppl):
-            raise ValidationError("ppl must equal exp(loss)")
-        if abs(self.r - radial_energy(self.up_pct, self.noc_pct)) > 1e-12:
-            raise ValidationError("r must equal sqrt(up_pct^2 + noc_pct^2)")
+    @property
+    def perf(self) -> float:
+        """The performance proxy, the negated held-out loss."""
+        return -self.loss
+
+    @property
+    def ppl(self) -> float:
+        return float(np.exp(self.loss))
+
+    @property
+    def r(self) -> float:
+        return radial_energy(self.up_pct, self.noc_pct)
 
     @property
     def state_vector(self) -> np.ndarray:
@@ -257,23 +261,18 @@ def snapshot_alignment(
     else:
         u_p = 1.0  # no new parameters: nothing can have diverged
 
-    ppl = float(np.exp(loss))
-    perf = -loss
     if reference is None:
         up_pct = noc_pct = perf_pct = 0.0
     else:
         up_pct = percent_shift(u_p, reference.u_p)
         noc_pct = percent_shift(noc_val, reference.noc)
-        perf_pct = perf_gain(perf, reference.perf)
+        perf_pct = perf_gain(-loss, reference.perf)
     return AlignmentSnapshot(
         tokens=tokens,
         u_p=u_p,
         noc=noc_val,
-        perf=perf,
         loss=loss,
-        ppl=ppl,
         up_pct=up_pct,
         noc_pct=noc_pct,
         perf_pct=perf_pct,
-        r=radial_energy(up_pct, noc_pct),
     )

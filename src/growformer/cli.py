@@ -2,12 +2,13 @@
 
 Subcommands: train, grow, verify, analyze, fit-scaling, periodicity,
 flops, ablate. Exit codes: 0 success; 1 malformed or unreadable input
-(a config or metrics file that does not parse or lacks a field, a
-metrics series with a non-finite value, a bad checkpoint such as one
-truncated or one whose matrices are missing, extra or misshapen for its
-model config, a missing path or a directory), reported as one
-``error:`` line without a traceback; 2 numeric failure, such as a
-zero-policy ``grow`` whose probe deviation is not exactly 0.0.
+(a config or metrics file that does not parse or lacks a field, a config
+block with a key that is not a field of its dataclass, a value of the
+wrong type, a metrics series with a non-finite value, a bad checkpoint
+such as one truncated or one whose matrices are missing, extra or
+misshapen for its model config, a missing path or a directory),
+reported as one ``error:`` line without a traceback; 2 numeric failure,
+such as a zero-policy ``grow`` whose probe deviation is not exactly 0.0.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .flops import breakdown_csv_rows
 from .growth import GrowthPlan, grow_model, verify_function_preservation
 from .model import ModelConfig, heldout_loss
 from .seriesstats import fisher_g_test, harmonic_fit, scaling_law_fit
-from .training import ExperimentConfig, heldout_sequences, train
+from .training import ExperimentConfig, checkpoint_experiment, heldout_sequences, train
 
 
 def _read_text(path: str) -> str:
@@ -43,10 +44,6 @@ def _read_json(path: str):
         raise ValidationError(f"{path}: not a JSON file: {exc}") from exc
 
 
-def _load_experiment_config(path: str) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(_read_json(path))
-
-
 def _load_model_config(path: str) -> ModelConfig:
     blob = _read_json(path)
     if isinstance(blob, dict) and "model" in blob:
@@ -55,7 +52,7 @@ def _load_model_config(path: str) -> ModelConfig:
 
 
 def _cmd_train(args) -> int:
-    config = _load_experiment_config(args.config)
+    config = ExperimentConfig.from_dict(_read_json(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     resume = load_checkpoint(args.resume) if args.resume else None
@@ -117,9 +114,7 @@ def _cmd_analyze(args) -> int:
         raise ValidationError(f"no .nxf checkpoints found in {args.series}")
     series = [load_checkpoint(p) for p in paths]
     series.sort(key=lambda ck: ck.step)
-    if base.experiment is None:
-        raise ValidationError("base checkpoint carries no experiment config")
-    heldout = heldout_sequences(ExperimentConfig.from_dict(base.experiment))
+    heldout = heldout_sequences(checkpoint_experiment(base))
     losses = [heldout_loss(ck.model_config, ck.params, heldout) for ck in series]
     snapshots, trajectory, fits = analyze_snapshot_series(base, series, losses)
     out = Path(args.out)

@@ -31,7 +31,14 @@ from .model import heldout_loss, model_loss_and_grads
 from .rng import derive_seed
 from .seriesstats import fisher_g_test, harmonic_fit, scaling_law_fit
 from .trajectory import TrajectoryPoint, pca_fit, trajectory_series
-from .training import ExperimentConfig, adamw_step, heldout_sequences, start_checkpoint, train
+from .training import (
+    ExperimentConfig,
+    adamw_step,
+    checkpoint_experiment,
+    heldout_sequences,
+    start_checkpoint,
+    train,
+)
 
 _CONTINUED_STREAM = 2  # continued training draws an unseen sample stream
 
@@ -139,9 +146,7 @@ def run_growth_experiment(
     cadence: int,
 ) -> dict[str, ExperimentSeries]:
     """Grow/verify/continue/analyze once per plan."""
-    if base_ckpt.experiment is None:
-        raise ValidationError("base checkpoint carries no experiment config")
-    base_exp = ExperimentConfig.from_dict(base_ckpt.experiment)
+    base_exp = checkpoint_experiment(base_ckpt)
     heldout = heldout_sequences(base_exp)
     out: dict[str, ExperimentSeries] = {}
     for plan in plans:
@@ -179,9 +184,7 @@ def ablate_axes(base_ckpt: Checkpoint, budget: int, delta_total: int | None = No
     """Four matched-budget growth settings: single-axis M, single-axis A,
     and both axes with either axis dominant. Each is grown guarded-zero,
     trained for the budget, and reports its final held-out perplexity."""
-    if base_ckpt.experiment is None:
-        raise ValidationError("base checkpoint carries no experiment config")
-    base_exp = ExperimentConfig.from_dict(base_ckpt.experiment)
+    base_exp = checkpoint_experiment(base_ckpt)
     heldout = heldout_sequences(base_exp)
     config = base_ckpt.model_config
     if budget < 1:
@@ -233,9 +236,7 @@ def adaptation_comparison(
     are measured on those same windows, so the comparison isolates how
     much of the set each model has the capacity to absorb.
     """
-    if base_ckpt.experiment is None:
-        raise ValidationError("base checkpoint carries no experiment config")
-    base_exp = ExperimentConfig.from_dict(base_ckpt.experiment)
+    base_exp = checkpoint_experiment(base_ckpt)
     windows = heldout_sequences(base_exp, count=n_windows)
     lr = base_exp.optimizer.lr
     betas = base_exp.optimizer.betas

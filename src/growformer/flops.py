@@ -14,7 +14,7 @@ and in total by the benchmark's tracer (``perfbench/test_perfbench.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 from .errors import ValidationError
 from .model import ModelConfig
@@ -36,26 +36,10 @@ class FlopsBreakdown:
 
     @property
     def total(self) -> int:
-        return (
-            self.qkv_projections
-            + self.attention_scores
-            + self.attention_aggregate
-            + self.output_projection
-            + self.ffn
-            + self.lm_head
-        )
+        return sum(astuple(self))
 
     def to_dict(self) -> dict:
-        return {
-            "qkv_projections": self.qkv_projections,
-            "attention_scores": self.attention_scores,
-            "attention_aggregate": self.attention_aggregate,
-            "output_projection": self.output_projection,
-            "ffn": self.ffn,
-            "lm_head": self.lm_head,
-            "total": self.total,
-            "convention": CONVENTION,
-        }
+        return {**asdict(self), "total": self.total, "convention": CONVENTION}
 
 
 def nexus_proj_flops(d: int, m: int, a: int) -> int:

@@ -26,11 +26,11 @@ and in-run growth applies it with a strict-zero plan to the Adam moments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_int
 from .ladder import validate_hierarchy
 from .linalg import exact_arithmetic
 from .model import PROJ_NAMES, ModelConfig, model_forward, model_loss_and_grads, projection_keys
@@ -48,12 +48,10 @@ class GrowthPlan:
 
     def __post_init__(self):
         for name in ("delta_m", "delta_a", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"growth plan: {name} must be an integer, got {value!r}")
+            check_int("growth", name, getattr(self, name))
         if not isinstance(self.init_policy, str):
             raise ValidationError(
-                f"growth plan: init_policy must be a string, got {self.init_policy!r}"
+                f"growth config: init_policy must be a string, got {self.init_policy!r}"
             )
         if self.delta_m < 0 or self.delta_a < 0:
             raise ValidationError("growth deltas must be non-negative")
@@ -100,16 +98,7 @@ class GrowthReport:
     new_block_grad_norms: dict[str, float] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "old_m": self.old_m,
-            "old_a": self.old_a,
-            "new_m": self.new_m,
-            "new_a": self.new_a,
-            "init_policy": self.init_policy,
-            "block_init": dict(self.block_init),
-            "max_output_deviation": self.max_output_deviation,
-            "new_block_grad_norms": self.new_block_grad_norms,
-        }
+        return asdict(self)
 
 
 def _new_block(rows, cols, plan, rng, ref_std, fan_in, zero_under_guard):

@@ -13,11 +13,11 @@ one sequence at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_int, check_keys
 from .ladder import Triple, attention_backward, attention_forward, validate_hierarchy
 from .linalg import gelu, gelu_derivative, matmul
 from .rng import RngState, derive_seed, seeded_gaussian
@@ -38,11 +38,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValidationError(
-                    f"model config: {f.name} must be an integer >= 1, got {value!r}"
-                )
+            check_int("model", f.name, getattr(self, f.name), minimum=1)
         if self.hidden_size % self.n_heads != 0:
             raise ValidationError(
                 f"n_heads {self.n_heads} does not divide hidden {self.hidden_size}"
@@ -53,31 +49,12 @@ class ModelConfig:
         return self.hidden_size // self.n_heads
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "context_len": self.context_len,
-            "hidden_size": self.hidden_size,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "ladder_m": self.ladder_m,
-            "ladder_a": self.ladder_a,
-            "ffn_size": self.ffn_size,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Build from ``to_dict`` output. A legacy ``dtype`` storage tag is
-        dropped; any other unknown or missing key is a ValidationError."""
-        if not isinstance(d, dict):
-            raise ValidationError(f"model config must be an object, got {type(d).__name__}")
-        d = {k: v for k, v in d.items() if k != "dtype"}
-        names = {f.name for f in fields(cls)}
-        if d.keys() != names:
-            raise ValidationError(
-                f"model config: unknown keys {sorted(d.keys() - names)}, "
-                f"missing keys {sorted(names - d.keys())}"
-            )
-        return cls(**d)
+        """Build from ``to_dict`` output under ``errors.check_keys``."""
+        return cls(**check_keys("model", d, fields(cls)))
 
     def grown(self, delta_m: int, delta_a: int) -> "ModelConfig":
         return replace(self, ladder_m=self.ladder_m + delta_m, ladder_a=self.ladder_a + delta_a)

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import betainc
@@ -73,19 +73,7 @@ class HarmonicFit:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "a0": self.a0,
-            "a1": self.a1,
-            "freq": self.freq,
-            "phase": self.phase,
-            "r_squared": self.r_squared,
-            "f_stat": self.f_stat,
-            "p_value": self.p_value,
-            "dof": list(self.dof),
-            "trend": self.trend,
-            "trend_slope": self.trend_slope,
-            "degenerate": self.degenerate,
-        }
+        return {**asdict(self), "dof": list(self.dof)}
 
 
 def _harmonic_design(t, f, trend):
@@ -181,13 +169,7 @@ class FisherGResult:
     peak_index: int  # 1-based Fourier frequency index of the max ordinate
 
     def to_dict(self) -> dict:
-        return {
-            "g_stat": self.g_stat,
-            "p_value": self.p_value,
-            "fourier_term_count": self.fourier_term_count,
-            "detrend_mode": self.detrend_mode,
-            "peak_index": self.peak_index,
-        }
+        return asdict(self)
 
 
 def fisher_g_p_value(x: float, m: int) -> float:
@@ -244,13 +226,7 @@ class ScalingFit:
     n_excluded: int  # pairs dropped because r == 0
 
     def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "n_used": self.n_used,
-            "n_excluded": self.n_excluded,
-        }
+        return asdict(self)
 
 
 def scaling_law_fit(pairs) -> ScalingFit:

@@ -4,13 +4,13 @@ checkpoint snapshots at a fixed cadence, optional in-run growth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .checkpoint import Checkpoint
 from .corpus import gen_corpus
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_int, check_keys, check_real
 from .growth import GrowthPlan, grow_model, grow_projections
 from .model import ModelConfig, heldout_loss, init_params, model_loss_and_grads, param_shapes
 from .rng import RngState, derive_seed, seeded_ints
@@ -18,24 +18,6 @@ from .rng import RngState, derive_seed, seeded_ints
 _ADAM_EPS = 1e-8
 _ORDER_TAG = 0x0D0E
 _INIT_TAG = 0x1217
-
-
-def _required(d, key: str, block: str):
-    if not isinstance(d, dict):
-        raise ValidationError(f"{block} config must be an object, got {type(d).__name__}")
-    if key not in d:
-        raise ValidationError(f"{block} config: missing required key {key!r}")
-    return d[key]
-
-
-def _check_int(block: str, name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{block} config: {name} must be an integer, got {value!r}")
-
-
-def _check_real(block: str, name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{block} config: {name} must be a real number, got {value!r}")
 
 
 @dataclass
@@ -50,66 +32,49 @@ class OptimizerConfig:
             raise ValidationError(
                 f"optimizer kind {self.kind!r} is not implemented; the only kind is 'adamw'"
             )
-        _check_real("optimizer", "lr", self.lr)
-        _check_real("optimizer", "weight_decay", self.weight_decay)
+        check_real("optimizer", "lr", self.lr)
+        check_real("optimizer", "weight_decay", self.weight_decay)
         if not isinstance(self.betas, (list, tuple)) or len(self.betas) != 2:
             raise ValidationError(
                 f"optimizer config: betas must be a pair of real numbers, got {self.betas!r}"
             )
         for beta in self.betas:
-            _check_real("optimizer", "betas", beta)
+            check_real("optimizer", "betas", beta)
         self.betas = tuple(self.betas)
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "lr": self.lr,
-            "betas": list(self.betas),
-            "weight_decay": self.weight_decay,
-        }
+        return {**asdict(self), "betas": list(self.betas)}
 
     @classmethod
     def from_dict(cls, d):
-        lr = _required(d, "lr", "optimizer")
-        return cls(
-            kind=d.get("kind", "adamw"),
-            lr=lr,
-            betas=d.get("betas", (0.9, 0.95)),
-            weight_decay=d.get("weight_decay", 0.01),
-        )
+        # a config file must set lr; the default serves callers in code
+        return cls(**check_keys("optimizer", d, fields(cls), required=("lr",)))
 
 
 @dataclass
 class ScheduleConfig:
     steps: int
     warmup: int = 50
-    snapshot_every: int = 100
+    snapshot_every: int = field(kw_only=True)
 
     def __post_init__(self):
-        for name in ("steps", "warmup", "snapshot_every"):
-            _check_int("schedule", name, getattr(self, name))
-        if self.snapshot_every < 1:
-            raise ValidationError(
-                f"schedule config: snapshot_every must be >= 1, got {self.snapshot_every}"
-            )
+        check_int("schedule", "steps", self.steps)
+        check_int("schedule", "warmup", self.warmup)
+        check_int("schedule", "snapshot_every", self.snapshot_every, minimum=1)
 
     def to_dict(self):
-        return {"steps": self.steps, "warmup": self.warmup, "snapshot_every": self.snapshot_every}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            steps=_required(d, "steps", "schedule"),
-            warmup=d.get("warmup", 50),
-            snapshot_every=_required(d, "snapshot_every", "schedule"),
-        )
+        return cls(**check_keys("schedule", d, fields(cls)))
 
 
 @dataclass
 class CorpusConfig:
-    generator: str = "markov-k2"
-    seed: int = 0
-    length: int = 100_000
+    generator: str
+    seed: int
+    length: int
     stream: int = 0  # disjoint sample stream within the same language
 
     def __post_init__(self):
@@ -118,24 +83,14 @@ class CorpusConfig:
                 f"corpus config: generator must be a string, got {self.generator!r}"
             )
         for name in ("seed", "length", "stream"):
-            _check_int("corpus", name, getattr(self, name))
+            check_int("corpus", name, getattr(self, name))
 
     def to_dict(self):
-        return {
-            "generator": self.generator,
-            "seed": self.seed,
-            "length": self.length,
-            "stream": self.stream,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            generator=_required(d, "generator", "corpus"),
-            seed=_required(d, "seed", "corpus"),
-            length=_required(d, "length", "corpus"),
-            stream=d.get("stream", 0),
-        )
+        return cls(**check_keys("corpus", d, fields(cls)))
 
 
 @dataclass
@@ -151,10 +106,10 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        _check_int("experiment", "seed", self.seed)
-        _check_int("experiment", "rewarm_steps", self.rewarm_steps)
+        check_int("experiment", "seed", self.seed)
+        check_int("experiment", "rewarm_steps", self.rewarm_steps)
         if self.growth_trigger is not None:
-            _check_int("growth", "trigger_step", self.growth_trigger)
+            check_int("growth", "trigger_step", self.growth_trigger)
         if self.optimizer.lr <= 0:
             raise ValidationError(f"lr must be positive, got {self.optimizer.lr}")
         if self.schedule.steps % self.schedule.snapshot_every != 0:
@@ -168,53 +123,45 @@ class ExperimentConfig:
             raise ValidationError("growth plan and trigger step must be given together")
 
     def to_dict(self) -> dict:
-        growth = None
+        """The config as a JSON object: one key per field and block, except
+        that the trigger step is the ``trigger_step`` of the growth block."""
+        d = asdict(self)
+        d["optimizer"] = self.optimizer.to_dict()
+        trigger = d.pop("growth_trigger")
         if self.growth is not None:
-            growth = {
-                "delta_m": self.growth.delta_m,
-                "delta_a": self.growth.delta_a,
-                "init_policy": self.growth.init_policy,
-                "seed": self.growth.seed,
-                "trigger_step": self.growth_trigger,
-            }
-        return {
-            "model": self.model.to_dict(),
-            "optimizer": self.optimizer.to_dict(),
-            "schedule": self.schedule.to_dict(),
-            "corpus": self.corpus.to_dict(),
-            "seed": self.seed,
-            "growth": growth,
-            "rewarm_steps": self.rewarm_steps,
-            "out_dir": self.out_dir,
-        }
+            d["growth"]["trigger_step"] = trigger
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Build from ``to_dict`` output. A missing required key or a value
-        of the wrong type is a ValidationError naming it."""
-        model = ModelConfig.from_dict(_required(d, "model", "experiment"))
-        growth = d.get("growth")
-        plan = None
-        trigger = None
+        """Build from ``to_dict`` output. Each block, the top level included,
+        is held to the key rule of ``errors.check_keys``: a key that is not a
+        field of the block's dataclass is a ValidationError naming it, and
+        so is a missing key whose field has no default. The optimizer's
+        ``lr`` and the growth block's ``trigger_step`` are required too.
+        Legacy ``dtype`` and ``arithmetic`` keys are dropped, and a value of
+        the wrong type is a ValidationError naming its key."""
+        top = [f for f in fields(cls) if f.name != "growth_trigger"]
+        d = check_keys("experiment", d, top)
+        growth = d.pop("growth", None)
         if growth is not None:
-            plan = GrowthPlan(
-                delta_m=_required(growth, "delta_m", "growth"),
-                delta_a=_required(growth, "delta_a", "growth"),
-                init_policy=_required(growth, "init_policy", "growth"),
-                seed=_required(growth, "seed", "growth"),
-            )
-            trigger = _required(growth, "trigger_step", "growth")
+            growth = check_keys("growth", growth, fields(GrowthPlan), required=("trigger_step",))
+            d["growth_trigger"] = growth.pop("trigger_step")
+            d["growth"] = GrowthPlan(**growth)
         return cls(
-            model=model,
-            optimizer=OptimizerConfig.from_dict(_required(d, "optimizer", "experiment")),
-            schedule=ScheduleConfig.from_dict(_required(d, "schedule", "experiment")),
-            corpus=CorpusConfig.from_dict(_required(d, "corpus", "experiment")),
-            seed=d.get("seed", 0),
-            growth=plan,
-            growth_trigger=trigger,
-            rewarm_steps=d.get("rewarm_steps", 50),
-            out_dir=d.get("out_dir"),
+            model=ModelConfig.from_dict(d.pop("model")),
+            optimizer=OptimizerConfig.from_dict(d.pop("optimizer")),
+            schedule=ScheduleConfig.from_dict(d.pop("schedule")),
+            corpus=CorpusConfig.from_dict(d.pop("corpus")),
+            **d,
         )
+
+
+def checkpoint_experiment(ck: Checkpoint) -> ExperimentConfig:
+    """The experiment config a base checkpoint carries."""
+    if ck.experiment is None:
+        raise ValidationError("base checkpoint carries no experiment config")
+    return ExperimentConfig.from_dict(ck.experiment)
 
 
 @dataclass

@@ -10,7 +10,6 @@ from scipy.special import ndtr
 
 from growformer import alignment
 from growformer.alignment import (
-    AlignmentSnapshot,
     WeightSample,
     noc,
     perf_gain,
@@ -248,22 +247,6 @@ class TestSnapshotAlignment:
         with pytest.raises(ValidationError, match="extend"):
             snapshot_alignment(
                 params, BASE, s_params, smaller, loss_of(smaller, s_params), tokens=0
-            )
-
-
-class TestSnapshotInvariants:
-    def test_ppl_consistency_enforced(self):
-        with pytest.raises(ValidationError, match="ppl"):
-            AlignmentSnapshot(
-                tokens=0, u_p=1.0, noc=1.0, perf=-1.0, loss=1.0, ppl=5.0,
-                up_pct=0.0, noc_pct=0.0, perf_pct=0.0, r=0.0,
-            )
-
-    def test_radius_consistency_enforced(self):
-        with pytest.raises(ValidationError, match="r must"):
-            AlignmentSnapshot(
-                tokens=0, u_p=1.0, noc=1.0, perf=-1.0, loss=1.0, ppl=math.exp(1.0),
-                up_pct=0.3, noc_pct=0.4, perf_pct=0.0, r=0.7,
             )
 
 

@@ -82,6 +82,9 @@ def experiment_blob() -> dict:
     ).to_dict()
 
 
+GROWTH = {"delta_m": 2, "delta_a": 2, "init_policy": "guarded-zero", "seed": 0, "trigger_step": 2}
+
+
 def train_on(config: dict, tmp_path) -> tuple[int, Path]:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -105,17 +108,29 @@ def test_unimplemented_optimizer_kind_exits_1(tmp_path, capsys):
         ("optimizer", "lr", "0.003", "optimizer config: lr must be a real number, got '0.003'"),
         ("corpus", "length", "2000", "corpus config: length must be an integer, got '2000'"),
         ("optimizer", "lr", None, "optimizer config: missing required key 'lr'"),
+        ("model", "n_head", 2, "model config: unknown key 'n_head'"),
+        ("optimizer", "weight_decy", 0.1, "optimizer config: unknown key 'weight_decy'"),
+        ("schedule", "warmpu", 1, "schedule config: unknown key 'warmpu'"),
+        ("corpus", "strem", 1, "corpus config: unknown key 'strem'"),
+        ("experiment", "growht", GROWTH, "experiment config: unknown key 'growht'"),
+        ("experiment", "growth_trigger", 2, "experiment config: unknown key 'growth_trigger'"),
+        ("growth", "trigger", 2, "growth config: unknown key 'trigger'"),
     ],
-    ids=["string-steps", "string-lr", "string-length", "missing-lr"],
+    ids=["string-steps", "string-lr", "string-length", "missing-lr", "unknown-model-key",
+         "unknown-optimizer-key", "unknown-schedule-key", "unknown-corpus-key",
+         "unknown-experiment-key", "top-level-trigger", "unknown-growth-key"],
 )
 def test_experiment_config_with_bad_value_or_missing_key_exits_1(
     block, key, value, message, tmp_path, capsys
 ):
     config = experiment_blob()
+    if block == "growth":
+        config["growth"] = dict(GROWTH)
+    target = config if block == "experiment" else config[block]
     if value is None:
-        del config[block][key]
+        del target[key]
     else:
-        config[block][key] = value
+        target[key] = value
     code, out = train_on(config, tmp_path)
     assert code == 1
     assert message in capsys.readouterr().err

@@ -251,26 +251,29 @@ class TestReportWithProbe:
 
 
 class TestZeroPolicyProperties:
-    """The paper's invariant at random toy widths. Head widths start at 2:
-    a width-1 LayerNorm outputs only its bias, so every gradient is 0."""
+    """The paper's invariant at random toy widths, the ladder widths
+    d < m < a included. Head widths start at 2: a width-1 LayerNorm
+    outputs only its bias, so every gradient is 0."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(1, 3),
         st.integers(2, 4),
+        st.integers(1, 8),
+        st.integers(1, 8),
         st.integers(0, 5),
         st.integers(0, 5),
         st.integers(0, 2**32 - 1),
         st.sampled_from(["strict-zero", "guarded-zero"]),
     )
     def test_exact_preservation_and_new_block_gradients(
-        self, heads, head_dim, dm, da, seed, policy
+        self, heads, head_dim, m_gap, a_gap, dm, da, seed, policy
     ):
         assume(dm + da > 0)
         d = heads * head_dim
         config = ModelConfig(
             vocab_size=16, context_len=8, hidden_size=d, n_heads=heads, n_layers=1,
-            ladder_m=d + 2, ladder_a=d + 4, ffn_size=8,
+            ladder_m=d + m_gap, ladder_a=d + m_gap + a_gap, ffn_size=8,
         )
         params = init_params(config, seed=seed)
         plan = GrowthPlan(dm, da, policy, seed=seed)

@@ -1,5 +1,6 @@
-"""Every imported name in the package and its tests is used, and every
-module-level function and class of the package is referenced.
+"""Every imported name in the package, its tests and the benchmark
+harness is used, and every module-level function and class of the
+package is referenced.
 
 Stdlib-``ast`` stand-ins for a linter's unused-import rule (a name bound
 by an import must appear as a name somewhere else in the module, or in
@@ -16,6 +17,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "growformer").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -43,7 +45,7 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == ["line 1: json", "line 3: path"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", SOURCES + BENCHMARK, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -79,7 +81,7 @@ def test_detects_an_unreferenced_definition():
 
 
 def test_every_package_definition_is_referenced():
-    files = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+    files = SOURCES + BENCHMARK
     used = set().union(*(references(path.read_text(encoding="utf-8")) for path in files))
     dead = {
         path.name: unreferenced_definitions(path.read_text(encoding="utf-8"), used)

@@ -213,8 +213,6 @@ class TestTrain:
         grown = growth_run.checkpoints[-1]
         assert grown.model_config.ladder_m == TINY.ladder_m + 4
         assert grown.model_config.ladder_a == TINY.ladder_a + 6
-        # old optimizer moments survive in the old index ranges
-        base = train(make_config(steps=20, snapshot_every=20)).final
         m_new = grown.adam_m["blocks.0.attn.q.w_mid"]
         assert m_new.shape == (24, 30)
 
