@@ -6,7 +6,9 @@ flops, ablate. Exit codes: 0 success; 1 malformed or unreadable input
 block with a key that is not a field of its dataclass, a value of the
 wrong type, a metrics series with a non-finite value, a bad checkpoint
 such as one truncated or one whose matrices are missing, extra or
-misshapen for its model config, a missing path or a directory),
+misshapen for its model config, a ``grow``, ``verify`` or ``analyze``
+base checkpoint that carries no experiment config to draw held-out
+probes from, a missing path or a directory),
 reported as one ``error:`` line without a traceback; 2 numeric failure,
 such as a zero-policy ``grow`` whose probe deviation is not exactly 0.0.
 """
@@ -70,9 +72,7 @@ def _cmd_train(args) -> int:
 def _cmd_grow(args) -> int:
     ck = load_checkpoint(args.ckpt)
     plan = GrowthPlan(args.dm, args.da, args.init, seed=args.seed)
-    probe = None
-    if ck.experiment is not None:
-        probe = heldout_sequences(ExperimentConfig.from_dict(ck.experiment), count=4)
+    probe = heldout_sequences(checkpoint_experiment(ck), count=4)
     new_params, new_config, report = grow_model(
         ck.params, ck.model_config, plan, strict_hierarchy=not args.permissive, probe=probe
     )
@@ -94,10 +94,7 @@ def _cmd_grow(args) -> int:
 def _cmd_verify(args) -> int:
     old = load_checkpoint(args.old)
     new = load_checkpoint(args.new)
-    if old.experiment is not None:
-        probe = heldout_sequences(ExperimentConfig.from_dict(old.experiment), count=8)
-    else:
-        raise ValidationError("old checkpoint carries no experiment config for probes")
+    probe = heldout_sequences(checkpoint_experiment(old), count=8)
     deviation = verify_function_preservation(
         old.params, old.model_config, new.params, new.model_config, probe
     )

@@ -12,6 +12,15 @@ depends only on the sequence of (a_ik, b_kj) values feeding it - never
 on how wide the matrices are. That is the arithmetic under which a
 zero-initialised width expansion leaves every pre-existing output
 bit-identical, and it is what function-preservation checks run in.
+
+Exact mode still runs on BLAS: one ``dgemm`` per input channel k, with
+inner dimension 1 and alpha = beta = 1, accumulating into one output.
+Such a call rounds each element as fl(fl(a_ik * b_kj) + c_ij): the
+product is rounded on its own and then added, with no fused multiply-add
+spanning two channels, which is the same arithmetic as an elementwise
+multiply followed by an add. This rests on the BLAS kernel not fusing
+the K=1 product into the accumulation; the tests compare it bit for bit
+against that numpy loop.
 """
 
 from __future__ import annotations
@@ -52,12 +61,29 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 
 def _matmul_channel_ordered(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0], b.shape[1]))
-    tmp = np.empty_like(out)
+    """a @ b summed one input channel at a time, in channel order.
+
+    Each step is a K=1 ``dgemm`` that adds the rank-1 term of channel k
+    to the output in place. It runs on the transposed problem,
+    out.T += b[k].T @ a[:, k].T, so the Fortran-ordered accumulator is
+    ``out`` in C order and every operand slice is contiguous.
+
+    The netlib reference dgemm skips the terms whose second-operand
+    entry is zero (here a[i, k] == 0), so a zero there would hide an inf
+    or NaN in ``b``. The tests pin that non-finite operands give the
+    same values as the numpy loop on the OpenBLAS in use. Where two NaNs
+    of opposite sign meet in one element the NaN's sign bit may differ.
+    """
+    # Imported here: scipy.linalg costs ~6 MB of resident memory, and
+    # only exact mode needs it.
+    from scipy.linalg.blas import dgemm
+
+    a_cols = np.ascontiguousarray(a.T)
+    b_rows = np.ascontiguousarray(b)
+    out_t = np.zeros((b.shape[1], a.shape[0]), order="F")
     for k in range(a.shape[1]):
-        np.multiply(a[:, k, None], b[k, None, :], out=tmp)
-        out += tmp
-    return out
+        out_t = dgemm(1.0, b_rows[k : k + 1].T, a_cols[k : k + 1], 1.0, out_t, overwrite_c=1)
+    return out_t.T
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

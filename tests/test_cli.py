@@ -271,3 +271,18 @@ def test_zero_policy_grow_with_nonzero_deviation_exits_2(base_path, tmp_path, ca
     assert cli.main(grow_args(base_path, out, "guarded-zero")) == 2
     assert "must preserve the output exactly" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_checkpoint_without_experiment_config_exits_1_for_grow_and_verify(
+    base_path, tmp_path, capsys
+):
+    ck = load_checkpoint(base_path)
+    ck.experiment = None
+    bare = tmp_path / "bare.nxf"
+    save_checkpoint(ck, bare)
+    out = tmp_path / "grown.nxf"
+    assert cli.main(grow_args(bare, out, "guarded-zero")) == 1
+    assert capsys.readouterr().err == "error: base checkpoint carries no experiment config\n"
+    assert not out.exists()
+    assert cli.main(["verify", "--old", str(bare), "--new", str(base_path)]) == 1
+    assert capsys.readouterr().err == "error: base checkpoint carries no experiment config\n"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,13 +19,33 @@ from growformer.growth import (
     require_exact_preservation,
     verify_function_preservation,
 )
-from growformer.model import ModelConfig, init_params, projection_keys
+from growformer.linalg import exact_arithmetic, finite_diff_grad
+from growformer.model import (
+    TOY_CONFIG,
+    ModelConfig,
+    init_params,
+    model_forward,
+    model_loss_and_grads,
+    projection_keys,
+)
 from growformer.rng import RngState, seeded_gaussian, seeded_ints
+from growformer.training import (
+    CorpusConfig,
+    ExperimentConfig,
+    OptimizerConfig,
+    ScheduleConfig,
+    heldout_sequences,
+)
 
 BASE = ModelConfig(
     vocab_size=32, context_len=12, hidden_size=8, n_heads=2, n_layers=2,
     ladder_m=12, ladder_a=16, ffn_size=16,
 )
+
+
+# sha256 of the exact-mode logits of a seeded TOY_CONFIG model grown by
+# noise:0.2 on one held-out window (test_exact_mode_logits_digest_pinned).
+EXACT_LOGITS_SHA256 = "3e9e6088bafec66e19d0e8a48aa53c1ba32817a3b34f37db1c9b30571c20dad2"
 
 
 def probe_batch(count=4, seed=17, n=12, vocab=32):
@@ -183,6 +205,23 @@ class TestPreservation:
         with pytest.raises(ValidationError, match="vocab"):
             verify_function_preservation(params, BASE, other_params, other, probe_batch(vocab=16))
 
+    def test_exact_mode_logits_digest_pinned(self):
+        """Any change to a bit of exact-mode arithmetic fails here, by name."""
+        params = init_params(TOY_CONFIG, seed=5)
+        grown, grown_config, _ = grow_model(
+            params, TOY_CONFIG, GrowthPlan(32, 32, "noise:0.2", seed=6)
+        )
+        experiment = ExperimentConfig(
+            model=TOY_CONFIG,
+            optimizer=OptimizerConfig(lr=1e-3),
+            schedule=ScheduleConfig(steps=10, warmup=0, snapshot_every=10),
+            corpus=CorpusConfig(generator="markov-k2", seed=5, length=4096),
+        )
+        (window,) = heldout_sequences(experiment, count=1)
+        with exact_arithmetic():
+            logits, _ = model_forward(grown_config, grown, window)
+        assert hashlib.sha256(logits.tobytes()).hexdigest() == EXACT_LOGITS_SHA256
+
     def test_gate(self):
         plan = GrowthPlan(1, 1, "strict-zero", seed=0)
         require_exact_preservation(0.0, plan)
@@ -208,6 +247,34 @@ class TestSaddleDiagnostic:
         norms = new_block_gradient_report(new_params, new_config, plan, probe_batch()[0])
         assert norms["down_new"] > 1e-8
         assert norms["mid_bottom"] > 1e-8
+
+    def test_guarded_zero_new_block_gradients_match_finite_differences(self):
+        config = ModelConfig(
+            vocab_size=16, context_len=8, hidden_size=4, n_heads=2, n_layers=1,
+            ladder_m=6, ladder_a=8, ffn_size=8,
+        )
+        dm, da = 2, 3
+        params = init_params(config, seed=12)
+        new_params, new_config, _ = grow_model(params, config, GrowthPlan(dm, da, "guarded-zero", 13))
+        batch = probe_batch(count=1, seed=14, n=8, vocab=16)[0]
+        _, grads = model_loss_and_grads(new_config, new_params, batch)
+        p = "blocks.0.attn.q."
+        m0, a0 = config.ladder_m, config.ladder_a
+        for key, rows, cols in (("w_mid", slice(m0, None), slice(None, a0)),  # mid_bottom
+                                ("w_down", slice(a0, None), slice(None))):  # down_new
+            full = new_params[p + key]
+
+            def loss(block, key=key, rows=rows, cols=cols, full=full):
+                trial = dict(new_params)
+                trial[p + key] = full.copy()
+                trial[p + key][rows, cols] = block
+                return model_forward(new_config, trial, batch)[1]
+
+            assert not full[rows, cols].any()
+            analytic = grads[p + key][rows, cols]
+            fd = finite_diff_grad(loss, full[rows, cols])
+            assert np.all(analytic != 0.0), key
+            assert np.abs(analytic - fd).max() < 1e-5 * np.abs(fd).max(), key
 
     def test_noise_growth_all_gradients_flow(self):
         params = init_params(BASE, seed=8)

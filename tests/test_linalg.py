@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -32,6 +36,135 @@ def triple_loop_matmul(a, b):
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
     return out
+
+
+def channel_ordered_loop(a, b):
+    """Reference for exact mode: one elementwise multiply and one add per
+    input channel, in channel order."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    tmp = np.empty_like(out)
+    for k in range(a.shape[1]):
+        np.multiply(a[:, k, None], b[k, None, :], out=tmp)
+        out += tmp
+    return out
+
+
+def assert_bit_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def run_python(script, *args, **env):
+    """stdout of ``script`` run by a fresh interpreter that imports this
+    checkout's package, with ``env`` added to the environment."""
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        check=True, capture_output=True, text=True, timeout=120,
+    ).stdout
+
+
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.1e-310])
+NON_FINITE = [np.inf, -np.inf, np.nan]
+
+
+def edge_operands(seed, n, k, p, edge_fraction, non_finite):
+    """Gaussian operands with a share of exact zeros, -0.0 and
+    subnormals, and at most one inf or NaN entry (in ``a`` or ``b``)."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, k))
+    b = rng.normal(size=(k, p))
+    for m in (a, b):
+        hit = rng.random(m.shape) < edge_fraction
+        m[hit] = rng.choice(EDGE_VALUES, size=int(hit.sum()))
+    if non_finite is not None and k > 0:
+        target = a if rng.random() < 0.5 else b
+        target[tuple(rng.integers(target.shape))] = non_finite
+    return a, b
+
+
+class TestChannelOrderedKernel:
+    """The exact-mode kernel against the numpy loop it replaced, bit for
+    bit: values, NaN positions and sign bits, -0.0 included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 160),
+        st.one_of(st.just(0), st.integers(1, 160)),
+        st.integers(1, 160),
+        st.sampled_from([0.0, 0.1, 0.5]),
+        st.one_of(st.none(), st.sampled_from(NON_FINITE)),
+    )
+    def test_bit_equal_to_numpy_loop(self, seed, n, k, p, edge_fraction, non_finite):
+        a, b = edge_operands(seed, n, k, p, edge_fraction, non_finite)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = channel_ordered_loop(a, b)
+            got = linalg._matmul_channel_ordered(a, b)
+        assert got.flags.c_contiguous
+        assert_bit_equal(got, want)
+
+    def test_non_contiguous_operands(self):
+        a, b = edge_operands(3, 40, 30, 20, 0.1, None)
+        a_f, b_t = np.asfortranarray(a), np.ascontiguousarray(b.T).T
+        assert_bit_equal(linalg._matmul_channel_ordered(a_f, b_t), channel_ordered_loop(a, b))
+
+    def test_two_blas_threads(self, tmp_path):
+        # The thread count of OpenBLAS is fixed when it loads, so a second
+        # thread count needs a fresh interpreter.
+        a, b = edge_operands(11, 128, 256, 160, 0.1, None)
+        np.savez(tmp_path / "operands.npz", a=a, b=b)
+        run_python(
+            "import sys, numpy as np\n"
+            "from growformer import linalg\n"
+            "ops = np.load(sys.argv[1])\n"
+            "np.save(sys.argv[2], linalg._matmul_channel_ordered(ops['a'], ops['b']))\n",
+            str(tmp_path / "operands.npz"), str(tmp_path / "out.npy"),
+            OPENBLAS_NUM_THREADS="2",
+        )
+        assert_bit_equal(np.load(tmp_path / "out.npy"), channel_ordered_loop(a, b))
+
+    def test_blas_mode_does_not_import_scipy_linalg(self):
+        # scipy.linalg adds ~6 MB of resident memory; training never
+        # enters exact mode, so it must not pay for the kernel's import.
+        out = run_python(
+            "import sys\n"
+            "from growformer import ModelConfig, init_params, model_loss_and_grads\n"
+            "config = ModelConfig(16, 8, 4, 2, 1, 6, 8, 8)\n"
+            "model_loss_and_grads(config, init_params(config, seed=0), list(range(8)))\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        assert out == "False\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 48),
+        st.integers(1, 48),
+        st.integers(1, 48),
+        st.integers(0, 24),
+        st.integers(0, 24),
+        st.integers(0, 24),
+    )
+    def test_width_stability(self, seed, n, k, p, dn, dk, dp):
+        """Widening by rows of ``a``, output columns of ``b`` and input
+        channels whose ``b`` rows are zero in the old columns leaves the
+        old (n, p) block bit-identical, as zero-policy growth needs."""
+        assume(dn + dk + dp > 0)
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, k))
+        b = rng.normal(size=(k, p))
+        wide_a = np.block([[a, rng.normal(size=(n, dk))],
+                           [rng.normal(size=(dn, k + dk))]])
+        wide_b = np.block([[b, rng.normal(size=(k, dp))],
+                           [np.zeros((dk, p)), rng.normal(size=(dk, dp))]])
+        with exact_arithmetic():
+            narrow = matmul(a, b)
+            wide = matmul(wide_a, wide_b)
+        assert_bit_equal(wide[:n, :p], narrow)
 
 
 class TestMatmul:
