@@ -213,7 +213,7 @@ def new_block_sample(
 ) -> WeightSample:
     """Subsample of every entry a growth by (delta_m, delta_a) created."""
     blocks = new_block_slices(params, config, delta_m, delta_a)
-    vals = np.concatenate([b.ravel() for _, b in blocks])
+    vals = np.concatenate([b.ravel() for _, _, b in blocks])
     return WeightSample(subsample(rng, vals, SUBSAMPLE_LIMIT), "new-blocks-only")
 
 

@@ -9,9 +9,10 @@ save -> load -> save is byte-identical.
 
 Every matrix is written as ``f8``, so a reloaded checkpoint resumes
 bit-exactly. The loader also reads the ``f4`` tag, and ignores the
-``dtype`` and ``arithmetic`` header keys, of files from older writers.
-Every read is bounds-checked and trailing bytes are rejected: a
-truncated or padded file is a ValidationError.
+``dtype``, ``arithmetic`` and ``out_dir`` keys, of older writers' files.
+Every read is bounds-checked: a truncated or padded file, a negative or
+non-int counter or RNG field, an unknown RNG algorithm, or a matrix
+listed twice is a ValidationError.
 
 Shape contract: the parameters and both Adam moments each hold exactly
 the matrices that ``model.param_shapes`` lists for the header's model
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .model import ModelConfig, check_params
 from .rng import RngState
 
@@ -107,7 +108,9 @@ def load_checkpoint(path) -> Checkpoint:
         blob = json.loads(take(json_len, "JSON header").decode("utf-8"))
         model_config = ModelConfig.from_dict(blob["model"])
         rng = RngState.from_dict(blob["rng"])
-        step, tokens = int(blob["step"]), int(blob["tokens"])
+        step, tokens = blob["step"], blob["tokens"]
+        for name in ("step", "tokens"):
+            check_int("checkpoint", name, blob[name], minimum=0)
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: bad JSON header: {exc}") from exc
     (count,) = struct.unpack("<I", take(4, "matrix count"))
@@ -129,6 +132,8 @@ def load_checkpoint(path) -> Checkpoint:
         prefix, base = name[:2], name[2:]
         if prefix not in groups:
             raise ValidationError(f"{path}: unknown matrix group {prefix!r}")
+        if base in groups[prefix]:
+            raise ValidationError(f"{path}: matrix {name!r} appears twice")
         mat = np.frombuffer(payload, dtype=_DTYPES[tag]).reshape(rows, cols)
         groups[prefix][base] = mat.astype(np.float64)
     if off != len(data):

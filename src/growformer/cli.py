@@ -4,9 +4,11 @@ Subcommands: train, grow, verify, analyze, fit-scaling, periodicity,
 flops, ablate. Exit codes: 0 success; 1 malformed or unreadable input
 (a config or metrics file that does not parse or lacks a field, a config
 block with a key that is not a field of its dataclass, a value of the
-wrong type, a metrics series with a non-finite value, a bad checkpoint
-such as one truncated or one whose matrices are missing, extra or
-misshapen for its model config, a ``grow``, ``verify`` or ``analyze``
+wrong type, a NaN or infinite optimizer value, a beta outside [0, 1), a
+growth trigger outside the schedule, a metrics series with a non-finite
+value, a bad checkpoint such as one truncated, one with a negative
+counter or a matrix listed twice, or one whose matrices are missing,
+extra or misshapen for its model config, a ``grow``, ``verify`` or ``analyze``
 base checkpoint that carries no experiment config to draw held-out
 probes from, a missing path or a directory),
 reported as one ``error:`` line without a traceback; 2 numeric failure,

@@ -4,11 +4,12 @@ config block to its dataclass.
 ValidationError maps to CLI exit code 1, NumericError to exit code 2.
 """
 
+import math
 from collections.abc import Sequence
 from dataclasses import MISSING, Field
 
-# storage tags older writers put in config blocks; dropped on read
-_LEGACY_KEYS = ("dtype", "arithmetic")
+# keys older writers put in config blocks and nothing reads; dropped on read
+_LEGACY_KEYS = ("dtype", "arithmetic", "out_dir")
 
 
 class ValidationError(ValueError):
@@ -48,6 +49,14 @@ def check_int(block: str, name: str, value, minimum: int | None = None) -> None:
 
 
 def check_real(block: str, name: str, value) -> None:
-    """Raise ValidationError unless ``value`` is an int or float (not a bool)."""
+    """Raise ValidationError unless ``value`` is a finite int or float (not
+    a bool): ``json.loads`` reads NaN, Infinity and ints too large for a
+    float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{block} config: {name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValidationError(f"{block} config: {name} must be finite, got {value!r}")

@@ -27,12 +27,13 @@ from .alignment import AlignmentSnapshot, snapshot_alignment
 from .checkpoint import Checkpoint
 from .errors import ValidationError
 from .growth import GrowthPlan, GrowthReport, grow_model
-from .model import heldout_loss, model_loss_and_grads
+from .model import ModelConfig, heldout_loss, model_loss_and_grads
 from .rng import derive_seed
 from .seriesstats import fisher_g_test, harmonic_fit, scaling_law_fit
 from .trajectory import TrajectoryPoint, pca_fit, trajectory_series
 from .training import (
     ExperimentConfig,
+    TrainResult,
     adamw_step,
     checkpoint_experiment,
     heldout_sequences,
@@ -60,14 +61,33 @@ def plan_label(plan: GrowthPlan) -> str:
     return f"{kind}-dm{plan.delta_m}-da{plan.delta_a}"
 
 
-def continued_config(base_config: ExperimentConfig, budget: int, cadence: int) -> ExperimentConfig:
-    """Continued-training configuration on a disjoint sample stream of
-    the same language."""
+def continued_config(
+    base_config: ExperimentConfig, model: ModelConfig, seed: int, budget: int, cadence: int
+) -> ExperimentConfig:
+    """Continued-training configuration of the grown ``model`` under run
+    ``seed``, on a disjoint sample stream of the same language."""
     corpus = replace(base_config.corpus, stream=base_config.corpus.stream + _CONTINUED_STREAM)
     schedule = replace(base_config.schedule, steps=budget, snapshot_every=cadence)
     return replace(
-        base_config, corpus=corpus, schedule=schedule, growth=None, growth_trigger=None
+        base_config, model=model, seed=seed, corpus=corpus, schedule=schedule,
+        growth=None, growth_trigger=None,
     )
+
+
+def _grow_and_continue(
+    base_ckpt: Checkpoint, base_exp: ExperimentConfig, plan: GrowthPlan,
+    budget: int, cadence: int, probe, strict_hierarchy: bool = True,
+) -> tuple[GrowthReport, TrainResult]:
+    """Grow the base under ``plan`` (gated on ``probe``), then train the
+    grown model for ``budget`` steps with snapshots every ``cadence``."""
+    new_params, new_config, report = grow_model(
+        base_ckpt.params, base_ckpt.model_config, plan,
+        strict_hierarchy=strict_hierarchy, probe=probe,
+    )
+    cont = continued_config(
+        base_exp, new_config, derive_seed(base_exp.seed, plan.seed), budget, cadence
+    )
+    return report, train(cont, resume=start_checkpoint(cont, new_params))
 
 
 def _fit_block(fn, *args, **kwargs) -> dict:
@@ -151,13 +171,7 @@ def run_growth_experiment(
     out: dict[str, ExperimentSeries] = {}
     for plan in plans:
         label = plan_label(plan)
-        new_params, new_config, report = grow_model(
-            base_ckpt.params, base_ckpt.model_config, plan, probe=heldout
-        )
-
-        cont = continued_config(base_exp, budget, cadence)
-        cont = replace(cont, model=new_config, seed=derive_seed(base_exp.seed, plan.seed))
-        result = train(cont, resume=start_checkpoint(cont, new_params))
+        report, result = _grow_and_continue(base_ckpt, base_exp, plan, budget, cadence, heldout)
         snapshots, trajectory, fits = analyze_snapshot_series(
             base_ckpt, result.checkpoints, [row.heldout_loss for row in result.log]
         )
@@ -200,13 +214,11 @@ def ablate_axes(base_ckpt: Checkpoint, budget: int, delta_total: int | None = No
     rows = []
     for axis, dm, da in settings:
         plan = GrowthPlan(dm, da, "guarded-zero", seed=derive_seed(base_exp.seed, dm * 1000 + da))
-        new_params, new_config, _ = grow_model(
-            base_ckpt.params, config, plan, strict_hierarchy=False, probe=heldout[:2]
+        # cadence = budget: only the endpoint matters here
+        _, result = _grow_and_continue(
+            base_ckpt, base_exp, plan, budget, budget, heldout[:2], strict_hierarchy=False
         )
-        cadence = budget  # only the endpoint matters here
-        cont = continued_config(base_exp, budget, cadence)
-        cont = replace(cont, model=new_config, seed=derive_seed(base_exp.seed, plan.seed))
-        result = train(cont, resume=start_checkpoint(cont, new_params))
+        new_config = result.final.model_config
         final_loss = result.log[-1].heldout_loss
         rows.append(
             {

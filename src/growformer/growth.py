@@ -19,9 +19,11 @@ initialisation policy:
 * ``noise:<f>``    - all five blocks random with std equal to f times
   the std of the pretrained projection entries. Output is perturbed.
 
-One primitive, ``grow_projections``, grows any dict shaped like the
-parameters: ``grow_model`` applies it to the parameters under the plan,
-and in-run growth applies it with a strict-zero plan to the Adam moments.
+``new_block_slices`` alone states where the five blocks lie. ``embed``
+zero-pads every tensor to the grown shapes (this alone grows the Adam
+moments); ``grow_model`` then fills each block the policy makes random,
+in ``param_shapes`` order whatever the input dict's key order, with std
+1/sqrt(rows of the grown matrix) under guarded-zero.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ import numpy as np
 from .errors import NumericError, ValidationError, check_int
 from .ladder import validate_hierarchy
 from .linalg import exact_arithmetic
-from .model import PROJ_NAMES, ModelConfig, model_forward, model_loss_and_grads, projection_keys
+from .model import PROJ_NAMES, ModelConfig, model_forward, model_loss_and_grads
+from .model import param_shapes, projection_keys
 from .rng import RngState, derive_seed, seeded_gaussian
 
-NEW_BLOCKS = ("up_new", "mid_right", "mid_bottom", "mid_corner", "down_new")
+# the minimal cut that guarded-zero keeps zero (see the module docstring)
+GUARDED_BLOCKS = frozenset({"mid_bottom", "down_new"})
 
 
 @dataclass(frozen=True)
@@ -101,55 +105,10 @@ class GrowthReport:
         return asdict(self)
 
 
-def _new_block(rows, cols, plan, rng, ref_std, fan_in, zero_under_guard):
-    if rows == 0 or cols == 0:
-        return np.zeros((rows, cols))
-    kind = plan.policy_kind
-    if kind == "strict-zero":
-        return np.zeros((rows, cols))
-    if kind == "guarded-zero":
-        if zero_under_guard:
-            return np.zeros((rows, cols))
-        return seeded_gaussian(rng, rows, cols, 0.0, 1.0 / np.sqrt(fan_in))
-    return seeded_gaussian(rng, rows, cols, 0.0, plan.noise_fraction * ref_std)
-
-
 def _describe(block: np.ndarray) -> str:
     if block.size == 0:
         return "empty"
     return "zero" if not block.any() else "random"
-
-
-def grow_w_up(w, delta_m: int, plan: GrowthPlan, rng: RngState, ref_std: float):
-    """Append delta_m columns to the first-stage matrix."""
-    if delta_m == 0:
-        return w.copy()
-    new = _new_block(
-        w.shape[0], delta_m, plan, rng, ref_std, fan_in=w.shape[0], zero_under_guard=False
-    )
-    return np.hstack([w, new])
-
-
-def grow_w_mid(w, delta_m: int, delta_a: int, plan: GrowthPlan, rng: RngState, ref_std: float):
-    """Grow the middle matrix along both axes, creating up to four blocks."""
-    if delta_m == 0 and delta_a == 0:
-        return w.copy()
-    m_old, a_old = w.shape
-    fan_in = m_old + delta_m
-    right = _new_block(m_old, delta_a, plan, rng, ref_std, fan_in, zero_under_guard=False)
-    bottom = _new_block(delta_m, a_old, plan, rng, ref_std, fan_in, zero_under_guard=True)
-    corner = _new_block(delta_m, delta_a, plan, rng, ref_std, fan_in, zero_under_guard=False)
-    return np.block([[w, right], [bottom, corner]])
-
-
-def grow_w_down(w, delta_a: int, plan: GrowthPlan, rng: RngState, ref_std: float):
-    """Append delta_a rows to the final-stage matrix."""
-    if delta_a == 0:
-        return w.copy()
-    new = _new_block(
-        delta_a, w.shape[1], plan, rng, ref_std, fan_in=w.shape[0] + delta_a, zero_under_guard=True
-    )
-    return np.vstack([w, new])
 
 
 def pretrained_projection_std(params: dict, config: ModelConfig) -> float:
@@ -157,28 +116,18 @@ def pretrained_projection_std(params: dict, config: ModelConfig) -> float:
     return float(np.std(vals))
 
 
-def grow_projections(
-    tensors: dict, config: ModelConfig, plan: GrowthPlan, rng: RngState, ref_std: float
-) -> dict:
-    """Grow every Q/K/V projection entry of a dict shaped like the params.
+def embed(tensors: dict, config: ModelConfig) -> dict:
+    """A zero-padded copy of every tensor at its ``param_shapes(config)``
+    shape, in that order, the old values in the leading index ranges.
 
-    ``config`` is the pre-growth configuration. Entries that are not
-    projection stages are copied untouched. The new blocks are drawn from
-    ``rng`` under ``plan`` in the dict's key order; with a strict-zero plan
-    this grows optimizer moments, whose old block stays in the leading
-    ranges and whose new entries are zero.
+    ``config`` is the post-growth configuration. This is the whole growth
+    of the Adam moments, and the first step of ``grow_model``.
     """
-    proj_keys = set(projection_keys(config))
     out: dict[str, np.ndarray] = {}
-    for key, w in tensors.items():
-        if key not in proj_keys:
-            out[key] = w.copy()
-        elif key.endswith("w_up"):
-            out[key] = grow_w_up(w, plan.delta_m, plan, rng, ref_std)
-        elif key.endswith("w_mid"):
-            out[key] = grow_w_mid(w, plan.delta_m, plan.delta_a, plan, rng, ref_std)
-        else:
-            out[key] = grow_w_down(w, plan.delta_a, plan, rng, ref_std)
+    for key, shape in param_shapes(config).items():
+        old = tensors[key]
+        out[key] = np.zeros(shape)
+        out[key][: old.shape[0], : old.shape[1]] = old
     return out
 
 
@@ -201,14 +150,18 @@ def grow_model(
     violations = validate_hierarchy(
         new_config.hidden_size, new_config.ladder_m, new_config.ladder_a, strict=strict_hierarchy
     )
+    new_params = embed(params, new_config)
+    # fill: draw every block the policy makes random, in new_block_slices order
     rng = RngState(derive_seed(plan.seed, 0x6702))
-    new_params = grow_projections(
-        params, config, plan, rng, pretrained_projection_std(params, config)
-    )
-    block_init = {
-        name: _describe(block)
-        for name, block in new_block_slices(new_params, new_config, plan.delta_m, plan.delta_a)
-    }
+    kind = plan.policy_kind
+    ref_std = pretrained_projection_std(params, config)
+    block_init = {}
+    for name, key, block in new_block_slices(new_params, new_config, plan.delta_m, plan.delta_a):
+        if kind == "noise" or (kind == "guarded-zero" and name not in GUARDED_BLOCKS):
+            rows = new_params[key].shape[0]
+            std = plan.noise_fraction * ref_std if kind == "noise" else 1.0 / np.sqrt(rows)
+            block[...] = seeded_gaussian(rng, *block.shape, 0.0, std)
+        block_init[name] = _describe(block)
 
     report = GrowthReport(
         old_m=config.ladder_m,
@@ -257,24 +210,26 @@ def verify_function_preservation(
 
 
 def new_block_slices(tensors: dict, config: ModelConfig, delta_m: int, delta_a: int):
-    """Yield (block_name, array_view) for every block of every projection
-    that a growth by (delta_m, delta_a) created.
+    """Yield (block_name, matrix_name, array_view) for every block of every
+    projection that a growth by (delta_m, delta_a) created, in
+    ``param_shapes`` order: the one statement of where the new blocks lie.
 
     ``config`` is the post-growth configuration.
     """
     m_old = config.ladder_m - delta_m
     a_old = config.ladder_a - delta_a
+    layout = (
+        ("up_new", "w_up", np.s_[:, m_old:]),
+        ("mid_right", "w_mid", np.s_[:m_old, a_old:]),
+        ("mid_bottom", "w_mid", np.s_[m_old:, :a_old]),
+        ("mid_corner", "w_mid", np.s_[m_old:, a_old:]),
+        ("down_new", "w_down", np.s_[a_old:, :]),
+    )
     for i in range(config.n_layers):
         for proj in PROJ_NAMES:
-            p = f"blocks.{i}.attn.{proj}."
-            up = tensors[p + "w_up"]
-            mid = tensors[p + "w_mid"]
-            down = tensors[p + "w_down"]
-            yield "up_new", up[:, m_old:]
-            yield "mid_right", mid[:m_old, a_old:]
-            yield "mid_bottom", mid[m_old:, :a_old]
-            yield "mid_corner", mid[m_old:, a_old:]
-            yield "down_new", down[a_old:, :]
+            for name, stage, where in layout:
+                key = f"blocks.{i}.attn.{proj}.{stage}"
+                yield name, key, tensors[key][where]
 
 
 def new_block_gradient_report(
@@ -282,9 +237,9 @@ def new_block_gradient_report(
 ) -> dict[str, float]:
     """Frobenius norm of the loss gradient over each new block type."""
     _, grads = model_loss_and_grads(new_config, new_params, batch)
-    sums = {name: 0.0 for name in NEW_BLOCKS}
-    for name, block in new_block_slices(grads, new_config, plan.delta_m, plan.delta_a):
-        sums[name] += float((block**2).sum())
+    sums: dict[str, float] = {}
+    for name, _, block in new_block_slices(grads, new_config, plan.delta_m, plan.delta_a):
+        sums[name] = sums.get(name, 0.0) + float((block**2).sum())
     return {name: float(np.sqrt(s)) for name, s in sums.items()}
 
 

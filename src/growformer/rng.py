@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+ALGORITHM = "splitmix64-boxmuller"
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -32,7 +33,7 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 class RngState:
     seed: int
     position: int = 0
-    algorithm: str = field(default="splitmix64-boxmuller")
+    algorithm: str = field(default=ALGORITHM)
 
     def to_dict(self) -> dict:
         return {
@@ -43,11 +44,16 @@ class RngState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RngState":
-        return cls(
-            seed=int(d["seed"]),
-            position=int(d["position"]),
-            algorithm=d.get("algorithm", "splitmix64-boxmuller"),
-        )
+        """Read ``to_dict`` output: ``seed`` and ``position`` are non-negative
+        ints, and ``algorithm`` is the one this module implements."""
+        for name in ("seed", "position"):
+            check_int("rng", name, d[name], minimum=0)
+        algorithm = d.get("algorithm", ALGORITHM)
+        if algorithm != ALGORITHM:
+            raise ValidationError(
+                f"rng config: algorithm must be {ALGORITHM!r}, got {algorithm!r}"
+            )
+        return cls(seed=d["seed"], position=d["position"])
 
 
 def derive_seed(seed: int, tag: int) -> int:

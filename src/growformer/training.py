@@ -11,7 +11,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .corpus import gen_corpus
 from .errors import NumericError, ValidationError, check_int, check_keys, check_real
-from .growth import GrowthPlan, grow_model, grow_projections
+from .growth import GrowthPlan, embed, grow_model
 from .model import ModelConfig, heldout_loss, init_params, model_loss_and_grads, param_shapes
 from .rng import RngState, derive_seed, seeded_ints
 
@@ -40,6 +40,8 @@ class OptimizerConfig:
             )
         for beta in self.betas:
             check_real("optimizer", "betas", beta)
+            if not 0.0 <= beta < 1.0:
+                raise ValidationError(f"optimizer config: betas must lie in [0, 1), got {beta!r}")
         self.betas = tuple(self.betas)
 
     def to_dict(self):
@@ -103,13 +105,17 @@ class ExperimentConfig:
     growth: GrowthPlan | None = None
     growth_trigger: int | None = None
     rewarm_steps: int = 50
-    out_dir: str | None = None
 
     def __post_init__(self):
         check_int("experiment", "seed", self.seed)
         check_int("experiment", "rewarm_steps", self.rewarm_steps)
         if self.growth_trigger is not None:
             check_int("growth", "trigger_step", self.growth_trigger)
+            if not 0 <= self.growth_trigger < self.schedule.steps:
+                raise ValidationError(
+                    f"growth config: trigger_step must lie in [0, {self.schedule.steps}), "
+                    f"the steps of the schedule, got {self.growth_trigger}"
+                )
         if self.optimizer.lr <= 0:
             raise ValidationError(f"lr must be positive, got {self.optimizer.lr}")
         if self.schedule.steps % self.schedule.snapshot_every != 0:
@@ -139,8 +145,8 @@ class ExperimentConfig:
         field of the block's dataclass is a ValidationError naming it, and
         so is a missing key whose field has no default. The optimizer's
         ``lr`` and the growth block's ``trigger_step`` are required too.
-        Legacy ``dtype`` and ``arithmetic`` keys are dropped, and a value of
-        the wrong type is a ValidationError naming its key."""
+        Legacy ``dtype``, ``arithmetic`` and ``out_dir`` keys are dropped,
+        and a value of the wrong type is a ValidationError naming its key."""
         top = [f for f in fields(cls) if f.name != "growth_trigger"]
         d = check_keys("experiment", d, top)
         growth = d.pop("growth", None)
@@ -303,8 +309,7 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
         )
     model_config = resume.model_config
     # ``param_shapes`` order whatever the source (a loaded checkpoint is in
-    # sorted-name order): in-run growth draws its new blocks in key order,
-    # so this keeps a resume across the growth trigger bit-exact
+    # sorted-name order), so every snapshot of a run lists its matrices alike
     order = param_shapes(model_config)
     params = {k: resume.params[k].copy() for k in order}
     m = {k: resume.adam_m[k].copy() for k in order}
@@ -335,14 +340,11 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
     record(step0)
     for local in range(config.schedule.steps - step0):
         step = step0 + local
-        if growth_step is not None and config.growth is not None and step == growth_step:
-            old_config = model_config
+        if step == growth_step:
             params, model_config, _ = grow_model(
-                params, old_config, config.growth, probe=heldout[:2]
+                params, model_config, config.growth, probe=heldout[:2]
             )
-            zero = GrowthPlan(config.growth.delta_m, config.growth.delta_a, "strict-zero", seed=0)
-            m = grow_projections(m, old_config, zero, RngState(0), ref_std=0.0)
-            v = grow_projections(v, old_config, zero, RngState(0), ref_std=0.0)
+            m, v = embed(m, model_config), embed(v, model_config)
         start = int(seeded_ints(order_rng, 1, stream.size - ctx)[0])
         window = stream[start : start + ctx]
         loss, grads = model_loss_and_grads(model_config, params, window)

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ MODEL = ModelConfig(
 
 
 @pytest.fixture(scope="module")
-def base_path(tmp_path_factory):
+def base_run():
     config = ExperimentConfig(
         model=MODEL,
         optimizer=OptimizerConfig(lr=3e-3),
@@ -31,8 +32,13 @@ def base_path(tmp_path_factory):
         corpus=CorpusConfig(generator="markov-k2", seed=2, length=2000),
         seed=2,
     )
+    return train(config).final
+
+
+@pytest.fixture(scope="module")
+def base_path(base_run, tmp_path_factory):
     path = tmp_path_factory.mktemp("base") / "base.nxf"
-    save_checkpoint(train(config).final, path)
+    save_checkpoint(base_run, path)
     return path
 
 
@@ -48,6 +54,18 @@ def test_guarded_zero_grow_then_verify_expect_zero(base_path, tmp_path, capsys):
     assert report["max_output_deviation"] == 0.0
     assert cli.main(["verify", "--old", str(base_path), "--new", str(grown), "--expect-zero"]) == 0
     assert "max logit deviation: 0.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("init", ["guarded-zero", "noise:0.2"])
+def test_grow_of_saved_checkpoint_matches_in_memory_grow(init, base_run, base_path, tmp_path):
+    """A loaded checkpoint lists its matrices in sorted-name order, the
+    in-memory run in ``param_shapes`` order; the grown weights agree."""
+    out = tmp_path / "grown.nxf"
+    assert cli.main(grow_args(base_path, out, init) + ["--seed", "3"]) == 0
+    want, _, _ = growth.grow_model(base_run.params, MODEL, growth.GrowthPlan(2, 2, init, seed=3))
+    got = load_checkpoint(out).params
+    assert sorted(got) == sorted(want)
+    assert all(got[k].tobytes() == want[k].tobytes() for k in want)
 
 
 def test_unknown_init_policy_exits_1(base_path, tmp_path, capsys):
@@ -135,6 +153,85 @@ def test_experiment_config_with_bad_value_or_missing_key_exits_1(
     assert code == 1
     assert message in capsys.readouterr().err
     assert not list(out.glob("*.nxf"))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("lr", float("nan"), "optimizer config: lr must be finite, got nan"),
+        ("lr", float("inf"), "optimizer config: lr must be finite, got inf"),
+        ("weight_decay", float("-inf"), "optimizer config: weight_decay must be finite"),
+        ("lr", 10**400, "optimizer config: lr must be finite, got 1000"),
+        ("betas", [1.0, 0.95], "optimizer config: betas must lie in [0, 1), got 1.0"),
+        ("betas", [0.9, -0.1], "optimizer config: betas must lie in [0, 1), got -0.1"),
+    ],
+    ids=["nan-lr", "infinite-lr", "infinite-weight-decay", "float-overflowing-lr", "beta1-one",
+         "negative-beta2"],
+)
+def test_non_finite_or_out_of_range_optimizer_value_exits_1(key, value, message, tmp_path, capsys):
+    config = experiment_blob()
+    config["optimizer"][key] = value
+    code, out = train_on(config, tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert not list(out.glob("*.nxf"))
+
+
+@pytest.mark.parametrize("trigger", [-1, 10, 50])
+def test_growth_trigger_that_never_fires_exits_1(trigger, tmp_path, capsys):
+    config = experiment_blob()
+    config["schedule"] = {"steps": 10, "warmup": 1, "snapshot_every": 10}
+    config["growth"] = {**GROWTH, "trigger_step": trigger}
+    code, out = train_on(config, tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "trigger_step must lie in [0, 10)" in err and err.count("\n") == 1
+    assert not list(out.glob("*.nxf"))
+
+
+def duplicate_first_matrix(data: bytes) -> bytes:
+    """The checkpoint bytes with its first matrix listed twice."""
+    (json_len,) = struct.unpack("<I", data[8:12])
+    start = 12 + json_len
+    (count, name_len) = struct.unpack("<II", data[start : start + 8])
+    rows, cols = struct.unpack("<II", data[start + 8 + name_len : start + 16 + name_len])
+    entry = data[start + 4 : start + 18 + name_len + 8 * rows * cols]
+    return data[:start] + struct.pack("<I", count + 1) + entry + data[start + 4 :]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("step", -1, "checkpoint config: step must be an integer >= 0, got -1"),
+        ("tokens", "8", "checkpoint config: tokens must be an integer >= 0, got '8'"),
+        ("seed", -3, "rng config: seed must be an integer >= 0, got -3"),
+        ("position", -1, "rng config: position must be an integer >= 0, got -1"),
+        ("algorithm", "xorshift", "rng config: algorithm must be 'splitmix64-boxmuller'"),
+        ("duplicate", None, "matrix 'm/blocks.0.attn.k.w_down' appears twice"),
+    ],
+    ids=["negative-step", "string-tokens", "negative-seed", "negative-position",
+         "unknown-algorithm", "duplicate-matrix"],
+)
+def test_malformed_checkpoint_header_or_matrix_list_exits_1(
+    field, value, message, base_path, tmp_path, capsys
+):
+    ck = load_checkpoint(base_path)
+    if field in ("step", "tokens"):
+        setattr(ck, field, value)
+    elif field != "duplicate":
+        setattr(ck.rng, field, value)
+    bad = tmp_path / "bad.nxf"
+    save_checkpoint(ck, bad)
+    if field == "duplicate":
+        bad.write_bytes(duplicate_first_matrix(bad.read_bytes()))
+    argv = ["train", "--config", write_config(experiment_blob(), tmp_path),
+            "--out", str(tmp_path / "run"), "--resume", str(bad)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list((tmp_path / "run").glob("*.nxf"))
 
 
 @pytest.mark.parametrize("value", ["16", 16.0, True, 0, -8, None])

@@ -44,8 +44,9 @@ def pretrained_base(steps=60, seed=3):
     return train(config).final
 
 
-# sha256 of the files test_emitted_bytes_digest_pinned writes
-EMITTED_BYTES_SHA256 = "a9c02fbe258df2e7dd4f3649a36b5c699eb2d9dcb08e5e18654e454be2828ac6"
+# sha256 of the files test_emitted_bytes_digest_pinned writes, recorded
+# once checkpoint headers no longer carry the unread "out_dir" key
+EMITTED_BYTES_SHA256 = "903b2c89b372f0b9f72fc66bd92235c0302b31910af3032b2bebcadcc7d22596"
 
 
 class TestPlanLabel:
@@ -303,7 +304,10 @@ class TestContinuedConfig:
             corpus=CorpusConfig(generator="markov-k2", seed=9, length=8000),
             seed=9,
         )
-        cont = continued_config(base, budget=30, cadence=10)
+        grown = MODEL.grown(2, 3)
+        cont = continued_config(base, grown, 77, budget=30, cadence=10)
+        assert cont.model == grown and cont.seed == 77
+        assert cont.growth is None and cont.growth_trigger is None
         assert cont.corpus.seed == base.corpus.seed
         assert cont.corpus.stream != base.corpus.stream
         assert cont.schedule.steps == 30 and cont.schedule.snapshot_every == 10

@@ -9,13 +9,11 @@ from growformer import growth
 from growformer.errors import NumericError, ValidationError
 from growformer.growth import (
     GrowthPlan,
+    embed,
     grow_model,
-    grow_projections,
-    grow_w_down,
-    grow_w_mid,
-    grow_w_up,
     new_block_gradient_report,
     new_block_slices,
+    pretrained_projection_std,
     require_exact_preservation,
     verify_function_preservation,
 )
@@ -28,7 +26,7 @@ from growformer.model import (
     model_loss_and_grads,
     projection_keys,
 )
-from growformer.rng import RngState, seeded_gaussian, seeded_ints
+from growformer.rng import RngState, seeded_ints
 from growformer.training import (
     CorpusConfig,
     ExperimentConfig,
@@ -67,50 +65,89 @@ class TestPlan:
             GrowthPlan(1, 1, "zeros-please", seed=1)
 
 
+def new_blocks(params, plan):
+    """Every new block of ``params`` grown by ``plan``, by block name."""
+    blocks = {}
+    config = BASE.grown(plan.delta_m, plan.delta_a)
+    for name, _, block in new_block_slices(params, config, plan.delta_m, plan.delta_a):
+        blocks.setdefault(name, []).append(block)
+    return blocks
+
+
 class TestBlockGrowth:
+    """The five-block layout and the three policies, through ``grow_model``
+    and ``new_block_slices`` on every Q/K/V projection of BASE."""
+
     def test_grow_w_up_zero_delta_identity(self):
-        w = seeded_gaussian(RngState(1), 4, 6)
-        plan = GrowthPlan(0, 2, "strict-zero", seed=0)
-        assert np.array_equal(grow_w_up(w, 0, plan, RngState(2), float(np.std(w))), w)
+        params = init_params(BASE, seed=1)
+        grown, _, _ = grow_model(params, BASE, GrowthPlan(0, 2, "guarded-zero", seed=0))
+        for key in projection_keys(BASE):
+            if key.endswith("w_up"):
+                assert np.array_equal(grown[key], params[key])
 
     def test_grow_w_up_strict_zero_columns(self):
-        w = seeded_gaussian(RngState(1), 4, 6)
+        params = init_params(BASE, seed=1)
         plan = GrowthPlan(3, 0, "strict-zero", seed=0)
-        grown = grow_w_up(w, 3, plan, RngState(2), float(np.std(w)))
-        assert grown.shape == (4, 9)
-        assert np.array_equal(grown[:, :6], w)
-        assert not grown[:, 6:].any()
+        grown, _, _ = grow_model(params, BASE, plan)
+        for key in projection_keys(BASE):
+            if key.endswith("w_up"):
+                assert grown[key].shape == (BASE.hidden_size, BASE.ladder_m + 3)
+                assert np.array_equal(grown[key][:, : BASE.ladder_m], params[key])
+        assert all(b.shape[1] == 3 and not b.any() for b in new_blocks(grown, plan)["up_new"])
 
     def test_grow_w_mid_blocks_by_policy(self):
-        w = seeded_gaussian(RngState(3), 6, 8)
-        ref = float(np.std(w))
-        strict = grow_w_mid(w, 2, 3, GrowthPlan(2, 3, "strict-zero", 0), RngState(4), ref)
-        assert np.array_equal(strict[:6, :8], w)
-        assert not strict[6:, :].any() and not strict[:, 8:].any()
+        params = init_params(BASE, seed=3)
+        strict = GrowthPlan(2, 3, "strict-zero", 0)
+        grown, _, _ = grow_model(params, BASE, strict)
+        for blocks in new_blocks(grown, strict).values():
+            assert not any(b.any() for b in blocks)
 
-        guarded = grow_w_mid(w, 2, 3, GrowthPlan(2, 3, "guarded-zero", 0), RngState(4), ref)
-        assert np.array_equal(guarded[:6, :8], w)
-        assert not guarded[6:, :8].any()  # bottom-left stays zero
-        assert guarded[:6, 8:].any() and guarded[6:, 8:].any()
+        guarded = GrowthPlan(2, 3, "guarded-zero", 0)
+        grown, _, _ = grow_model(params, BASE, guarded)
+        blocks = new_blocks(grown, guarded)
+        assert not any(b.any() for b in blocks["mid_bottom"])
+        assert all(b.all() for b in blocks["mid_right"] + blocks["mid_corner"])
+        for key in projection_keys(BASE):
+            if key.endswith("w_mid"):
+                assert np.array_equal(grown[key][: BASE.ladder_m, : BASE.ladder_a], params[key])
 
     def test_grow_w_down_guarded_rows_zero(self):
-        w = seeded_gaussian(RngState(5), 8, 4)
+        params = init_params(BASE, seed=5)
         plan = GrowthPlan(0, 2, "guarded-zero", 0)
-        grown = grow_w_down(w, 2, plan, RngState(6), float(np.std(w)))
-        assert np.array_equal(grown[:8], w)
-        assert not grown[8:].any()
+        grown, _, _ = grow_model(params, BASE, plan)
+        for key in projection_keys(BASE):
+            if key.endswith("w_down"):
+                assert np.array_equal(grown[key][: BASE.ladder_a], params[key])
+        assert all(b.shape[0] == 2 and not b.any() for b in new_blocks(grown, plan)["down_new"])
 
-    def test_noise_scale_tracks_old_std(self):
-        w = seeded_gaussian(RngState(7), 40, 50, std=0.05)
-        plan = GrowthPlan(10, 0, "noise:0.1", seed=0)
-        grown = grow_w_up(w, 10, plan, RngState(8), float(np.std(w)))
-        target = 0.1 * w.std()
-        assert abs(grown[:, 50:].std() - target) / target < 0.2
+    @pytest.mark.parametrize("fraction", [0.1, 0.2])
+    def test_noise_scale_tracks_old_std(self, fraction):
+        params = {k: 0.05 * p for k, p in init_params(BASE, seed=7).items()}
+        plan = GrowthPlan(4, 6, f"noise:{fraction}", seed=0)
+        grown, _, _ = grow_model(params, BASE, plan)
+        target = fraction * pretrained_projection_std(params, BASE)
+        for name, blocks in new_blocks(grown, plan).items():
+            std = np.concatenate([b.ravel() for b in blocks]).std()
+            assert abs(std - target) / target < 0.2, name
 
-        plan_d = GrowthPlan(0, 20, "noise:0.2", seed=0)
-        grown_d = grow_w_down(w.T.copy(), 20, plan_d, RngState(9), float(np.std(w)))
-        target_d = 0.2 * w.std()
-        assert abs(grown_d[50:, :].std() - target_d) / target_d < 0.2
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["strict-zero", "guarded-zero", "noise:0.3"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_draws_do_not_depend_on_key_order(self, dm, da, seed, policy, shuffler):
+        assume(dm + da > 0)
+        params = init_params(BASE, seed=seed)
+        keys = list(params)
+        shuffler.shuffle(keys)
+        plan = GrowthPlan(dm, da, policy, seed=seed)
+        want, _, _ = grow_model(params, BASE, plan, strict_hierarchy=False)
+        got, _, _ = grow_model({k: params[k] for k in keys}, BASE, plan, strict_hierarchy=False)
+        assert list(got) == list(want)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
 
 
 class TestGrowModel:
@@ -158,9 +195,8 @@ class TestGrowProjections:
     def test_strict_zero_moments_keep_old_block(self, dm, da, seed):
         assume(dm + da > 0)
         moments = {k: np.abs(p) + 1.0 for k, p in init_params(BASE, seed=seed).items()}
-        plan = GrowthPlan(dm, da, "strict-zero", seed=0)
-        grown = grow_projections(moments, BASE, plan, RngState(seed), ref_std=0.0)
         new_config = BASE.grown(dm, da)
+        grown = embed(moments, new_config)
         proj_keys = set(projection_keys(BASE))
         assert list(grown) == list(moments)
         for key, old in moments.items():
@@ -171,7 +207,7 @@ class TestGrowProjections:
             rows, cols = old.shape
             assert np.array_equal(new[:rows, :cols], old)
             assert np.count_nonzero(new) == old.size
-        for _, block in new_block_slices(grown, new_config, dm, da):
+        for _, _, block in new_block_slices(grown, new_config, dm, da):
             assert not block.any()
 
 
@@ -289,7 +325,7 @@ class TestSaddleDiagnostic:
         plan = GrowthPlan(4, 5, "strict-zero", seed=9)
         new_params, new_config, _ = grow_model(params, BASE, plan)
         new_count = sum(
-            b.size for _, b in new_block_slices(new_params, new_config, 4, 5)
+            b.size for _, _, b in new_block_slices(new_params, new_config, 4, 5)
         )
         d, m0, a0 = BASE.hidden_size, BASE.ladder_m, BASE.ladder_a
         per_proj = d * 4 + (m0 * 5 + 4 * a0 + 4 * 5) + 5 * d

@@ -19,6 +19,7 @@ from growformer.training import (
     ScheduleConfig,
     _no_decay,
     adamw_step,
+    checkpoint_experiment,
     heldout_sequences,
     start_checkpoint,
     train,
@@ -149,6 +150,16 @@ class TestConfig:
         blob["growth"][key] = value
         with pytest.raises(ValidationError, match=f"growth.*{key} must be an integer"):
             ExperimentConfig.from_dict(blob)
+
+    def test_old_header_with_out_dir_loads(self, tmp_path):
+        cfg = make_config()
+        ck = start_checkpoint(cfg, init_params(cfg.model, seed=1))
+        ck.experiment = {**cfg.to_dict(), "out_dir": None}  # as older writers wrote it
+        save_checkpoint(ck, tmp_path / "old.nxf")
+        back = load_checkpoint(tmp_path / "old.nxf")
+        assert back.experiment["out_dir"] is None
+        assert checkpoint_experiment(back) == cfg
+        assert "out_dir" not in cfg.to_dict()
 
     def test_growth_needs_trigger(self):
         with pytest.raises(ValidationError, match="trigger"):
