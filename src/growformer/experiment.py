@@ -27,14 +27,13 @@ from .alignment import AlignmentSnapshot, snapshot_alignment
 from .checkpoint import Checkpoint
 from .errors import ValidationError
 from .growth import GrowthPlan, GrowthReport, grow_model
-from .model import ModelConfig, heldout_loss, model_loss_and_grads
+from .model import ModelConfig
 from .rng import derive_seed
 from .seriesstats import fisher_g_test, harmonic_fit, scaling_law_fit
 from .trajectory import TrajectoryPoint, pca_fit, trajectory_series
 from .training import (
     ExperimentConfig,
     TrainResult,
-    adamw_step,
     checkpoint_experiment,
     heldout_sequences,
     start_checkpoint,
@@ -232,61 +231,6 @@ def ablate_axes(base_ckpt: Checkpoint, budget: int, delta_total: int | None = No
             }
         )
     return rows
-
-
-def adaptation_comparison(
-    base_ckpt: Checkpoint,
-    plan: GrowthPlan,
-    steps: int = 1000,
-    n_windows: int = 32,
-) -> dict:
-    """Capacity race on a fixed held-out set.
-
-    Both arms continue training directly on ``n_windows`` held-out
-    windows (cycled deterministically) for the same number of steps: the
-    pre-growth model as-is versus the grown model. The returned losses
-    are measured on those same windows, so the comparison isolates how
-    much of the set each model has the capacity to absorb.
-    """
-    base_exp = checkpoint_experiment(base_ckpt)
-    windows = heldout_sequences(base_exp, count=n_windows)
-    lr = base_exp.optimizer.lr
-    betas = base_exp.optimizer.betas
-    wd = base_exp.optimizer.weight_decay
-
-    def tune(config, params, m, v):
-        params = {k: p.copy() for k, p in params.items()}
-        for t in range(1, steps + 1):
-            w = windows[(t - 1) % len(windows)]
-            loss, grads = model_loss_and_grads(config, params, w)
-            adamw_step(params, grads, m, v, t, lr * min(1.0, t / 50.0), betas, wd)
-        return params
-
-    before = heldout_loss(base_ckpt.model_config, base_ckpt.params, windows)
-    tuned_base = tune(
-        base_ckpt.model_config,
-        base_ckpt.params,
-        {k: p.copy() for k, p in base_ckpt.adam_m.items()},
-        {k: p.copy() for k, p in base_ckpt.adam_v.items()},
-    )
-    base_after = heldout_loss(base_ckpt.model_config, tuned_base, windows)
-
-    new_params, new_config, _ = grow_model(
-        base_ckpt.params, base_ckpt.model_config, plan, probe=windows[:1]
-    )
-    tuned_grown = tune(
-        new_config,
-        new_params,
-        {k: np.zeros_like(p) for k, p in new_params.items()},
-        {k: np.zeros_like(p) for k, p in new_params.items()},
-    )
-    grown_after = heldout_loss(new_config, tuned_grown, windows)
-    return {
-        "before": before,
-        "ungrown_after": base_after,
-        "grown_after": grown_after,
-        "margin": base_after - grown_after,
-    }
 
 
 def _fmt(x) -> str:

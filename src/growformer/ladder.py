@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, causal_mask, gelu, gelu_derivative, matmul, softmax_rows, svd_small
+from .linalg import as_matrix, causal_mask, gelu, gelu_derivative, matmul, softmax_rows
 
 Triple = tuple[np.ndarray, np.ndarray, np.ndarray]  # (w_up, w_mid, w_down)
 
@@ -154,12 +154,7 @@ class RankReport:
 
 def _numeric_rank(m: np.ndarray) -> int:
     """Count singular values above _RANK_TOL * sigma_max."""
-    if min(m.shape) <= 3:
-        _, s, _ = svd_small(m)
-    else:
-        small = matmul(m.T, m) if m.shape[0] >= m.shape[1] else matmul(m, m.T)
-        lam = np.linalg.eigvalsh(small)
-        s = np.sqrt(np.clip(lam, 0.0, None))
+    s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s.max() == 0.0:
         return 0
     return int((s > _RANK_TOL * s.max()).sum())
@@ -168,9 +163,10 @@ def _numeric_rank(m: np.ndarray) -> int:
 def rank_bottleneck_check(x: np.ndarray, w: np.ndarray) -> RankReport:
     """Numeric check that rank(x @ w) <= min(rank x, rank w).
 
-    The relative threshold ``_RANK_TOL`` sits above sqrt(machine epsilon)
-    because ranks of wider matrices come from Gram-matrix eigenvalues,
-    whose noise floor is eps * lambda_max.
+    Ranks come from singular values: one counts when it exceeds
+    ``_RANK_TOL`` times the largest. A singular value that is zero in
+    exact arithmetic comes out of the SVD near eps * sigma_max, about
+    1e-16 relative, far below that threshold.
     """
     x = as_matrix(x, "x")
     w = as_matrix(w, "w")

@@ -163,19 +163,6 @@ def qr_thin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def svd_small(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD for matrices with min(rows, cols) <= 3.
-
-    Returns (u, s, vt) with s descending and u @ diag(s) @ vt == m to
-    working precision.
-    """
-    m = as_matrix(m, "m")
-    if min(m.shape) > 3:
-        raise ValidationError(f"svd_small limited to min dim 3, got {m.shape}")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return u, s, vt
-
-
 def eig_sym3(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric 3x3 matrix.
 

@@ -1,10 +1,22 @@
 """Recorded results from the full-scale growth study.
 
 These tables were measured on the production-scale runs (a 240M-parameter
-base grown to 300M/380M/440M on a web-text corpus) and serve as fixed
-regression anchors for the analysis pipeline: the alignment-indicator
-trajectories of the 380M path, the model dimension tables, and the
-profiler FLOP/perplexity measurements.
+base grown to 300M/380M/440M on a web-text corpus): the alignment-indicator
+trajectories of the 380M path and the analyses reported on them, the
+model dimension tables, the profiler FLOP/perplexity measurements and the
+axis ablation.
+
+``tests/test_paper_claims.py`` maps every name here to the tests that
+check it. In short:
+
+* reproduced from the recorded inputs: the trajectories' r column, the
+  Fisher g statistic and its p-value, the FLOP/perplexity ratio column,
+  and the ladder-below-baseline FLOP ordering of the dimension tables;
+* mirrored at desk scale: NOC at expansion falling with growth size, and
+  the axis ablation's row schema and width-order labels;
+* documented as inconsistent: the harmonic fit's F and p against its
+  R^2, and the scaling-law fit, which the recorded trajectories do not
+  give.
 """
 
 from .model import ModelConfig

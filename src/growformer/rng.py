@@ -3,7 +3,8 @@
 A draw is a pure function of (seed, counter position), so a checkpoint
 that records the position can replay the exact stream on any platform.
 The generator is a splitmix64 finalizer applied to the counter; Gaussians
-use Box-Muller with two counter slots per value.
+use Box-Muller with two counter slots per value. A stream has 2**64
+counter slots; a draw past the last one is refused, not wrapped.
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ def derive_seed(seed: int, tag: int) -> int:
 
 
 def _raw_uniforms(state: RngState, n: int) -> np.ndarray:
+    # Wrapping would replay the stream from counter 0, so refuse instead.
+    if state.position + n > _U64_MASK + 1:
+        raise ValidationError(
+            f"rng stream exhausted: position {state.position} + {n} draws "
+            "passes the 2**64 counter limit"
+        )
     counters = np.arange(state.position, state.position + n, dtype=np.uint64)
     words = _mix64((counters + np.uint64(1)) * _GOLDEN + np.uint64(state.seed & _U64_MASK))
     state.position += n

@@ -1,9 +1,10 @@
 """Time-series statistics for the radial-indicator trajectory.
 
 * ``harmonic_fit``   - OLS cosine regression with the frequency chosen by
-  a dense deterministic grid search (optionally with a linear trend
-  regressor, which several of the recorded full-scale analyses need to
-  match).
+  a dense deterministic grid search, optionally with a linear trend
+  regressor. The recorded full-scale harmonic R^2 is matched only with
+  ``trend="linear"``, which the pipeline's own ``fits.json`` does not use
+  (see ``tests/test_paper_claims.py``).
 * ``fisher_g_test``  - max-share-of-periodogram test against white noise
   on a (optionally linearly detrended) series, with the exact null
   p-value formula.

@@ -146,16 +146,3 @@ def trajectory_series(model: PcaModel, snapshots) -> list[TrajectoryPoint]:
         )
     return out
 
-
-def loadings_table(model: PcaModel) -> str:
-    """Two-component loadings in a fixed text format, plus the variance
-    explained by the leading pair."""
-    v = model.eigenvectors
-    pair = float(model.variance_ratios[:2].sum())
-    names = ("up_pct", "noc_pct", "perf_pct")
-    width = max(len(n) for n in names) + 2
-    lines = ["".join([" " * 5] + [n.rjust(width) for n in names])]
-    for i, pc in enumerate(("PC1", "PC2")):
-        lines.append("".join([pc.ljust(5)] + [f"{v[j, i]:+.3f}".rjust(width) for j in range(3)]))
-    lines.append(f"variance explained (PC1+PC2): {100.0 * pair:.2f}%")
-    return "\n".join(lines)

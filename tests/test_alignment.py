@@ -21,6 +21,7 @@ from growformer.alignment import (
 from growformer.errors import ValidationError
 from growformer.growth import GrowthPlan, grow_model
 from growformer.model import ModelConfig, heldout_loss, init_params
+from growformer.refdata import GROWTH_PATH_TRAJECTORIES
 from growformer.rng import RngState, seeded_gaussian, seeded_ints
 
 
@@ -158,12 +159,13 @@ class TestShiftAndRadius:
         assert radial_energy(0.0, 0.0) == 0.0
 
     def test_radius_matches_recorded_values(self):
-        up = percent_shift(0.8608, 0.8152)
-        nc = percent_shift(0.7888, 0.7752)
-        assert abs(radial_energy(up, nc) - 0.058623857) < 1e-6
-        up27 = percent_shift(0.5923, 0.8152)
-        nc27 = percent_shift(0.7595, 0.7752)
-        assert abs(radial_energy(up27, nc27) - 0.274178867) < 1e-6
+        # every recorded r follows from its row's u_p and noc against the
+        # 0-budget row: 3 paths x 11 budgets
+        for path in GROWTH_PATH_TRAJECTORIES.values():
+            for u_p, nc, r in zip(path["u_p"], path["noc"], path["r"], strict=True):
+                up_pct = percent_shift(u_p, path["u_p"][0])
+                noc_pct = percent_shift(nc, path["noc"][0])
+                assert abs(radial_energy(up_pct, noc_pct) - r) < 1e-9
 
     @settings(max_examples=50)
     @given(

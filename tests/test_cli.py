@@ -342,6 +342,26 @@ def test_train_resume_final_checkpoint_matches_direct_run(tmp_path):
     assert (resumed / final).read_bytes() == (direct / final).read_bytes()
 
 
+def test_resume_past_the_rng_counter_limit_exits_1(tmp_path, capsys):
+    config = experiment_blob()
+    config["schedule"] = {"steps": 4, "warmup": 2, "snapshot_every": 2}
+    path = write_config(config, tmp_path)
+    direct = tmp_path / "direct"
+    assert cli.main(["train", "--config", path, "--out", str(direct)]) == 0
+    ck = load_checkpoint(direct / "step00000002.nxf")
+    ck.rng.position = 2**64
+    bad = tmp_path / "exhausted.nxf"
+    save_checkpoint(ck, bad)
+    capsys.readouterr()
+    resumed = tmp_path / "resumed"
+    argv = ["train", "--config", path, "--out", str(resumed), "--resume", str(bad)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rng stream exhausted: position 18446744073709551616")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (resumed / "step00000004.nxf").exists()
+
+
 def test_analyze_grown_series_exits_0(base_path, tmp_path, capsys):
     grown = tmp_path / "grown.nxf"
     assert cli.main(grow_args(base_path, grown, "guarded-zero")) == 0

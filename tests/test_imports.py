@@ -1,13 +1,17 @@
 """Every imported name in the package, its tests and the benchmark
-harness is used, and every module-level function and class of the
-package is referenced.
+harness is used, and every module-level function, class and assigned
+name of the package is referenced.
 
 Stdlib-``ast`` stand-ins for a linter's unused-import rule (a name bound
 by an import must appear as a name somewhere else in the module, or in
-the module's ``__all__``) and for a dead-code finder (a function or class
+the module's ``__all__``) and for a dead-code finder. A function or class
 defined at the top of a package module must be named somewhere in the
-package, its tests or the benchmark harness: as a name, an attribute, an
-imported name or a string such as a tracer's span key).
+package, its tests or the benchmark harness: as a loaded name, an
+attribute, an imported name or a string such as a tracer's span key. A
+name assigned at the top of a package module must be loaded, imported or
+named as an attribute somewhere in those files; a string does not count,
+and neither does the assignment itself. Dunder names such as ``__all__``
+are read by Python and are exempt.
 """
 
 import ast
@@ -50,18 +54,27 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def references(source: str) -> set[str]:
+def loads(source: str) -> set[str]:
+    """Names the source loads, imports or names as an attribute."""
     names = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
     return names
+
+
+def references(source: str) -> set[str]:
+    """``loads`` plus every string constant."""
+    strings = {
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    return loads(source) | strings
 
 
 def unreferenced_definitions(module: str, used: set[str]) -> list[str]:
@@ -73,6 +86,23 @@ def unreferenced_definitions(module: str, used: set[str]) -> list[str]:
     ]
 
 
+def unreferenced_assignments(module: str, loaded: set[str]) -> list[str]:
+    targets = []
+    for node in ast.parse(module).body:
+        if isinstance(node, ast.Assign):
+            targets.extend(node.targets)
+        elif isinstance(node, ast.AnnAssign):
+            targets.append(node.target)
+    return [
+        node.id
+        for target in targets
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name)
+        and not (node.id.startswith("__") and node.id.endswith("__"))
+        and node.id not in loaded
+    ]
+
+
 def test_detects_an_unreferenced_definition():
     module = "def kept():\n    pass\n\n\nclass Dead:\n    pass\n\n\ndef spanned():\n    pass\n"
     user = "from m import kept\nkept()\nSPANS = {('m', 'spanned'): ()}\n"
@@ -80,11 +110,25 @@ def test_detects_an_unreferenced_definition():
     assert unreferenced_definitions(module, used) == ["Dead"]
 
 
+def test_detects_an_unreferenced_assignment():
+    module = (
+        "__all__ = ['NAMED']\nKEPT = 1\nNAMED = 2\nSELF, USED = 3, KEPT\n"
+        "TYPED: int = SELF\nDEAD = {}\n"
+    )
+    user = "import m\nfrom m import USED\nm.TYPED\n"
+    loaded = loads(module) | loads(user)
+    assert unreferenced_assignments(module, loaded) == ["NAMED", "DEAD"]
+
+
 def test_every_package_definition_is_referenced():
     files = SOURCES + BENCHMARK
-    used = set().union(*(references(path.read_text(encoding="utf-8")) for path in files))
+    sources = [path.read_text(encoding="utf-8") for path in files]
+    used = set().union(*(references(source) for source in sources))
+    loaded = set().union(*(loads(source) for source in sources))
     dead = {
-        path.name: unreferenced_definitions(path.read_text(encoding="utf-8"), used)
-        for path in PACKAGE
+        path.name: unreferenced_definitions(source, used)
+        + unreferenced_assignments(source, loaded)
+        for path, source in zip(files, sources)
+        if path in PACKAGE
     }
     assert {name: defs for name, defs in dead.items() if defs} == {}

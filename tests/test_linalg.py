@@ -22,7 +22,6 @@ from growformer.linalg import (
     matmul,
     qr_thin,
     softmax_rows,
-    svd_small,
 )
 
 
@@ -327,40 +326,6 @@ class TestQrThin:
         m = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
         with pytest.raises(ValidationError, match="rank"):
             qr_thin(m)
-
-
-def charpoly_singular_values_2x2(m):
-    """Oracle: eigenvalues of m^T m from the characteristic polynomial."""
-    g = m.T @ m
-    tr, det = g[0, 0] + g[1, 1], g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    disc = max(tr * tr - 4 * det, 0.0)
-    lam1 = (tr + np.sqrt(disc)) / 2
-    lam2 = (tr - np.sqrt(disc)) / 2
-    return np.sqrt(max(lam1, 0.0)), np.sqrt(max(lam2, 0.0))
-
-
-class TestSvdSmall:
-    def test_identity(self):
-        _, s, _ = svd_small(np.eye(2))
-        assert np.allclose(s, [1.0, 1.0])
-
-    def test_diagonal(self):
-        _, s, _ = svd_small(np.diag([2.0, 0.5]))
-        assert np.allclose(s, [2.0, 0.5])
-
-    def test_against_charpoly_oracle(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            m = rng.normal(size=(2, 2))
-            u, s, vt = svd_small(m)
-            ref = charpoly_singular_values_2x2(m)
-            assert np.abs(s - ref).max() < 1e-10
-            assert np.abs(u @ np.diag(s) @ vt - m).max() < 1e-10
-            assert s[0] >= s[1] >= 0
-
-    def test_rejects_wide_inputs(self):
-        with pytest.raises(ValidationError):
-            svd_small(np.zeros((5, 4)))
 
 
 def jacobi_eig_sym(c, sweeps=30):

@@ -55,6 +55,14 @@ def test_ints_in_range():
     assert len(np.unique(x)) == 64
 
 
+def test_counter_runs_to_its_last_slot_and_refuses_past_it():
+    state = RngState(1, 2**64 - 1)
+    assert seeded_ints(state, 1, 10).shape == (1,)
+    assert state.position == 2**64
+    with pytest.raises(ValidationError, match="rng stream exhausted"):
+        seeded_ints(RngState(1, 2**64 - 1), 2, 10)
+
+
 def test_derive_seed_decorrelates():
     a = seeded_gaussian(RngState(derive_seed(1, 1)), 2, 2)
     b = seeded_gaussian(RngState(derive_seed(1, 2)), 2, 2)

@@ -7,7 +7,6 @@ from growformer.trajectory import (
     SubspacePoint,
     grassmann_distance,
     lift_subspace,
-    loadings_table,
     pca_fit,
     pca_project,
     trajectory_series,
@@ -196,15 +195,3 @@ class TestTrajectorySeries:
         with pytest.raises(ValidationError):
             trajectory_series(model, [np.zeros(3)])
 
-
-class TestLoadingsTable:
-    def test_format_and_variance_line(self):
-        rng = np.random.default_rng(13)
-        model = pca_fit(random_states(rng, 64, transform=np.diag([5.0, 2.0, 0.5])))
-        text = loadings_table(model)
-        lines = text.splitlines()
-        assert lines[1].startswith("PC1")
-        assert lines[2].startswith("PC2")
-        assert "variance explained (PC1+PC2):" in lines[3]
-        pct = float(lines[3].split(":")[1].strip().rstrip("%"))
-        assert abs(pct - 100 * model.variance_ratios[:2].sum()) < 0.01
