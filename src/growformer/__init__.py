@@ -3,8 +3,10 @@
 The package has three layers: a deterministic numeric core (linalg, rng),
 the model itself (ladder projections, attention, a small causal LM, and
 the dual-axis growth engine), and the growth-dynamics analysis pipeline
-(alignment statistics, trajectory geometry, time-series tests, FLOP
-accounting) with a CLI harness on top.
+(alignment statistics; trajectory geometry, a PCA embedding of the
+alignment states with each embedding's Euclidean and Grassmann distance
+from the first; time-series tests; FLOP accounting) with a CLI harness
+on top.
 """
 
 from .alignment import (
@@ -25,7 +27,7 @@ from .ladder import attention_forward, ladder_forward, rank_bottleneck_check, va
 from .model import ModelConfig, TOY_CONFIG, init_params, model_forward, model_loss_and_grads
 from .rng import RngState, seeded_gaussian
 from .seriesstats import fisher_g_test, harmonic_fit, ols_linear, scaling_law_fit
-from .trajectory import PcaModel, SubspacePoint, grassmann_distance, lift_subspace, pca_fit, pca_project, trajectory_series
+from .trajectory import PcaModel, pca_fit, pca_project, trajectory_series
 from .training import ExperimentConfig, train
 
 __all__ = [
@@ -39,19 +41,16 @@ __all__ = [
     "NumericError",
     "PcaModel",
     "RngState",
-    "SubspacePoint",
     "TOY_CONFIG",
     "ValidationError",
     "WeightSample",
     "attention_forward",
     "efficiency_ratio",
     "fisher_g_test",
-    "grassmann_distance",
     "grow_model",
     "harmonic_fit",
     "init_params",
     "ladder_forward",
-    "lift_subspace",
     "load_checkpoint",
     "model_flops",
     "model_forward",

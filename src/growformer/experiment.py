@@ -136,13 +136,14 @@ def analyze_snapshot_series(
             reference = snap
         snapshots.append(snap)
 
+    states = np.array([s.state_vector for s in snapshots])
     try:
-        model = pca_fit(snapshots)
+        model = pca_fit(states)
     except ValidationError as exc:
         trajectory = []
         pca = {"pca": {"degenerate": True, "reason": str(exc)}}
     else:
-        trajectory = trajectory_series(model, snapshots)
+        trajectory = trajectory_series(model, states)
         pca = {
             "pca_variance_ratios": [float(x) for x in model.variance_ratios],
             "pca_loadings": [[float(x) for x in model.eigenvectors[:, j]] for j in range(2)],
@@ -305,10 +306,10 @@ def emit_reports(series_by_label: dict[str, ExperimentSeries], out_dir) -> list[
         plan_dir = out / label
         plan_dir.mkdir(exist_ok=True)
         traj_lines = ["t,pc1,pc2,r_g,r_e"]
-        for tp in s.trajectory:
+        for snap, tp in zip(s.snapshots, s.trajectory):
             traj_lines.append(
                 ",".join(
-                    [str(tp.tokens), _fmt(float(tp.z[0])), _fmt(float(tp.z[1])),
+                    [str(snap.tokens), _fmt(float(tp.z[0])), _fmt(float(tp.z[1])),
                      _fmt(tp.r_g), _fmt(tp.r_e)]
                 )
             )

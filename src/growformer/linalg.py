@@ -144,25 +144,6 @@ def causal_mask(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n), dtype=bool))
 
 
-def qr_thin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR with the sign convention diag(r) >= 0.
-
-    Requires rows >= cols and numerically independent columns
-    (pivot tolerance 1e-10).
-    """
-    m = as_matrix(m, "m")
-    if m.shape[0] < m.shape[1]:
-        raise ValidationError(f"qr_thin needs rows >= cols, got {m.shape}")
-    q, r = np.linalg.qr(m, mode="reduced")
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs
-    r = r * signs[:, None]
-    if np.abs(np.diag(r)).min() < 1e-10:
-        raise ValidationError("qr_thin: rank-deficient input (pivot below 1e-10)")
-    return q, r
-
-
 def eig_sym3(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric 3x3 matrix.
 

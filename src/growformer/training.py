@@ -18,6 +18,7 @@ from .rng import RngState, derive_seed, seeded_ints
 _ADAM_EPS = 1e-8
 _ORDER_TAG = 0x0D0E
 _INIT_TAG = 0x1217
+_HELDOUT_STREAM = 7919  # held-out windows; no training corpus may draw it
 
 
 @dataclass
@@ -60,8 +61,8 @@ class ScheduleConfig:
     snapshot_every: int = field(kw_only=True)
 
     def __post_init__(self):
-        check_int("schedule", "steps", self.steps)
-        check_int("schedule", "warmup", self.warmup)
+        check_int("schedule", "steps", self.steps, minimum=0)
+        check_int("schedule", "warmup", self.warmup, minimum=0)
         check_int("schedule", "snapshot_every", self.snapshot_every, minimum=1)
 
     def to_dict(self):
@@ -84,8 +85,12 @@ class CorpusConfig:
             raise ValidationError(
                 f"corpus config: generator must be a string, got {self.generator!r}"
             )
-        for name in ("seed", "length", "stream"):
+        for name in ("seed", "length"):
             check_int("corpus", name, getattr(self, name))
+        # a negative stream reuses another generator's random stream
+        check_int("corpus", "stream", self.stream, minimum=0)
+        if self.stream == _HELDOUT_STREAM:
+            raise ValidationError(f"corpus config: stream {self.stream} is the held-out stream")
 
     def to_dict(self):
         return asdict(self)
@@ -108,7 +113,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_int("experiment", "seed", self.seed)
-        check_int("experiment", "rewarm_steps", self.rewarm_steps)
+        check_int("experiment", "rewarm_steps", self.rewarm_steps, minimum=0)
         if self.growth_trigger is not None:
             check_int("growth", "trigger_step", self.growth_trigger)
             if not 0 <= self.growth_trigger < self.schedule.steps:
@@ -187,9 +192,6 @@ class TrainResult:
     @property
     def final(self) -> Checkpoint:
         return self.checkpoints[-1]
-
-
-_HELDOUT_STREAM = 7919
 
 
 def heldout_sequences(config: ExperimentConfig, count: int = 8) -> list[np.ndarray]:

@@ -1,22 +1,32 @@
 """Low-dimensional geometry of the alignment trajectory.
 
 Each snapshot contributes a 3-vector of signed shifts (up_pct, noc_pct,
-perf_pct). A 3x3 PCA gives a 2-D embedding; each embedded point is then
-lifted to the plane spanned by [pc1, pc2, 0] and [0, 0, 1], a point on
-the manifold of 2-D subspaces of R^3, so that trajectory movement can be
-measured both as a geodesic subspace distance (via principal angles) and
-as the plain Euclidean distance between embeddings.
+perf_pct), so a series is an (n, 3) array of states. A 3x3 PCA embeds
+each state as z in the plane of the two leading components, and each
+embedding is measured against the first, z0, in two ways:
+
+- r_e, the Euclidean distance |z - z0|;
+- r_g, the Grassmann distance between the lifted planes span{(z0, 0), e3}
+  and span{(z, 0), e3} of R^3, sqrt(theta1^2 + theta2^2) over their two
+  principal angles.
+
+Both lifted planes contain e3, so one principal angle is always 0 and r_g
+is the other: the angle between the lines through z0 and z, computed as
+atan2(|z0 x z|, |z0 . z|) in [0, pi/2]. That form keeps full accuracy at
+small angles, where the arccos of a cosine near 1 loses half the digits
+(Bjorck & Golub 1973). An embedding with |z| < 1e-10 has no line; it
+stands for e1, so the distance stays total.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import AlignmentSnapshot
 from .errors import ValidationError
-from .linalg import as_matrix, eig_sym3, matmul, qr_thin
+from .linalg import as_matrix, eig_sym3, matmul
 
 
 @dataclass
@@ -27,27 +37,16 @@ class PcaModel:
     variance_ratios: np.ndarray  # (3,), sums to 1
 
 
-@dataclass
-class SubspacePoint:
-    basis: np.ndarray  # (3, 2), orthonormal columns
-    z: np.ndarray  # (2,), the embedding that generated it
-
-
 def _states_matrix(states) -> np.ndarray:
-    rows = []
-    for s in states:
-        if isinstance(s, AlignmentSnapshot):
-            rows.append(s.state_vector)
-        else:
-            rows.append(np.asarray(s, dtype=np.float64))
-    x = np.vstack(rows)
+    x = as_matrix(states, "states")
     if x.shape[1] != 3:
         raise ValidationError(f"states must be 3-D, got width {x.shape[1]}")
     return x
 
 
 def pca_fit(states) -> PcaModel:
-    """Eigendecomposition of the 3x3 sample covariance of the states.
+    """Eigendecomposition of the 3x3 sample covariance of an (n, 3) array
+    of states.
 
     Needs at least 3 states: two points span a single direction, so PC2
     and with it the 2-D embedding would be undefined. States with zero
@@ -68,81 +67,43 @@ def pca_fit(states) -> PcaModel:
     return PcaModel(mean=mean, eigenvectors=vecs, eigenvalues=vals, variance_ratios=vals / total)
 
 
-def pca_project(model: PcaModel, state) -> np.ndarray:
-    """Embed one state into the plane of the two leading components."""
-    x = _states_matrix([state])[0]
-    return model.eigenvectors[:, :2].T @ (x - model.mean)
+def pca_project(model: PcaModel, states) -> np.ndarray:
+    """Embed an (n, 3) array of states into the plane of the two leading
+    components, one (n, 2) row each. Rows are projected one at a time, so
+    a state's embedding does not depend on how many rows come with it."""
+    x = _states_matrix(states)
+    return np.array([model.eigenvectors[:, :2].T @ (row - model.mean) for row in x])
 
 
-def lift_subspace(z) -> SubspacePoint:
-    """Lift an embedding to the subspace span{[z0, z1, 0], e3}.
-
-    An exactly-centered point has no in-plane direction; it falls back to
-    e1 so that the map stays total.
-    """
-    z = np.asarray(z, dtype=np.float64).reshape(2)
-    v1 = np.array([z[0], z[1], 0.0])
-    if np.linalg.norm(v1) < 1e-10:
-        v1 = np.array([1.0, 0.0, 0.0])
-    v2 = np.array([0.0, 0.0, 1.0])
-    q, _ = qr_thin(np.column_stack([v1, v2]))
-    return SubspacePoint(basis=q, z=z)
-
-
-def _principal_cosines_2x2(m: np.ndarray) -> tuple[float, float]:
-    """Singular values of a 2x2 matrix from transpose-invariant scalars.
-
-    Built from the Frobenius norm and determinant only, so that
-    cosines(m) == cosines(m.T) bit-for-bit and the subspace distance is
-    exactly symmetric.
-    """
-    s = (m[0, 0] * m[0, 0] + m[1, 1] * m[1, 1]) + (m[0, 1] * m[0, 1] + m[1, 0] * m[1, 0])
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = max(s * s - 4.0 * det * det, 0.0)
-    root = np.sqrt(disc)
-    big = np.sqrt(max((s + root) / 2.0, 0.0))
-    small = np.sqrt(max((s - root) / 2.0, 0.0))
-    return float(min(big, 1.0)), float(min(small, 1.0))
-
-
-def grassmann_distance(a: SubspacePoint, b: SubspacePoint) -> float:
-    """Geodesic distance sqrt(sum of squared principal angles)."""
-    qa = as_matrix(a.basis, "a.basis")
-    qb = as_matrix(b.basis, "b.basis")
-    if qa.shape != (3, 2) or qb.shape != (3, 2):
-        raise ValidationError("subspace bases must be 3x2")
-    m = matmul(qa.T, qb)
-    c1, c2 = _principal_cosines_2x2(m)
-    theta1 = np.arccos(c1)
-    theta2 = np.arccos(c2)
-    return float(np.sqrt(theta1 * theta1 + theta2 * theta2))
+def _grassmann_distance(z0: np.ndarray, z: np.ndarray) -> float:
+    """r_g of two embeddings, atan2(|u0 x u|, |u0 . u|) over their lines
+    (see the module docstring). It is exactly 0.0 for u against u or -u,
+    and symmetric bit for bit: swapping the arguments only negates the
+    cross term."""
+    (a0, a1), (b0, b1) = [(1.0, 0.0) if np.linalg.norm(v) < 1e-10 else v for v in (z0, z)]
+    cross, dot = a0 * b1 - a1 * b0, a0 * b0 + a1 * b1
+    return math.atan2(abs(cross), abs(dot))
 
 
 @dataclass
 class TrajectoryPoint:
-    tokens: int
+    """One state's embedding ``z`` and its distances ``r_g`` (Grassmann)
+    and ``r_e`` (Euclidean) from the first state's embedding."""
+
     z: np.ndarray  # (2,)
     r_g: float
     r_e: float
 
 
-def trajectory_series(model: PcaModel, snapshots) -> list[TrajectoryPoint]:
-    """Per-snapshot embedding plus distances from the first snapshot."""
-    snapshots = list(snapshots)
-    if len(snapshots) < 2:
-        raise ValidationError("need at least 2 snapshots for a trajectory")
-    zs = [pca_project(model, s) for s in snapshots]
-    subs = [lift_subspace(z) for z in zs]
-    out = []
-    for idx, (snap, z, sub) in enumerate(zip(snapshots, zs, subs)):
-        tokens = snap.tokens if isinstance(snap, AlignmentSnapshot) else idx
-        out.append(
-            TrajectoryPoint(
-                tokens=tokens,
-                z=z,
-                r_g=grassmann_distance(subs[0], sub),
-                r_e=float(np.linalg.norm(z - zs[0])),
-            )
+def trajectory_series(model: PcaModel, states) -> list[TrajectoryPoint]:
+    """One point per row of an (n, 3) array of states, measured from the
+    first row."""
+    zs = pca_project(model, states)
+    if len(zs) < 2:
+        raise ValidationError("need at least 2 states for a trajectory")
+    return [
+        TrajectoryPoint(
+            z=z, r_g=_grassmann_distance(zs[0], z), r_e=float(np.linalg.norm(z - zs[0]))
         )
-    return out
-
+        for z in zs
+    ]

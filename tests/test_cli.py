@@ -122,7 +122,7 @@ def test_unimplemented_optimizer_kind_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "block, key, value, message",
     [
-        ("schedule", "steps", "2", "schedule config: steps must be an integer, got '2'"),
+        ("schedule", "steps", "2", "schedule config: steps must be an integer >= 0, got '2'"),
         ("optimizer", "lr", "0.003", "optimizer config: lr must be a real number, got '0.003'"),
         ("corpus", "length", "2000", "corpus config: length must be an integer, got '2000'"),
         ("optimizer", "lr", None, "optimizer config: missing required key 'lr'"),
@@ -187,6 +187,16 @@ def test_growth_trigger_that_never_fires_exits_1(trigger, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "trigger_step must lie in [0, 10)" in err and err.count("\n") == 1
+    assert not list(out.glob("*.nxf"))
+
+
+def test_training_on_the_heldout_stream_exits_1(tmp_path, capsys):
+    config = experiment_blob()
+    config["corpus"]["stream"] = 7919
+    code, out = train_on(config, tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "held-out stream" in err and err.count("\n") == 1
     assert not list(out.glob("*.nxf"))
 
 

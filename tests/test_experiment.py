@@ -33,20 +33,21 @@ MODEL = ModelConfig(
 )
 
 
-def pretrained_base(steps=60, seed=3):
+def pretrained_base(steps=60, seed=3, stream=0):
     config = ExperimentConfig(
         model=MODEL,
         optimizer=OptimizerConfig(lr=3e-3),
         schedule=ScheduleConfig(steps=steps, warmup=10, snapshot_every=steps),
-        corpus=CorpusConfig(generator="markov-k2", seed=seed, length=8000),
+        corpus=CorpusConfig(generator="markov-k2", seed=seed, length=8000, stream=stream),
         seed=seed,
     )
     return train(config).final
 
 
 # sha256 of the files test_emitted_bytes_digest_pinned writes, recorded
-# once checkpoint headers no longer carry the unread "out_dir" key
-EMITTED_BYTES_SHA256 = "903b2c89b372f0b9f72fc66bd92235c0302b31910af3032b2bebcadcc7d22596"
+# once r_g became the closed-form line angle: reference rows read exactly
+# 0.0 and no other r_g moved by more than 7.9e-15; every other byte kept
+EMITTED_BYTES_SHA256 = "890a56d99144a37b225ebe9b786cbdee51c653262c11fa4edd97b341d1d7c58b"
 
 
 class TestPlanLabel:
@@ -87,6 +88,14 @@ class TestRunGrowthExperiment:
         assert s.fits["pca"]["degenerate"] is True
         assert "got 2" in s.fits["pca"]["reason"]
         assert s.trajectory == []
+
+    def test_continuing_onto_the_heldout_stream_rejected(self):
+        # continued training moves two streams on, and 7917 + 2 is held out
+        base = pretrained_base(steps=2, stream=7917)
+        with pytest.raises(ValidationError, match="held-out stream"):
+            run_growth_experiment(
+                base, [GrowthPlan(2, 2, "guarded-zero", seed=5)], budget=2, cadence=2
+            )
 
 
 class TestHeldoutLossReuse:
@@ -262,24 +271,41 @@ class TestEmitReports:
         with pytest.raises(ValidationError):
             emit_reports({}, tmp_path)
 
-    def test_emitted_bytes_digest_pinned(self, tmp_path):
-        # every file a small base save plus a three-policy experiment
-        # writes, hashed with its relative path; a refactor that changes
-        # no arithmetic must leave this digest unchanged
+    @pytest.fixture(scope="class")
+    def emitted(self, tmp_path_factory):
+        # a small base save plus a three-policy experiment
+        root = tmp_path_factory.mktemp("emitted")
         base = pretrained_base(steps=20)
-        save_checkpoint(base, tmp_path / "base.nxf")
+        save_checkpoint(base, root / "base.nxf")
         plans = [
             GrowthPlan(3, 4, "strict-zero", seed=2),
             GrowthPlan(3, 4, "guarded-zero", seed=2),
             GrowthPlan(3, 4, "noise:0.2", seed=2),
         ]
-        emit_reports(run_growth_experiment(base, plans, budget=8, cadence=2), tmp_path / "out")
+        emit_reports(run_growth_experiment(base, plans, budget=8, cadence=2), root / "out")
+        return root
+
+    def test_emitted_bytes_digest_pinned(self, emitted):
+        # every file the experiment writes, hashed with its relative path;
+        # a refactor that changes no arithmetic must leave this digest unchanged
         digest = hashlib.sha256()
-        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
-            digest.update(path.relative_to(tmp_path).as_posix().encode("utf-8") + b"\0")
+        for path in sorted(p for p in emitted.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(emitted).as_posix().encode("utf-8") + b"\0")
             digest.update(path.read_bytes())
         assert digest.hexdigest() == EMITTED_BYTES_SHA256
 
+    def test_reference_rows_are_at_distance_zero(self, emitted):
+        # each series' first state is its own reference: r_g and r_e are 0.0
+        out = emitted / "out"
+        metrics = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()]
+        firsts = {}
+        for row in metrics[1:]:
+            firsts.setdefault(row[0], row)
+        assert len(firsts) == 3
+        for label, row in firsts.items():
+            assert row[-2:] == ["0.0", "0.0"], label
+            traj = (out / label / "trajectory.csv").read_text().splitlines()
+            assert traj[1].split(",")[-2:] == ["0.0", "0.0"], label
 
 class TestContinuedConfig:
     def test_disjoint_stream_same_language(self):

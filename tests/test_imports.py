@@ -1,6 +1,7 @@
 """Every imported name in the package, its tests and the benchmark
-harness is used, and every module-level function, class and assigned
-name of the package is referenced.
+harness is used, every module-level function, class and assigned name
+of the package is referenced, and every name in ``growformer.__all__``
+resolves and is listed once, in sorted order.
 
 Stdlib-``ast`` stand-ins for a linter's unused-import rule (a name bound
 by an import must appear as a name somewhere else in the module, or in
@@ -18,6 +19,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import growformer
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "growformer").glob("*.py"))
@@ -132,3 +135,9 @@ def test_every_package_definition_is_referenced():
         if path in PACKAGE
     }
     assert {name: defs for name, defs in dead.items() if defs} == {}
+
+
+def test_every_export_resolves_and_is_listed_once_in_order():
+    # a name deleted from the package but left in __all__ fails here
+    assert [name for name in growformer.__all__ if not hasattr(growformer, name)] == []
+    assert growformer.__all__ == sorted(set(growformer.__all__))

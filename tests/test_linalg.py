@@ -20,7 +20,6 @@ from growformer.linalg import (
     gelu,
     gelu_derivative,
     matmul,
-    qr_thin,
     softmax_rows,
 )
 
@@ -301,31 +300,6 @@ class TestSoftmaxRows:
         mask = np.array([[True, True], [False, False]])
         with pytest.raises(ValidationError, match="fully masked"):
             softmax_rows(np.zeros((2, 2)), mask)
-
-
-class TestQrThin:
-    def test_orthonormal_input_roundtrip(self):
-        q0 = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 2)))[0]
-        q, r = qr_thin(q0)
-        assert np.abs(np.abs(q) - np.abs(q0)).max() < 1e-12
-        assert np.abs(np.abs(r) - np.eye(2)).max() < 1e-12
-
-    def test_closed_form_column(self):
-        q, r = qr_thin(np.array([[3.0], [4.0]]))
-        assert np.abs(q - [[0.6], [0.8]]).max() < 1e-15
-        assert abs(r[0, 0] - 5.0) < 1e-15
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(21)
-        m = rng.normal(size=(3, 2))
-        q, r = qr_thin(m)
-        assert np.abs(matmul(q, r) - m).max() < 1e-10
-        assert np.abs(matmul(q.T, q) - np.eye(2)).max() < 1e-10
-
-    def test_rank_deficient_errors(self):
-        m = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-        with pytest.raises(ValidationError, match="rank"):
-            qr_thin(m)
 
 
 def jacobi_eig_sym(c, sweeps=30):

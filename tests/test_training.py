@@ -165,6 +165,26 @@ class TestConfig:
         with pytest.raises(ValidationError, match="trigger"):
             make_config(growth=GrowthPlan(2, 2, "strict-zero", 5))
 
+    @pytest.mark.parametrize(
+        "block, key, value, message",
+        [
+            ("corpus", "stream", 7919, "held-out stream"),
+            ("corpus", "stream", -1, "stream must be an integer >= 0"),
+            ("schedule", "steps", -20, "steps must be an integer >= 0"),
+            ("schedule", "warmup", -7, "warmup must be an integer >= 0"),
+            ("experiment", "rewarm_steps", -3, "rewarm_steps must be an integer >= 0"),
+        ],
+        ids=["heldout-stream", "negative-stream", "negative-steps", "negative-warmup",
+             "negative-rewarm"],
+    )
+    def test_aliasing_stream_or_negative_count_rejected(self, block, key, value, message):
+        # stream 7919 is the held-out one, and stream -1 reuses the random
+        # stream of markov_table (0x3A3C - 1) or of the phrase bank
+        blob = make_config().to_dict()
+        (blob if block == "experiment" else blob[block])[key] = value
+        with pytest.raises(ValidationError, match=f"{block} config: .*{message}"):
+            ExperimentConfig.from_dict(blob)
+
 
 class TestTrain:
     def test_snapshot_cadence_and_counters(self):
