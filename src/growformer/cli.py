@@ -8,14 +8,15 @@ wrong type, a NaN or infinite optimizer value, a beta outside [0, 1), a
 negative schedule or rewarm step count, a corpus stream that is negative
 or is the held-out stream (for ``ablate``, also the continued stream two
 past the base's), a growth trigger outside the schedule, a metrics
-series with a non-finite value, a bad checkpoint such as one truncated,
-one with a negative counter or a matrix listed twice, or one whose
-matrices are missing, extra or misshapen for its model config, a
-``grow``, ``verify`` or ``analyze`` base checkpoint that carries no
-experiment config to draw held-out probes from, a missing path or a
-directory), reported as one ``error:`` line without a traceback; 2
-numeric failure, such as a zero-policy ``grow`` whose probe deviation is
-not exactly 0.0.
+series with a non-finite value, a ``periodicity`` metrics file that
+holds several growth paths and no ``--path``, or none under the label
+given, a bad checkpoint such as one truncated, one with a negative
+counter or a matrix listed twice, or one whose matrices are missing,
+extra or misshapen for its model config, a ``grow``, ``verify`` or
+``analyze`` base checkpoint that carries no experiment config to draw
+held-out probes from, a missing path or a directory), reported as one
+``error:`` line without a traceback; 2 numeric failure, such as a
+zero-policy ``grow`` whose probe deviation is not exactly 0.0.
 """
 
 from __future__ import annotations
@@ -130,17 +131,47 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _read_metrics_csv(path: str, names: tuple[str, ...]) -> dict[str, list[float]]:
-    """The named columns of a metrics CSV, parsed as floats."""
+def _read_metrics_csv(
+    path: str, names: tuple[str, ...], one_path: bool = False, label: str | None = None
+) -> dict[str, list[float]]:
+    """The named columns of a metrics CSV, parsed as floats; with
+    ``one_path``, of the rows of growth path ``label`` alone (see
+    ``_path_rows``)."""
     rows = [line.split(",") for line in _read_text(path).strip().splitlines()]
-    header = rows[0] if rows else []
+    header, rows = (rows[0], rows[1:]) if rows else ([], [])
     for name in names:
         if name not in header:
             raise ValidationError(f"{path}: no {name!r} column in header {header}")
+    if one_path:
+        rows = _path_rows(path, header, rows, label)
     try:
-        return {name: [float(row[header.index(name)]) for row in rows[1:]] for name in names}
+        return {name: [float(row[header.index(name)]) for row in rows] for name in names}
     except (IndexError, ValueError) as exc:  # a short row, or a cell that is not a number
         raise ValidationError(f"{path}: malformed metrics row: {exc}") from exc
+
+
+def _path_rows(path: str, header: list[str], rows: list[list[str]], label: str | None):
+    """The rows whose ``path`` cell is ``label``. ``label`` may be None
+    when the file holds one path or has no ``path`` column (an ``analyze``
+    alignment.csv); any other file must name the path it means."""
+    if "path" not in header:
+        if label is None:
+            return rows
+        raise ValidationError(f"{path}: no 'path' column to select {label!r} from")
+    col = header.index("path")
+    by_label: dict[str, list[list[str]]] = {}
+    for row in rows:
+        by_label.setdefault("".join(row[col : col + 1]), []).append(row)
+    labels = ", ".join(by_label)
+    if label is None:
+        if len(by_label) > 1:
+            raise ValidationError(
+                f"{path}: holds {len(by_label)} paths ({labels}); choose one with --path"
+            )
+        return rows
+    if label not in by_label:
+        raise ValidationError(f"{path}: no path {label!r}; it holds {labels}")
+    return by_label[label]
 
 
 def _cmd_fit_scaling(args) -> int:
@@ -152,7 +183,7 @@ def _cmd_fit_scaling(args) -> int:
 
 
 def _cmd_periodicity(args) -> int:
-    cols = _read_metrics_csv(args.metrics, ("tokens", "r"))
+    cols = _read_metrics_csv(args.metrics, ("tokens", "r"), one_path=True, label=args.path)
     tokens = [t / 1000.0 for t in cols["tokens"]]
     r = cols["r"]
     out = {
@@ -221,6 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("periodicity", help="harmonic + spectral tests on the r series")
     p.add_argument("--metrics", required=True)
     p.add_argument("--detrend", choices=("linear", "none"), default="linear")
+    p.add_argument("--path", default=None,
+                   help="growth path label; required when the file holds more than one")
     p.set_defaults(fn=_cmd_periodicity)
 
     p = sub.add_parser("flops", help="per-token FLOP breakdown for a config")

@@ -78,13 +78,15 @@ def _grow_and_continue(
     budget: int, cadence: int, probe, strict_hierarchy: bool = True,
 ) -> tuple[GrowthReport, TrainResult]:
     """Grow the base under ``plan`` (gated on ``probe``), then train the
-    grown model for ``budget`` steps with snapshots every ``cadence``."""
-    new_params, new_config, report = grow_model(
+    grown model for ``budget`` steps with snapshots every ``cadence``. The
+    continued config is built first, so a bad one fails before any growth."""
+    cont = continued_config(
+        base_exp, base_ckpt.model_config.grown(plan.delta_m, plan.delta_a),
+        derive_seed(base_exp.seed, plan.seed), budget, cadence,
+    )
+    new_params, _, report = grow_model(
         base_ckpt.params, base_ckpt.model_config, plan,
         strict_hierarchy=strict_hierarchy, probe=probe,
-    )
-    cont = continued_config(
-        base_exp, new_config, derive_seed(base_exp.seed, plan.seed), budget, cadence
     )
     return report, train(cont, resume=start_checkpoint(cont, new_params))
 

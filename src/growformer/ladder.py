@@ -66,14 +66,18 @@ def ladder_backward(ws: Triple, cache: tuple, d_out: np.ndarray) -> tuple[np.nda
 
 @dataclass
 class AttentionCache:
+    """What attention_backward reuses from attention_forward: the three
+    projections' ladder caches and outputs, and ``probs``, the post-softmax
+    attention weights of every head as one (n_heads, n, n) array. The head
+    count is ``probs.shape[0]``."""
+
     q_cache: tuple
     k_cache: tuple
     v_cache: tuple
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    probs: list[np.ndarray]  # per-head post-softmax attention weights
-    n_heads: int
+    probs: np.ndarray
 
 
 def attention_forward(
@@ -83,7 +87,9 @@ def attention_forward(
     projections.
 
     Returns the concatenated head outputs (no output projection here) and
-    the cache for the backward pass.
+    the cache for the backward pass. Each head's products are 2-D
+    ``matmul`` calls; the scaled scores of all heads share one
+    (n_heads, n, n) buffer and one masked softmax.
     """
     x = as_matrix(x, "x")
     d = x.shape[1]
@@ -97,17 +103,15 @@ def attention_forward(
     k, k_cache = ladder_forward(k_ws, x)
     v, v_cache = ladder_forward(v_ws, x)
 
-    mask = causal_mask(n)
+    heads = [slice(h * head_dim, (h + 1) * head_dim) for h in range(n_heads)]
+    scores = np.empty((n_heads, n, n))
+    for h, sl in enumerate(heads):
+        np.multiply(matmul(q[:, sl], k[:, sl].T), scale, out=scores[h])
+    probs = softmax_rows(scores, causal_mask(n))
     out = np.empty_like(q)
-    probs = []
-    for h in range(n_heads):
-        sl = slice(h * head_dim, (h + 1) * head_dim)
-        scores = matmul(q[:, sl], k[:, sl].T) * scale
-        p = softmax_rows(scores, mask)
-        probs.append(p)
-        out[:, sl] = matmul(p, v[:, sl])
-    cache = AttentionCache(q_cache, k_cache, v_cache, q, k, v, probs, n_heads)
-    return out, cache
+    for h, sl in enumerate(heads):
+        out[:, sl] = matmul(probs[h], v[:, sl])
+    return out, AttentionCache(q_cache, k_cache, v_cache, q, k, v, probs)
 
 
 def attention_backward(
@@ -118,23 +122,28 @@ def attention_backward(
     Returns (d_x, q_grads, k_grads, v_grads) where each grad triple
     follows the (w_up, w_mid, w_down) layout of ladder_backward.
     """
-    q, k, v = cache.q, cache.k, cache.v
+    q, k, v, p = cache.q, cache.k, cache.v, cache.probs
     n, d = q.shape
-    head_dim = d // cache.n_heads
+    n_heads = p.shape[0]
+    head_dim = d // n_heads
     scale = 1.0 / np.sqrt(head_dim)
-    dq = np.zeros_like(q)
-    dk = np.zeros_like(k)
-    dv = np.zeros_like(v)
-    for h in range(cache.n_heads):
-        sl = slice(h * head_dim, (h + 1) * head_dim)
-        p = cache.probs[h]
+    heads = [slice(h * head_dim, (h + 1) * head_dim) for h in range(n_heads)]
+    dq = np.empty_like(q)
+    dk = np.empty_like(k)
+    dv = np.empty_like(v)
+    ds = np.empty_like(p)  # d(probs) per head, turned into d(scores) in place below
+    for h, sl in enumerate(heads):
         d_o = d_out[:, sl]
-        dp = matmul(d_o, v[:, sl].T)
-        dv[:, sl] = matmul(p.T, d_o)
-        # softmax backward; masked entries have p == 0 so they stay 0
-        ds = p * (dp - (dp * p).sum(axis=1, keepdims=True))
-        dq[:, sl] = matmul(ds, k[:, sl]) * scale
-        dk[:, sl] = matmul(ds.T, q[:, sl]) * scale
+        ds[h] = matmul(d_o, v[:, sl].T)
+        dv[:, sl] = matmul(p[h].T, d_o)
+    # softmax backward, ds = p * (dp - sum(dp * p)); masked entries have
+    # p == 0, so they stay 0
+    t = ds * p
+    ds -= t.sum(axis=-1, keepdims=True)
+    ds *= p
+    for h, sl in enumerate(heads):
+        np.multiply(matmul(ds[h], k[:, sl]), scale, out=dq[:, sl])
+        np.multiply(matmul(ds[h].T, q[:, sl]), scale, out=dk[:, sl])
     dx_q, q_grads = ladder_backward(q_ws, cache.q_cache, dq)
     dx_k, k_grads = ladder_backward(k_ws, cache.k_cache, dk)
     dx_v, v_grads = ladder_backward(v_ws, cache.v_cache, dv)

@@ -1,7 +1,8 @@
 """Dense 2-D float64 linear algebra and activation kernels.
 
-Everything operates on plain numpy arrays of shape (rows, cols) and is a
-pure function of its inputs: the same call is bit-identical across runs.
+Everything operates on plain numpy arrays of shape (rows, cols), or for
+``softmax_rows`` also on a stack of them, and is a pure function of its
+inputs: the same call is bit-identical across runs.
 
 Matrix products have two modes. The default hands off to BLAS, which is
 fast and reproducible per shape but may round the *same* mathematical
@@ -25,6 +26,7 @@ against that numpy loop.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable
@@ -116,32 +118,46 @@ def gelu_derivative(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax with max-subtraction.
+    """Softmax along the last axis, with max-subtraction, of a 2-D array
+    or of a (..., rows, cols) stack of them.
 
-    ``mask`` is an optional boolean array of the same shape; False entries
-    are excluded and come out exactly 0. A row with nothing allowed is an
-    error rather than a NaN.
+    ``mask`` is an optional boolean (rows, cols) array, shared by every
+    matrix of a stack; False entries are excluded and come out exactly 0,
+    whatever ``x`` holds there (an inf or a NaN included). A row with
+    nothing allowed is an error rather than a NaN. ``x`` is not written:
+    the result is one new array, and the max-subtraction, ``exp`` and
+    division run in place on it. Each matrix of a stack comes out
+    bit-equal to the softmax of that matrix on its own.
     """
-    x = as_matrix(x, "x")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2:
+        raise ValidationError(f"x must be 2-D or a stack of 2-D arrays, got ndim={x.ndim}")
     if mask is None:
-        shifted = x - x.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != x.shape:
-        raise ValidationError(f"mask shape {mask.shape} != x shape {x.shape}")
-    if not mask.any(axis=1).all():
-        bad = int(np.flatnonzero(~mask.any(axis=1))[0])
-        raise ValidationError(f"softmax row {bad} is fully masked")
-    neg = np.where(mask, x, -np.inf)
-    shifted = neg - neg.max(axis=1, keepdims=True)
-    e = np.where(mask, np.exp(shifted), 0.0)
-    return e / e.sum(axis=1, keepdims=True)
+        out = x - x.max(axis=-1, keepdims=True)
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != x.shape[-2:]:
+            raise ValidationError(f"mask shape {mask.shape} != x shape {x.shape[-2:]}")
+        if not mask.any(axis=1).all():
+            bad = int(np.flatnonzero(~mask.any(axis=1))[0])
+            raise ValidationError(f"softmax row {bad} is fully masked")
+        # exp(-inf) is exactly 0, so the excluded entries need no second pass
+        out = np.where(mask, x, -np.inf)
+        out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
+@functools.lru_cache(maxsize=16)
 def causal_mask(n: int) -> np.ndarray:
-    """Lower-triangular boolean mask: position i may attend to j <= i."""
-    return np.tril(np.ones((n, n), dtype=bool))
+    """Lower-triangular boolean mask: position i may attend to j <= i.
+
+    Cached per ``n`` and shared by every caller, so the array is
+    read-only."""
+    mask = np.tril(np.ones((n, n), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 def eig_sym3(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -251,7 +251,10 @@ def model_loss_and_grads(config: ModelConfig, params: dict, token_ids):
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss {loss}")
 
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    # every gradient but the two embeddings' is assigned whole below
+    grads = dict.fromkeys(params)
+    grads["tok_emb"] = np.zeros_like(params["tok_emb"])  # rows accumulate by np.add.at
+    grads["pos_emb"] = np.zeros_like(params["pos_emb"])  # rows past n stay 0
     d_logits = np.zeros_like(logits)
     d_logits[:-1] = probs
     d_logits[np.arange(len(targets)), targets] -= 1.0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from growformer import cli, growth
+from growformer.experiment import emit_reports, run_growth_experiment
 from growformer.checkpoint import load_checkpoint, save_checkpoint
 from growformer.model import ModelConfig
 from growformer.training import (
@@ -316,6 +317,39 @@ def test_periodicity_exits_0(tmp_path, capsys):
     assert out["harmonic"]["degenerate"] is False
     assert abs(out["harmonic"]["freq"] - 1 / 1.28) < 0.05  # one cycle per 4 rows of 320 tokens
     assert out["fisher_g"]["fourier_term_count"] == 5
+
+
+@pytest.fixture(scope="module")
+def two_plan_reports(base_run, tmp_path_factory):
+    """metrics.csv of a two-plan growth experiment, and of its first plan
+    emitted alone."""
+    plans = [growth.GrowthPlan(2, 2, "guarded-zero", seed=3),
+             growth.GrowthPlan(2, 2, "noise:0.1", seed=3)]
+    series = run_growth_experiment(base_run, plans, budget=8, cadence=2)
+    both, first = tmp_path_factory.mktemp("both"), tmp_path_factory.mktemp("first")
+    emit_reports(series, both)
+    label = sorted(series)[0]
+    emit_reports({label: series[label]}, first)
+    return both / "metrics.csv", first / "metrics.csv", sorted(series)
+
+
+def test_periodicity_selects_one_path_of_a_multi_plan_file(two_plan_reports, capsys):
+    both, first, labels = two_plan_reports
+    assert cli.main(["periodicity", "--metrics", str(first)]) == 0
+    alone = capsys.readouterr().out
+    assert cli.main(["periodicity", "--metrics", str(both), "--path", labels[0]]) == 0
+    assert capsys.readouterr().out == alone
+
+
+@pytest.mark.parametrize("extra", [[], ["--path", "no-such-plan"]], ids=["no-path", "unknown"])
+def test_periodicity_without_a_known_path_of_a_multi_plan_file_exits_1(
+    extra, two_plan_reports, capsys
+):
+    both, _, labels = two_plan_reports
+    assert cli.main(["periodicity", "--metrics", str(both), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(label in err for label in labels)
 
 
 def test_ablate_exits_0(base_path, capsys):

@@ -89,9 +89,14 @@ class TestRunGrowthExperiment:
         assert "got 2" in s.fits["pca"]["reason"]
         assert s.trajectory == []
 
-    def test_continuing_onto_the_heldout_stream_rejected(self):
+    def test_continuing_onto_the_heldout_stream_rejected(self, monkeypatch):
         # continued training moves two streams on, and 7917 + 2 is held out
         base = pretrained_base(steps=2, stream=7917)
+
+        def grow_model(*args, **kwargs):
+            pytest.fail("grew the model before refusing its continued config")
+
+        monkeypatch.setattr(experiment, "grow_model", grow_model)
         with pytest.raises(ValidationError, match="held-out stream"):
             run_growth_experiment(
                 base, [GrowthPlan(2, 2, "guarded-zero", seed=5)], budget=2, cadence=2

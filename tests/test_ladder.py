@@ -1,5 +1,9 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growformer.errors import ValidationError
 from growformer.ladder import (
@@ -10,7 +14,14 @@ from growformer.ladder import (
     rank_bottleneck_check,
     validate_hierarchy,
 )
-from growformer.linalg import finite_diff_grad, gelu, softmax_rows
+from growformer.linalg import (
+    causal_mask,
+    exact_arithmetic,
+    finite_diff_grad,
+    gelu,
+    matmul,
+    softmax_rows,
+)
 from growformer.rng import RngState, seeded_gaussian
 
 
@@ -188,6 +199,66 @@ class TestAttention:
         q, k, v = self._three(4, 6, 8, 9)
         with pytest.raises(ValidationError, match="n_heads"):
             attention_forward(q, k, v, np.zeros((2, 4)), n_heads=3)
+
+
+def per_head_attention(q_ws, k_ws, v_ws, x, n_heads, d_out):
+    """Oracle: attention forward and backward one head at a time, each
+    head with its own 2-D masked softmax and softmax backward."""
+    q, q_cache = ladder_forward(q_ws, x)
+    k, k_cache = ladder_forward(k_ws, x)
+    v, v_cache = ladder_forward(v_ws, x)
+    n, d = q.shape
+    head_dim = d // n_heads
+    scale = 1.0 / np.sqrt(head_dim)
+    mask = np.tril(np.ones((n, n), dtype=bool))
+    out, dq, dk, dv = (np.zeros_like(q) for _ in range(4))
+    for h in range(n_heads):
+        sl = slice(h * head_dim, (h + 1) * head_dim)
+        p = softmax_rows(matmul(q[:, sl], k[:, sl].T) * scale, mask)
+        out[:, sl] = matmul(p, v[:, sl])
+        d_o = d_out[:, sl]
+        dp = matmul(d_o, v[:, sl].T)
+        dv[:, sl] = matmul(p.T, d_o)
+        ds = p * (dp - (dp * p).sum(axis=1, keepdims=True))
+        dq[:, sl] = matmul(ds, k[:, sl]) * scale
+        dk[:, sl] = matmul(ds.T, q[:, sl]) * scale
+    dx_q, q_grads = ladder_backward(q_ws, q_cache, dq)
+    dx_k, k_grads = ladder_backward(k_ws, k_cache, dk)
+    dx_v, v_grads = ladder_backward(v_ws, v_cache, dv)
+    return out, (dx_q + dx_k + dx_v, q_grads, k_grads, v_grads)
+
+
+class TestBatchedHeads:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 4]),
+        st.integers(2, 33),
+        st.integers(1, 8),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bit_equal_to_per_head_loop(self, n_heads, n, head_dim, exact, seed):
+        d = n_heads * head_dim
+        rng = RngState(seed)
+        q, k, v = (init_triple(d, d + 2, d + 5, rng) for _ in range(3))
+        gen = np.random.default_rng(seed)
+        x = gen.normal(size=(n, d))
+        d_out = gen.normal(size=(n, d))
+        with exact_arithmetic() if exact else nullcontext():
+            out, cache = attention_forward(q, k, v, x, n_heads)
+            grads = attention_backward(q, k, v, cache, d_out)
+            want_out, want_grads = per_head_attention(q, k, v, x, n_heads, d_out)
+        assert out.tobytes() == want_out.tobytes()
+        assert grads[0].tobytes() == want_grads[0].tobytes()
+        for got, want in zip(grads[1:], want_grads[1:], strict=True):
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_cache_holds_one_probability_stack(self):
+        q, k, v = (init_triple(8, 10, 12, RngState(4)) for _ in range(3))
+        _, cache = attention_forward(q, k, v, np.random.default_rng(4).normal(size=(5, 8)), 4)
+        assert cache.probs.shape == (4, 5, 5)
+        assert not cache.probs[:, ~causal_mask(5)].any()
+        assert np.abs(cache.probs.sum(axis=-1) - 1.0).max() < 1e-14
 
 
 def planted_rank_matrix(rng, rows, cols, rank):

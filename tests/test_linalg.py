@@ -302,6 +302,57 @@ class TestSoftmaxRows:
             softmax_rows(np.zeros((2, 2)), mask)
 
 
+def two_pass_masked_softmax(x, mask):
+    """Oracle: the masked 2-D softmax as two out-of-place ``np.where``
+    passes, excluded entries set to 0 after the exp."""
+    neg = np.where(mask, x, -np.inf)
+    e = np.where(mask, np.exp(neg - neg.max(axis=1, keepdims=True)), 0.0)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+class TestSoftmaxStack:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=2),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.sampled_from([np.inf, np.nan, 0.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stack_is_bit_equal_to_each_matrix(self, lead, rows, cols, poison, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((rows, cols)) < 0.6
+        mask[np.arange(rows), rng.integers(0, cols, rows)] = True  # no empty row
+        x = rng.normal(size=(*lead, rows, cols)) * 20
+        x[..., ~mask] = poison  # must not leak into the allowed entries
+        before = x.copy()
+        stack = softmax_rows(x, mask)
+        assert np.array_equal(x, before, equal_nan=True)
+        assert stack.shape == x.shape
+        for idx in np.ndindex(*lead):
+            alone = softmax_rows(x[idx], mask)
+            assert stack[idx].tobytes() == alone.tobytes()
+            assert alone.tobytes() == two_pass_masked_softmax(x[idx], mask).tobytes()
+            assert np.isfinite(alone).all() and not alone[~mask].any()
+        y = rng.normal(size=x.shape) * 20
+        unmasked = softmax_rows(y)
+        for idx in np.ndindex(*lead):
+            assert unmasked[idx].tobytes() == softmax_rows(y[idx]).tobytes()
+
+    def test_mask_must_match_each_matrix(self):
+        with pytest.raises(ValidationError, match="mask shape"):
+            softmax_rows(np.zeros((2, 3, 3)), np.ones((2, 3, 3), dtype=bool))
+        with pytest.raises(ValidationError, match="ndim=1"):
+            softmax_rows(np.zeros(3))
+
+    def test_causal_mask_is_shared_and_read_only(self):
+        mask = causal_mask(5)
+        assert causal_mask(5) is mask
+        assert np.array_equal(mask, np.tril(np.ones((5, 5), dtype=bool)))
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 1] = True
+
+
 def jacobi_eig_sym(c, sweeps=30):
     """Oracle: cyclic Jacobi rotations for a symmetric 3x3 matrix."""
     a = c.copy()
