@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from growformer import cli, growth
-from growformer.experiment import emit_reports, run_growth_experiment
 from growformer.checkpoint import load_checkpoint, save_checkpoint
+from growformer.experiment import emit_reports, run_growth_experiment
 from growformer.model import ModelConfig
 from growformer.training import (
     CorpusConfig,
