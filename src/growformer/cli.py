@@ -8,12 +8,12 @@ wrong type, a NaN or infinite optimizer value, a beta outside [0, 1), a
 negative schedule or rewarm step count, a corpus stream that is negative
 or is the held-out stream (for ``ablate``, also the continued stream two
 past the base's), a growth trigger outside the schedule, a metrics
-series with a non-finite value, a ``periodicity`` metrics file that
-holds several growth paths and no ``--path``, or none under the label
-given, a bad checkpoint such as one truncated, one with a negative
-counter or a matrix listed twice, or one whose matrices are missing,
-extra or misshapen for its model config, a ``grow``, ``verify`` or
-``analyze`` base checkpoint that carries no experiment config to draw
+series with a non-finite value, a ``fit-scaling`` or ``periodicity``
+metrics file that holds several growth paths and no ``--path``, or none
+under the label given, a bad checkpoint such as one truncated, one with
+a negative counter or a matrix listed twice, or one whose matrices are
+missing, extra or misshapen for its model config, a ``grow``, ``verify``
+or ``analyze`` base checkpoint that carries no experiment config to draw
 held-out probes from, a missing path or a directory), reported as one
 ``error:`` line without a traceback; 2 numeric failure, such as a
 zero-policy ``grow`` whose probe deviation is not exactly 0.0.
@@ -132,50 +132,40 @@ def _cmd_analyze(args) -> int:
 
 
 def _read_metrics_csv(
-    path: str, names: tuple[str, ...], one_path: bool = False, label: str | None = None
+    path: str, names: tuple[str, ...], label: str | None = None
 ) -> dict[str, list[float]]:
-    """The named columns of a metrics CSV, parsed as floats; with
-    ``one_path``, of the rows of growth path ``label`` alone (see
-    ``_path_rows``)."""
+    """The named columns of a metrics CSV, parsed as floats, over the rows
+    whose ``path`` cell is ``label``. ``label`` may be None when the file
+    holds one growth path or has no ``path`` column (an ``analyze``
+    alignment.csv); a file that holds several must be told which it means."""
     rows = [line.split(",") for line in _read_text(path).strip().splitlines()]
     header, rows = (rows[0], rows[1:]) if rows else ([], [])
     for name in names:
         if name not in header:
             raise ValidationError(f"{path}: no {name!r} column in header {header}")
-    if one_path:
-        rows = _path_rows(path, header, rows, label)
+    col = header.index("path") if "path" in header else None
+    if col is None and label is not None:
+        raise ValidationError(f"{path}: no 'path' column to select {label!r} from")
+    by_label: dict[str | None, list[list[float]]] = {}
     try:
-        return {name: [float(row[header.index(name)]) for row in rows] for name in names}
+        for row in rows:
+            cells = [float(row[header.index(name)]) for name in names]
+            by_label.setdefault(None if col is None else row[col], []).append(cells)
     except (IndexError, ValueError) as exc:  # a short row, or a cell that is not a number
         raise ValidationError(f"{path}: malformed metrics row: {exc}") from exc
-
-
-def _path_rows(path: str, header: list[str], rows: list[list[str]], label: str | None):
-    """The rows whose ``path`` cell is ``label``. ``label`` may be None
-    when the file holds one path or has no ``path`` column (an ``analyze``
-    alignment.csv); any other file must name the path it means."""
-    if "path" not in header:
-        if label is None:
-            return rows
-        raise ValidationError(f"{path}: no 'path' column to select {label!r} from")
-    col = header.index("path")
-    by_label: dict[str, list[list[str]]] = {}
-    for row in rows:
-        by_label.setdefault("".join(row[col : col + 1]), []).append(row)
-    labels = ", ".join(by_label)
-    if label is None:
-        if len(by_label) > 1:
-            raise ValidationError(
-                f"{path}: holds {len(by_label)} paths ({labels}); choose one with --path"
-            )
-        return rows
-    if label not in by_label:
+    labels = ", ".join(map(str, by_label))
+    if label is None and len(by_label) > 1:
+        raise ValidationError(
+            f"{path}: holds {len(by_label)} paths ({labels}); choose one with --path"
+        )
+    if label is not None and label not in by_label:
         raise ValidationError(f"{path}: no path {label!r}; it holds {labels}")
-    return by_label[label]
+    chosen = next(iter(by_label.values()), []) if label is None else by_label[label]
+    return {name: [cells[i] for cells in chosen] for i, name in enumerate(names)}
 
 
 def _cmd_fit_scaling(args) -> int:
-    cols = _read_metrics_csv(args.metrics, ("r", "ppl"))
+    cols = _read_metrics_csv(args.metrics, ("r", "ppl"), label=args.path)
     pairs = list(zip(cols["r"], cols["ppl"]))
     fit = scaling_law_fit(pairs)
     print(json.dumps(fit.to_dict(), sort_keys=True, indent=2))
@@ -183,7 +173,7 @@ def _cmd_fit_scaling(args) -> int:
 
 
 def _cmd_periodicity(args) -> int:
-    cols = _read_metrics_csv(args.metrics, ("tokens", "r"), one_path=True, label=args.path)
+    cols = _read_metrics_csv(args.metrics, ("tokens", "r"), label=args.path)
     tokens = [t / 1000.0 for t in cols["tokens"]]
     r = cols["r"]
     out = {
@@ -247,6 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-scaling", help="fit ln(ppl) ~ |ln(r)| from a metrics CSV")
     p.add_argument("--metrics", required=True)
+    p.add_argument("--path", default=None,
+                   help="growth path label; required when the file holds more than one")
     p.set_defaults(fn=_cmd_fit_scaling)
 
     p = sub.add_parser("periodicity", help="harmonic + spectral tests on the r series")

@@ -84,10 +84,11 @@ def _grow_and_continue(
         base_exp, base_ckpt.model_config.grown(plan.delta_m, plan.delta_a),
         derive_seed(base_exp.seed, plan.seed), budget, cadence,
     )
-    new_params, _, report = grow_model(
+    new_params, new_config, report = grow_model(
         base_ckpt.params, base_ckpt.model_config, plan,
         strict_hierarchy=strict_hierarchy, probe=probe,
     )
+    assert new_config == cont.model, (new_config, cont.model)
     return report, train(cont, resume=start_checkpoint(cont, new_params))
 
 

@@ -4,7 +4,6 @@ checkpoint snapshots at a fixed cadence, optional in-run growth.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -195,22 +194,14 @@ class TrainResult:
         return self.checkpoints[-1]
 
 
-@functools.lru_cache(maxsize=8)
-def _token_stream(generator: str, seed: int, length: int, stream: int) -> np.ndarray:
-    """Read-only ``gen_corpus`` output. Memoised, because a run's stream is
-    asked for again by every ``train`` call on it (each plan of a growth
-    experiment continues on the same one) and costs ~0.1 s at 100k tokens."""
-    tokens = gen_corpus(generator, seed, length, stream=stream)
-    tokens.flags.writeable = False
-    return tokens
-
-
 def heldout_sequences(config: ExperimentConfig, count: int = 8) -> list[np.ndarray]:
-    """Read-only evaluation windows from a sample stream disjoint from
-    training."""
+    """Evaluation windows from a sample stream disjoint from training."""
     ctx = config.model.context_len
-    stream = _token_stream(
-        config.corpus.generator, config.corpus.seed, count * ctx, _HELDOUT_STREAM
+    stream = gen_corpus(
+        config.corpus.generator,
+        config.corpus.seed,
+        count * ctx,
+        stream=_HELDOUT_STREAM,
     )
     return [stream[i * ctx : (i + 1) * ctx] for i in range(count)]
 
@@ -307,8 +298,9 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
     continues to the same endpoint and reproduces the remaining snapshots
     byte-for-byte.
     """
-    stream = _token_stream(
-        config.corpus.generator, config.corpus.seed, config.corpus.length, config.corpus.stream
+    stream = gen_corpus(
+        config.corpus.generator, config.corpus.seed, config.corpus.length,
+        stream=config.corpus.stream,
     )
     heldout = heldout_sequences(config)
     ctx = config.model.context_len

@@ -333,23 +333,44 @@ def two_plan_reports(base_run, tmp_path_factory):
     return both / "metrics.csv", first / "metrics.csv", sorted(series)
 
 
-def test_periodicity_selects_one_path_of_a_multi_plan_file(two_plan_reports, capsys):
+@pytest.mark.parametrize("command", ["fit-scaling", "periodicity"])
+def test_one_path_of_a_multi_plan_file_reads_as_that_path_alone(
+    command, two_plan_reports, capsys
+):
     both, first, labels = two_plan_reports
-    assert cli.main(["periodicity", "--metrics", str(first)]) == 0
+    assert cli.main([command, "--metrics", str(first)]) == 0
     alone = capsys.readouterr().out
-    assert cli.main(["periodicity", "--metrics", str(both), "--path", labels[0]]) == 0
+    assert cli.main([command, "--metrics", str(both), "--path", labels[0]]) == 0
     assert capsys.readouterr().out == alone
 
 
+@pytest.mark.parametrize("command", ["fit-scaling", "periodicity"])
 @pytest.mark.parametrize("extra", [[], ["--path", "no-such-plan"]], ids=["no-path", "unknown"])
-def test_periodicity_without_a_known_path_of_a_multi_plan_file_exits_1(
-    extra, two_plan_reports, capsys
+def test_multi_plan_file_without_a_known_path_exits_1(
+    command, extra, two_plan_reports, capsys
 ):
     both, _, labels = two_plan_reports
-    assert cli.main(["periodicity", "--metrics", str(both), *extra]) == 1
+    assert cli.main([command, "--metrics", str(both), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(label in err for label in labels)
+
+
+def test_path_label_on_a_file_without_a_path_column_exits_1(tmp_path, capsys):
+    path = tmp_path / "alignment.csv"
+    path.write_text("tokens,r\n0,0.5\n320,0.6\n", encoding="utf-8")
+    assert cli.main(["periodicity", "--metrics", str(path), "--path", "x"]) == 1
+    assert "no 'path' column" in capsys.readouterr().err
+
+
+def test_short_row_of_a_multi_plan_file_exits_1(two_plan_reports, tmp_path, capsys):
+    both, _, labels = two_plan_reports
+    short = tmp_path / "metrics.csv"
+    lines = both.read_text(encoding="utf-8").splitlines()
+    label_only = lines[1].split(",")[lines[0].split(",").index("path")]
+    short.write_text("\n".join([lines[0], label_only, *lines[2:]]) + "\n", encoding="utf-8")
+    assert cli.main(["periodicity", "--metrics", str(short), "--path", labels[0]]) == 1
+    assert "malformed metrics row" in capsys.readouterr().err
 
 
 def test_ablate_exits_0(base_path, capsys):

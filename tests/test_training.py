@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growformer import training
 from growformer.checkpoint import load_checkpoint, save_checkpoint
-from growformer.corpus import gen_corpus
 from growformer.errors import ValidationError
 from growformer.growth import GrowthPlan
 from growformer.model import ModelConfig, init_params
@@ -302,25 +300,3 @@ def test_heldout_disjoint_from_training_stream():
     assert all(len(h) == 32 for h in held)
     held2 = heldout_sequences(cfg, count=4)
     assert all(np.array_equal(a, b) for a, b in zip(held, held2))
-
-
-def test_training_stream_is_generated_once_and_read_only(monkeypatch):
-    training._token_stream.cache_clear()
-    made = []
-
-    def counting_gen_corpus(*args, **kwargs):
-        made.append(args)
-        return gen_corpus(*args, **kwargs)
-
-    monkeypatch.setattr(training, "gen_corpus", counting_gen_corpus)
-    cfg = make_config(steps=2, snapshot_every=2)
-    first, second = train(cfg), train(cfg)
-    assert len(made) == 2  # the training stream and the held-out stream, once each
-    assert same_bits(first.final.params, second.final.params)
-    c = cfg.corpus
-    stream = training._token_stream(c.generator, c.seed, c.length, c.stream)
-    assert np.array_equal(stream, gen_corpus(c.generator, c.seed, c.length, stream=c.stream))
-    with pytest.raises(ValueError, match="read-only"):
-        stream[0] = 0
-    with pytest.raises(ValueError, match="read-only"):
-        heldout_sequences(cfg)[0][0] = 0
