@@ -5,7 +5,7 @@ length, the JSON blob (model config, RNG state, counters, optional
 experiment config; sorted keys), u32 matrix count, then per matrix:
 u32 name length, name bytes, u32 rows, u32 cols, 2-byte dtype tag,
 raw row-major payload. Matrices are written in sorted name order, so
-save -> load -> save is byte-identical.
+save -> load -> save is byte-identical, and load in ``param_shapes`` order.
 
 Every matrix is written as ``f8``, so a reloaded checkpoint resumes
 bit-exactly. The loader also reads the ``f4`` tag, and ignores the
@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError, check_int
-from .model import ModelConfig, check_params
+from .model import ModelConfig, check_params, param_shapes
 from .rng import RngState
 
 MAGIC = b"NXF1"
@@ -45,7 +45,7 @@ class Checkpoint:
     params: dict[str, np.ndarray]
     adam_m: dict[str, np.ndarray]
     adam_v: dict[str, np.ndarray]
-    rng: RngState = field(default_factory=lambda: RngState(0))
+    rng: RngState
     step: int = 0
     tokens: int = 0
     experiment: dict | None = None
@@ -114,10 +114,7 @@ def load_checkpoint(path) -> Checkpoint:
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: bad JSON header: {exc}") from exc
     (count,) = struct.unpack("<I", take(4, "matrix count"))
-    params: dict[str, np.ndarray] = {}
-    adam_m: dict[str, np.ndarray] = {}
-    adam_v: dict[str, np.ndarray] = {}
-    groups = {"p/": params, "m/": adam_m, "v/": adam_v}
+    groups: dict[str, dict[str, np.ndarray]] = {"p/": {}, "m/": {}, "v/": {}}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "matrix name length"))
         try:
@@ -138,8 +135,10 @@ def load_checkpoint(path) -> Checkpoint:
         groups[prefix][base] = mat.astype(np.float64)
     if off != len(data):
         raise ValidationError(f"{path}: {len(data) - off} trailing bytes after the last matrix")
-    for label, group in (("params", params), ("adam_m", adam_m), ("adam_v", adam_v)):
+    for label, group in zip(("params", "adam_m", "adam_v"), groups.values()):
         check_params(model_config, group, f"{path}: {label}")
+    order = param_shapes(model_config)
+    params, adam_m, adam_v = ({name: group[name] for name in order} for group in groups.values())
     return Checkpoint(
         model_config=model_config,
         params=params,

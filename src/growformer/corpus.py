@@ -20,7 +20,7 @@ from bisect import bisect_right
 import numpy as np
 
 from .errors import ValidationError
-from .rng import RngState, derive_seed, seeded_ints, seeded_uniform
+from .rng import RngState, StreamTag, derive_seed, seeded_ints, seeded_uniform
 
 VOCAB = 64
 PATTERN_PERIOD = 16
@@ -30,7 +30,7 @@ GENERATORS = ("repeat-pattern", "markov-k2", "mixed")
 
 
 def _pattern(seed: int) -> np.ndarray:
-    rng = RngState(derive_seed(seed, 0x7A77))
+    rng = RngState(derive_seed(seed, StreamTag.PATTERN))
     return seeded_ints(rng, PATTERN_PERIOD, VOCAB)
 
 
@@ -57,7 +57,7 @@ def markov_table(seed: int) -> np.ndarray:
     kernel, so a model can first learn the dominant bigram structure and
     then needs genuine pair context (more capacity) to go further.
     """
-    rng = RngState(derive_seed(seed, 0x3A3B))
+    rng = RngState(derive_seed(seed, StreamTag.MARKOV_TABLE))
     k1 = _sparse_kernel(rng)  # next | prev1
     k2 = _sparse_kernel(rng)  # next | prev2
     table = 0.7 * k1[None, :, :] + 0.3 * k2[:, None, :]
@@ -84,7 +84,7 @@ def _markov_stream(seed: int, length: int, stream: int) -> np.ndarray:
     table = markov_table(seed).reshape(VOCAB * VOCAB, VOCAB)
     cum = np.cumsum(table, axis=1)
     cum[:, -1] = 1.0
-    rng = RngState(derive_seed(seed, 0x3A3C + stream))
+    rng = RngState(derive_seed(seed, StreamTag.MARKOV + stream))
     out = np.empty(length, dtype=np.int64)
     start = seeded_ints(rng, 2, VOCAB)
     out[0] = start[0]
@@ -105,7 +105,7 @@ _PHRASE_LEN = 64
 
 def phrase_bank(seed: int) -> np.ndarray:
     """The fixed bank of 64-token phrases behind the mixed generator."""
-    rng = RngState(derive_seed(seed, 0x9B1A))
+    rng = RngState(derive_seed(seed, StreamTag.PHRASE_BANK))
     return seeded_ints(rng, _PHRASE_BANK * _PHRASE_LEN, VOCAB).reshape(_PHRASE_BANK, _PHRASE_LEN)
 
 
@@ -113,7 +113,8 @@ def _mixed_stream(seed: int, length: int, stream: int) -> np.ndarray:
     bank = phrase_bank(seed)
     n_blocks = length // _PHRASE_LEN + 2
     mar = _markov_stream(seed, length, stream)
-    picks = seeded_ints(RngState(derive_seed(seed, 0x9B1B + stream)), n_blocks, _PHRASE_BANK)
+    picks_rng = RngState(derive_seed(seed, StreamTag.PHRASE_PICKS + stream))
+    picks = seeded_ints(picks_rng, n_blocks, _PHRASE_BANK)
     out = np.empty(length, dtype=np.int64)
     for b in range(n_blocks):
         start = b * _PHRASE_LEN

@@ -23,15 +23,15 @@ class NumericError(RuntimeError):
 
 def check_keys(block: str, d, fields: Sequence[Field], required: tuple[str, ...] = ()) -> dict:
     """The key rule of every config block: a copy of ``d`` without the
-    legacy keys, whose keys are the names of ``fields`` plus ``required``.
-    An unknown key is a ValidationError naming it, and so is a missing
-    one whose field has no default or that ``required`` names."""
+    legacy keys, whose keys are the names of ``fields``. An unknown key is
+    a ValidationError naming it, and so is a missing one whose field has
+    no default or that ``required`` names."""
     if not isinstance(d, dict):
         raise ValidationError(f"{block} config must be an object, got {type(d).__name__}")
     d = {k: v for k, v in d.items() if k not in _LEGACY_KEYS}
     names = [f.name for f in fields]
     needed = [f.name for f in fields if f.default is MISSING and f.default_factory is MISSING]
-    problems = [f"unknown key {k!r}" for k in d if k not in names and k not in required]
+    problems = [f"unknown key {k!r}" for k in d if k not in names]
     problems += [f"missing required key {k!r}" for k in needed + list(required) if k not in d]
     if problems:
         raise ValidationError(f"{block} config: " + ", ".join(problems))

@@ -28,7 +28,7 @@ from .checkpoint import Checkpoint
 from .errors import ValidationError
 from .growth import GrowthPlan, GrowthReport, grow_model
 from .model import ModelConfig
-from .rng import derive_seed
+from .rng import CONTINUED_OFFSET, derive_seed
 from .seriesstats import fisher_g_test, harmonic_fit, scaling_law_fit
 from .trajectory import TrajectoryPoint, pca_fit, trajectory_series
 from .training import (
@@ -39,8 +39,6 @@ from .training import (
     start_checkpoint,
     train,
 )
-
-_CONTINUED_STREAM = 2  # continued training draws an unseen sample stream
 
 
 @dataclass
@@ -65,11 +63,10 @@ def continued_config(
 ) -> ExperimentConfig:
     """Continued-training configuration of the grown ``model`` under run
     ``seed``, on a disjoint sample stream of the same language."""
-    corpus = replace(base_config.corpus, stream=base_config.corpus.stream + _CONTINUED_STREAM)
+    corpus = replace(base_config.corpus, stream=base_config.corpus.stream + CONTINUED_OFFSET)
     schedule = replace(base_config.schedule, steps=budget, snapshot_every=cadence)
     return replace(
-        base_config, model=model, seed=seed, corpus=corpus, schedule=schedule,
-        growth=None, growth_trigger=None,
+        base_config, model=model, seed=seed, corpus=corpus, schedule=schedule, growth=None
     )
 
 

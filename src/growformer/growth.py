@@ -37,7 +37,7 @@ from .ladder import validate_hierarchy
 from .linalg import exact_arithmetic
 from .model import PROJ_NAMES, ModelConfig, model_forward, model_loss_and_grads
 from .model import param_shapes, projection_keys
-from .rng import RngState, derive_seed, seeded_gaussian
+from .rng import RngState, StreamTag, derive_seed, seeded_gaussian
 
 # the minimal cut that guarded-zero keeps zero (see the module docstring)
 GUARDED_BLOCKS = frozenset({"mid_bottom", "down_new"})
@@ -152,7 +152,7 @@ def grow_model(
     )
     new_params = embed(params, new_config)
     # fill: draw every block the policy makes random, in new_block_slices order
-    rng = RngState(derive_seed(plan.seed, 0x6702))
+    rng = RngState(derive_seed(plan.seed, StreamTag.GROWTH_FILL))
     kind = plan.policy_kind
     ref_std = pretrained_projection_std(params, config)
     block_init = {}

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NumericError, ValidationError, check_int, check_keys
 from .ladder import Triple, attention_backward, attention_forward, validate_hierarchy
 from .linalg import gelu, gelu_derivative, matmul
-from .rng import RngState, derive_seed, seeded_gaussian
+from .rng import RngState, StreamTag, derive_seed, seeded_gaussian
 
 _LN_EPS = 1e-5
 
@@ -78,7 +78,8 @@ PROJ_STAGES = ("w_up", "w_mid", "w_down")
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
-    """(rows, cols) of every parameter, in the order ``init_params`` draws them."""
+    """(rows, cols) of every parameter, in the order ``init_params`` draws
+    them: the order of every parameter and moment dict built or loaded."""
     d, m, a, f = config.hidden_size, config.ladder_m, config.ladder_a, config.ffn_size
     shapes = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.context_len, d)}
     for i in range(config.n_layers):
@@ -124,7 +125,7 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     half-scale head keeps the initial loss near ln(vocab)), every other
     matrix std 1/sqrt(fan_in)."""
     validate_hierarchy(config.hidden_size, config.ladder_m, config.ladder_a, strict=True)
-    rng = RngState(derive_seed(seed, 1))
+    rng = RngState(derive_seed(seed, StreamTag.INIT_DRAWS))
     params: dict[str, np.ndarray] = {}
     for name, (rows, cols) in param_shapes(config).items():
         if name.endswith(".g"):

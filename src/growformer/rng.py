@@ -5,12 +5,24 @@ that records the position can replay the exact stream on any platform.
 The generator is a splitmix64 finalizer applied to the counter; Gaussians
 use Box-Muller with two counter slots per value. A stream has 2**64
 counter slots; a draw past the last one is refused, not wrapped.
+
+This module is the one home of the stream tags: every constant
+``derive_seed`` tag is a ``StreamTag``, no two equal, beside the held-out
+and continued corpus streams (``experiment`` also passes plan seeds as
+tags). Markov tokens and phrase picks add the corpus stream s
+to their tag, so under one corpus seed markov stream 16443 draws the
+pattern tag, 24798 the phrase-bank tag, and s the phrase picks of
+stream s - 24799. No bound refuses them: the benchmark draws corpus
+stream 8*seed + 2v for ``train`` and 2*seed for ``eval`` and
+``grow_analyze``, and 24798 is the ``train`` stream of seed 3099. A new
+tag derivation would change every corpus byte.
 """
 
 from __future__ import annotations
 
+import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +35,21 @@ _U64_MASK = (1 << 64) - 1
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 ALGORITHM = "splitmix64-boxmuller"
 
+HELDOUT_STREAM = 7919  # corpus sample stream of the held-out windows; no training run draws it
+CONTINUED_OFFSET = 2  # continued training draws the base's corpus stream plus this
+
+
+class StreamTag(enum.IntEnum):
+    INIT_DRAWS = 1  # model.init_params, under the init seed
+    ORDER = 0x0D0E  # training data order, under the run seed
+    INIT = 0x1217  # the init seed, under the run seed
+    MARKOV_TABLE = 0x3A3B  # the markov transition table, under the corpus seed
+    MARKOV = 0x3A3C  # plus the sample stream: markov tokens
+    GROWTH_FILL = 0x6702  # new-block fill, under the growth plan seed
+    PATTERN = 0x7A77  # the repeat generator's pattern
+    PHRASE_BANK = 0x9B1A  # the mixed generator's phrase bank
+    PHRASE_PICKS = 0x9B1B  # plus the sample stream: the mixed generator's phrase picks
+
 
 def _mix64(x: np.ndarray) -> np.ndarray:
     x = (x ^ (x >> np.uint64(30))) * _MIX1
@@ -34,11 +61,10 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 class RngState:
     seed: int
     position: int = 0
-    algorithm: str = field(default=ALGORITHM)
 
     def to_dict(self) -> dict:
         return {
-            "algorithm": self.algorithm,
+            "algorithm": ALGORITHM,
             "seed": int(self.seed),
             "position": int(self.position),
         }

@@ -249,8 +249,9 @@ def scaling_law_fit(pairs) -> ScalingFit:
             continue
         rs.append(abs(math.log(r)))
         ppls.append(math.log(ppl))
-    if len(rs) == 0:
-        raise ValidationError("all pairs excluded (every r was zero)")
+    if not rs:
+        reason = "all pairs excluded (every r was zero)" if excluded else "no (r, ppl) pairs given"
+        raise ValidationError(reason)
     if len(rs) < 2:
         raise ValidationError(f"need at least 2 usable pairs, got {len(rs)}")
     slope, intercept, r2 = ols_linear(rs, ppls)

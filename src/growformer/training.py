@@ -12,13 +12,10 @@ from .checkpoint import Checkpoint
 from .corpus import gen_corpus
 from .errors import NumericError, ValidationError, check_int, check_keys, check_real
 from .growth import GrowthPlan, embed, grow_model
-from .model import ModelConfig, heldout_loss, init_params, model_loss_and_grads, param_shapes
-from .rng import RngState, derive_seed, seeded_ints
+from .model import ModelConfig, heldout_loss, init_params, model_loss_and_grads
+from .rng import HELDOUT_STREAM, RngState, StreamTag, derive_seed, seeded_ints
 
 _ADAM_EPS = 1e-8
-_ORDER_TAG = 0x0D0E
-_INIT_TAG = 0x1217
-_HELDOUT_STREAM = 7919  # held-out windows; no training corpus may draw it
 
 
 @dataclass
@@ -65,9 +62,6 @@ class ScheduleConfig:
         check_int("schedule", "warmup", self.warmup, minimum=0)
         check_int("schedule", "snapshot_every", self.snapshot_every, minimum=1)
 
-    def to_dict(self):
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d):
         return cls(**check_keys("schedule", d, fields(cls)))
@@ -89,15 +83,23 @@ class CorpusConfig:
             check_int("corpus", name, getattr(self, name))
         # a negative stream reuses another generator's random stream
         check_int("corpus", "stream", self.stream, minimum=0)
-        if self.stream == _HELDOUT_STREAM:
+        if self.stream == HELDOUT_STREAM:
             raise ValidationError(f"corpus config: stream {self.stream} is the held-out stream")
-
-    def to_dict(self):
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
         return cls(**check_keys("corpus", d, fields(cls)))
+
+
+@dataclass(frozen=True)
+class GrowthConfig(GrowthPlan):
+    """An in-run growth: the plan, applied before step ``trigger_step``."""
+
+    trigger_step: int = field(kw_only=True)
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_int("growth", "trigger_step", self.trigger_step)
 
 
 @dataclass
@@ -107,20 +109,17 @@ class ExperimentConfig:
     schedule: ScheduleConfig
     corpus: CorpusConfig
     seed: int = 0
-    growth: GrowthPlan | None = None
-    growth_trigger: int | None = None
+    growth: GrowthConfig | None = None
     rewarm_steps: int = 50
 
     def __post_init__(self):
         check_int("experiment", "seed", self.seed)
         check_int("experiment", "rewarm_steps", self.rewarm_steps, minimum=0)
-        if self.growth_trigger is not None:
-            check_int("growth", "trigger_step", self.growth_trigger)
-            if not 0 <= self.growth_trigger < self.schedule.steps:
-                raise ValidationError(
-                    f"growth config: trigger_step must lie in [0, {self.schedule.steps}), "
-                    f"the steps of the schedule, got {self.growth_trigger}"
-                )
+        if self.growth is not None and not 0 <= self.growth.trigger_step < self.schedule.steps:
+            raise ValidationError(
+                f"growth config: trigger_step must lie in [0, {self.schedule.steps}), "
+                f"the steps of the schedule, got {self.growth.trigger_step}"
+            )
         if self.optimizer.lr <= 0:
             raise ValidationError(f"lr must be positive, got {self.optimizer.lr}")
         if self.schedule.steps % self.schedule.snapshot_every != 0:
@@ -130,18 +129,10 @@ class ExperimentConfig:
             )
         if self.corpus.length < self.model.context_len + 1:
             raise ValidationError("corpus shorter than one context window")
-        if (self.growth is None) != (self.growth_trigger is None):
-            raise ValidationError("growth plan and trigger step must be given together")
 
     def to_dict(self) -> dict:
-        """The config as a JSON object: one key per field and block, except
-        that the trigger step is the ``trigger_step`` of the growth block."""
-        d = asdict(self)
-        d["optimizer"] = self.optimizer.to_dict()
-        trigger = d.pop("growth_trigger")
-        if self.growth is not None:
-            d["growth"]["trigger_step"] = trigger
-        return d
+        """The config as a JSON object: one key per field and block."""
+        return {**asdict(self), "optimizer": self.optimizer.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -149,16 +140,12 @@ class ExperimentConfig:
         is held to the key rule of ``errors.check_keys``: a key that is not a
         field of the block's dataclass is a ValidationError naming it, and
         so is a missing key whose field has no default. The optimizer's
-        ``lr`` and the growth block's ``trigger_step`` are required too.
-        Legacy ``dtype``, ``arithmetic`` and ``out_dir`` keys are dropped,
-        and a value of the wrong type is a ValidationError naming its key."""
-        top = [f for f in fields(cls) if f.name != "growth_trigger"]
-        d = check_keys("experiment", d, top)
-        growth = d.pop("growth", None)
-        if growth is not None:
-            growth = check_keys("growth", growth, fields(GrowthPlan), required=("trigger_step",))
-            d["growth_trigger"] = growth.pop("trigger_step")
-            d["growth"] = GrowthPlan(**growth)
+        ``lr`` is required too. Legacy ``dtype``, ``arithmetic`` and
+        ``out_dir`` keys are dropped, and a value of the wrong type is a
+        ValidationError naming its key."""
+        d = check_keys("experiment", d, fields(cls))
+        if d.get("growth") is not None:
+            d["growth"] = GrowthConfig(**check_keys("growth", d["growth"], fields(GrowthConfig)))
         return cls(
             model=ModelConfig.from_dict(d.pop("model")),
             optimizer=OptimizerConfig.from_dict(d.pop("optimizer")),
@@ -201,7 +188,7 @@ def heldout_sequences(config: ExperimentConfig, count: int = 8) -> list[np.ndarr
         config.corpus.generator,
         config.corpus.seed,
         count * ctx,
-        stream=_HELDOUT_STREAM,
+        stream=HELDOUT_STREAM,
     )
     return [stream[i * ctx : (i + 1) * ctx] for i in range(count)]
 
@@ -265,7 +252,7 @@ def _snapshot(config, model_config, params, m, v, order_rng, step, tokens) -> Ch
         params={k: p.copy() for k, p in params.items()},
         adam_m={k: p.copy() for k, p in m.items()},
         adam_v={k: p.copy() for k, p in v.items()},
-        rng=RngState(order_rng.seed, order_rng.position, order_rng.algorithm),
+        rng=RngState(order_rng.seed, order_rng.position),
         step=step,
         tokens=tokens,
         experiment=config.to_dict(),
@@ -281,7 +268,7 @@ def start_checkpoint(config: ExperimentConfig, params: dict) -> Checkpoint:
         params=params,
         adam_m={k: np.zeros_like(p) for k, p in params.items()},
         adam_v={k: np.zeros_like(p) for k, p in params.items()},
-        rng=RngState(derive_seed(config.seed, _ORDER_TAG)),
+        rng=RngState(derive_seed(config.seed, StreamTag.ORDER)),
         step=0,
         tokens=0,
         experiment=config.to_dict(),
@@ -307,20 +294,17 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
 
     if resume is None:
         resume = start_checkpoint(
-            config, init_params(config.model, derive_seed(config.seed, _INIT_TAG))
+            config, init_params(config.model, derive_seed(config.seed, StreamTag.INIT))
         )
     model_config = resume.model_config
-    # ``param_shapes`` order whatever the source (a loaded checkpoint is in
-    # sorted-name order), so every snapshot of a run lists its matrices alike
-    order = param_shapes(model_config)
-    params = {k: resume.params[k].copy() for k in order}
-    m = {k: resume.adam_m[k].copy() for k in order}
-    v = {k: resume.adam_v[k].copy() for k in order}
-    order_rng = RngState(resume.rng.seed, resume.rng.position, resume.rng.algorithm)
+    params = {k: p.copy() for k, p in resume.params.items()}
+    m = {k: p.copy() for k, p in resume.adam_m.items()}
+    v = {k: p.copy() for k, p in resume.adam_v.items()}
+    order_rng = RngState(resume.rng.seed, resume.rng.position)
     step0, tokens = resume.step, resume.tokens
     del resume  # a fresh start checkpoint must not live beside the copies for the whole run
 
-    growth_step = config.growth_trigger
+    growth_step = None if config.growth is None else config.growth.trigger_step
     checkpoints: list[Checkpoint] = []
     log: list[LogRow] = []
     step_losses: list[float] = []

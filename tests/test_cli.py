@@ -8,8 +8,9 @@ import pytest
 
 from growformer import cli, growth
 from growformer.checkpoint import load_checkpoint, save_checkpoint
-from growformer.experiment import emit_reports, run_growth_experiment
+from growformer.experiment import SNAPSHOT_COLUMNS, emit_reports, run_growth_experiment
 from growformer.model import ModelConfig
+from growformer.rng import HELDOUT_STREAM
 from growformer.training import (
     CorpusConfig,
     ExperimentConfig,
@@ -193,7 +194,7 @@ def test_growth_trigger_that_never_fires_exits_1(trigger, tmp_path, capsys):
 
 def test_training_on_the_heldout_stream_exits_1(tmp_path, capsys):
     config = experiment_blob()
-    config["corpus"]["stream"] = 7919
+    config["corpus"]["stream"] = HELDOUT_STREAM
     code, out = train_on(config, tmp_path)
     assert code == 1
     err = capsys.readouterr().err
@@ -209,6 +210,16 @@ def duplicate_first_matrix(data: bytes) -> bytes:
     rows, cols = struct.unpack("<II", data[start + 8 + name_len : start + 16 + name_len])
     entry = data[start + 4 : start + 18 + name_len + 8 * rows * cols]
     return data[:start] + struct.pack("<I", count + 1) + entry + data[start + 4 :]
+
+
+def with_rng_algorithm(data: bytes, algorithm: str) -> bytes:
+    """The checkpoint bytes with ``algorithm`` written into the header's
+    RNG block."""
+    (json_len,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12 : 12 + json_len])
+    header["rng"]["algorithm"] = algorithm
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + json_len :]
 
 
 @pytest.mark.parametrize(
@@ -230,12 +241,14 @@ def test_malformed_checkpoint_header_or_matrix_list_exits_1(
     ck = load_checkpoint(base_path)
     if field in ("step", "tokens"):
         setattr(ck, field, value)
-    elif field != "duplicate":
+    elif field in ("seed", "position"):
         setattr(ck.rng, field, value)
     bad = tmp_path / "bad.nxf"
     save_checkpoint(ck, bad)
     if field == "duplicate":
         bad.write_bytes(duplicate_first_matrix(bad.read_bytes()))
+    elif field == "algorithm":
+        bad.write_bytes(with_rng_algorithm(bad.read_bytes(), value))
     argv = ["train", "--config", write_config(experiment_blob(), tmp_path),
             "--out", str(tmp_path / "run"), "--resume", str(bad)]
     assert cli.main(argv) == 1
@@ -269,6 +282,13 @@ def test_unreadable_config_exits_1(command, kind, tmp_path, capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_fit_scaling_on_a_header_only_metrics_csv_exits_1(tmp_path, capsys):
+    path = tmp_path / "metrics.csv"
+    path.write_text("path," + SNAPSHOT_COLUMNS + "\n", encoding="utf-8")
+    assert cli.main(["fit-scaling", "--metrics", str(path)]) == 1
+    assert capsys.readouterr().err == "error: no (r, ppl) pairs given\n"
 
 
 def test_metrics_csv_without_ppl_column_exits_1(tmp_path, capsys):

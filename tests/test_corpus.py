@@ -17,7 +17,7 @@ from growformer.corpus import (
     unigram_entropy,
 )
 from growformer.errors import ValidationError
-from growformer.rng import RngState, derive_seed, seeded_ints, seeded_uniform
+from growformer.rng import RngState, StreamTag, derive_seed, seeded_ints, seeded_uniform
 
 # sha256 of gen_corpus("mixed", 0, 100_000, stream=2), recorded from the
 # per-token searchsorted sampler
@@ -28,7 +28,7 @@ def searchsorted_markov_stream(seed, length, stream):
     """Reference: the per-token np.searchsorted loop the bisect sampler replaced."""
     table = markov_table(seed).reshape(VOCAB * VOCAB, VOCAB)
     cum = np.cumsum(table, axis=1)
-    rng = RngState(derive_seed(seed, 0x3A3C + stream))
+    rng = RngState(derive_seed(seed, StreamTag.MARKOV + stream))
     out = np.empty(length, dtype=np.int64)
     start = seeded_ints(rng, 2, VOCAB)
     out[0] = start[0]

@@ -18,6 +18,7 @@ from growformer.experiment import (
 from growformer.growth import GrowthPlan
 from growformer.model import ModelConfig, heldout_loss
 from growformer.refdata import AXIS_ABLATION_ROWS
+from growformer.rng import CONTINUED_OFFSET, HELDOUT_STREAM
 from growformer.training import (
     CorpusConfig,
     ExperimentConfig,
@@ -90,8 +91,7 @@ class TestRunGrowthExperiment:
         assert s.trajectory == []
 
     def test_continuing_onto_the_heldout_stream_rejected(self, monkeypatch):
-        # continued training moves two streams on, and 7917 + 2 is held out
-        base = pretrained_base(steps=2, stream=7917)
+        base = pretrained_base(steps=2, stream=HELDOUT_STREAM - CONTINUED_OFFSET)
 
         def grow_model(*args, **kwargs):
             pytest.fail("grew the model before refusing its continued config")
@@ -324,7 +324,7 @@ class TestContinuedConfig:
         grown = MODEL.grown(2, 3)
         cont = continued_config(base, grown, 77, budget=30, cadence=10)
         assert cont.model == grown and cont.seed == 77
-        assert cont.growth is None and cont.growth_trigger is None
+        assert cont.growth is None
         assert cont.corpus.seed == base.corpus.seed
         assert cont.corpus.stream != base.corpus.stream
         assert cont.schedule.steps == 30 and cont.schedule.snapshot_every == 10

@@ -1,7 +1,8 @@
 """Every imported name in the package, its tests and the benchmark
 harness is used, every module-level function, class and assigned name
-of the package is referenced, and every name in ``growformer.__all__``
-resolves and is listed once, in sorted order.
+of the package is referenced, every name in ``growformer.__all__``
+resolves and is listed once, in sorted order, and no ``derive_seed``
+call outside ``rng.py`` spells its stream tag as a number.
 
 Stdlib-``ast`` stand-ins for a linter's unused-import rule (a name bound
 by an import must appear as a name somewhere else in the module, or in
@@ -55,6 +56,52 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES + BENCHMARK, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_int_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(node.value, int)
+
+
+def literal_stream_tags(source: str) -> list[str]:
+    """Lines of ``derive_seed`` calls whose tag is an integer literal or a
+    literal plus or minus an offset, where a ``rng.StreamTag`` belongs."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if getattr(func, "id", getattr(func, "attr", None)) != "derive_seed":
+            continue
+        tags = node.args[1:2] + [k.value for k in node.keywords if k.arg == "tag"]
+        for tag in tags:
+            if _is_int_literal(tag) or (
+                isinstance(tag, ast.BinOp)
+                and isinstance(tag.op, (ast.Add, ast.Sub))
+                and (_is_int_literal(tag.left) or _is_int_literal(tag.right))
+            ):
+                found.append(f"line {node.lineno}")
+    return found
+
+
+def test_detects_a_literal_stream_tag():
+    source = (
+        "derive_seed(seed, 0x6702)\n"
+        "rng.derive_seed(seed, 0x3A3C + stream)\n"
+        "derive_seed(seed, tag=-1)\n"
+        "derive_seed(seed, StreamTag.MARKOV + stream)\n"
+        "derive_seed(seed, plan.seed)\n"
+        "derive_seed(seed, dm * 1000 + da)\n"
+    )
+    assert literal_stream_tags(source) == ["line 1", "line 2", "line 3"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "rng.py"], ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_no_literal_stream_tags(path):
+    assert literal_stream_tags(path.read_text(encoding="utf-8")) == []
 
 
 def loads(source: str) -> set[str]:

@@ -1,20 +1,21 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growformer import cli
 from growformer.checkpoint import load_checkpoint, save_checkpoint
 from growformer.errors import ValidationError
-from growformer.growth import GrowthPlan
 from growformer.model import ModelConfig, init_params
-from growformer.rng import derive_seed
+from growformer.rng import HELDOUT_STREAM, StreamTag, derive_seed
 from growformer.training import (
     _ADAM_EPS,
-    _INIT_TAG,
     CorpusConfig,
     ExperimentConfig,
+    GrowthConfig,
     OptimizerConfig,
     ScheduleConfig,
     _no_decay,
@@ -53,7 +54,7 @@ def make_config(steps=40, snapshot_every=20, generator="markov-k2", seed=1, **kw
 def growth_run():
     return train(make_config(
         steps=40, snapshot_every=20,
-        growth=GrowthPlan(4, 6, "guarded-zero", seed=9), growth_trigger=20,
+        growth=GrowthConfig(4, 6, "guarded-zero", seed=9, trigger_step=20),
     ))
 
 
@@ -116,7 +117,7 @@ class TestConfig:
             make_config(lr=0.0)
 
     def test_roundtrip(self):
-        cfg = make_config(growth=GrowthPlan(2, 2, "guarded-zero", 5), growth_trigger=20)
+        cfg = make_config(growth=GrowthConfig(2, 2, "guarded-zero", 5, trigger_step=20))
         back = ExperimentConfig.from_dict(cfg.to_dict())
         assert back == cfg
 
@@ -144,9 +145,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [("delta_m", "2"), ("seed", 1.5), ("trigger_step", "20")])
     def test_wrong_growth_value_types_rejected(self, key, value):
-        blob = make_config(
-            growth=GrowthPlan(2, 2, "guarded-zero", 5), growth_trigger=20
-        ).to_dict()
+        blob = make_config(growth=GrowthConfig(2, 2, "guarded-zero", 5, trigger_step=20)).to_dict()
         blob["growth"][key] = value
         with pytest.raises(ValidationError, match=f"growth.*{key} must be an integer"):
             ExperimentConfig.from_dict(blob)
@@ -161,14 +160,21 @@ class TestConfig:
         assert checkpoint_experiment(back) == cfg
         assert "out_dir" not in cfg.to_dict()
 
-    def test_growth_needs_trigger(self):
-        with pytest.raises(ValidationError, match="trigger"):
-            make_config(growth=GrowthPlan(2, 2, "strict-zero", 5))
+    def test_growth_needs_trigger(self, tmp_path, capsys):
+        blob = make_config().to_dict()
+        blob["growth"] = {"delta_m": 2, "delta_a": 2, "init_policy": "strict-zero", "seed": 5}
+        message = "growth config: missing required key 'trigger_step'"
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig.from_dict(blob)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(blob), encoding="utf-8")
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "block, key, value, message",
         [
-            ("corpus", "stream", 7919, "held-out stream"),
+            ("corpus", "stream", HELDOUT_STREAM, "held-out stream"),
             ("corpus", "stream", -1, "stream must be an integer >= 0"),
             ("schedule", "steps", -20, "steps must be an integer >= 0"),
             ("schedule", "warmup", -7, "warmup must be an integer >= 0"),
@@ -178,8 +184,8 @@ class TestConfig:
              "negative-rewarm"],
     )
     def test_aliasing_stream_or_negative_count_rejected(self, block, key, value, message):
-        # stream 7919 is the held-out one, and stream -1 reuses the random
-        # stream of markov_table (0x3A3C - 1) or of the phrase bank
+        # stream -1 reuses the random stream of markov_table or of the phrase
+        # bank: MARKOV - 1 is MARKOV_TABLE, and PHRASE_PICKS - 1 is PHRASE_BANK
         blob = make_config().to_dict()
         (blob if block == "experiment" else blob[block])[key] = value
         with pytest.raises(ValidationError, match=f"{block} config: .*{message}"):
@@ -205,7 +211,7 @@ class TestTrain:
 
     def test_fresh_run_is_start_checkpoint_of_initial_params(self):
         cfg = make_config(steps=20, snapshot_every=10)
-        params = init_params(cfg.model, derive_seed(cfg.seed, _INIT_TAG))
+        params = init_params(cfg.model, derive_seed(cfg.seed, StreamTag.INIT))
         direct = train(cfg)
         started = train(cfg, resume=start_checkpoint(cfg, params))
         assert direct.step_losses == started.step_losses
@@ -258,7 +264,7 @@ class TestTrain:
     def test_resume_across_growth_trigger_is_bit_exact(self, policy, tmp_path):
         cfg = make_config(
             steps=40, snapshot_every=10,
-            growth=GrowthPlan(4, 6, policy, seed=9), growth_trigger=20,
+            growth=GrowthConfig(4, 6, policy, seed=9, trigger_step=20),
         )
         full = train(cfg)
         assert [ck.step for ck in full.checkpoints] == [0, 10, 20, 30, 40]
@@ -286,7 +292,7 @@ class TestTrain:
         cfg = make_config(steps=30, snapshot_every=10)
         result = train(cfg)
         first = result.checkpoints[0]
-        assert same_bits(first.params, init_params(cfg.model, derive_seed(cfg.seed, _INIT_TAG)))
+        assert same_bits(first.params, init_params(cfg.model, derive_seed(cfg.seed, StreamTag.INIT)))
         assert all(not a.any() for g in ("adam_m", "adam_v") for a in getattr(first, g).values())
         shorter = train(make_config(steps=10, snapshot_every=10)).final
         for group in CHECKPOINT_GROUPS:
