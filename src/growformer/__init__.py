@@ -28,13 +28,14 @@ from .model import ModelConfig, TOY_CONFIG, init_params, model_forward, model_lo
 from .rng import RngState, seeded_gaussian
 from .seriesstats import fisher_g_test, harmonic_fit, ols_linear, scaling_law_fit
 from .trajectory import PcaModel, pca_fit, pca_project, trajectory_series
-from .training import ExperimentConfig, train
+from .training import ExperimentConfig, GrowthConfig, train
 
 __all__ = [
     "AlignmentSnapshot",
     "Checkpoint",
     "ExperimentConfig",
     "FlopsBreakdown",
+    "GrowthConfig",
     "GrowthPlan",
     "GrowthReport",
     "ModelConfig",

@@ -113,8 +113,7 @@ def _mixed_stream(seed: int, length: int, stream: int) -> np.ndarray:
     bank = phrase_bank(seed)
     n_blocks = length // _PHRASE_LEN + 2
     mar = _markov_stream(seed, length, stream)
-    picks_rng = RngState(derive_seed(seed, StreamTag.PHRASE_PICKS + stream))
-    picks = seeded_ints(picks_rng, n_blocks, _PHRASE_BANK)
+    picks = seeded_ints(RngState(derive_seed(seed, StreamTag.PHRASE_PICKS + stream)), n_blocks, _PHRASE_BANK)
     out = np.empty(length, dtype=np.int64)
     for b in range(n_blocks):
         start = b * _PHRASE_LEN

@@ -6,16 +6,13 @@ The generator is a splitmix64 finalizer applied to the counter; Gaussians
 use Box-Muller with two counter slots per value. A stream has 2**64
 counter slots; a draw past the last one is refused, not wrapped.
 
-This module is the one home of the stream tags: every constant
-``derive_seed`` tag is a ``StreamTag``, no two equal, beside the held-out
-and continued corpus streams (``experiment`` also passes plan seeds as
-tags). Markov tokens and phrase picks add the corpus stream s
-to their tag, so under one corpus seed markov stream 16443 draws the
-pattern tag, 24798 the phrase-bank tag, and s the phrase picks of
-stream s - 24799. No bound refuses them: the benchmark draws corpus
-stream 8*seed + 2v for ``train`` and 2*seed for ``eval`` and
-``grow_analyze``, and 24798 is the ``train`` stream of seed 3099. A new
-tag derivation would change every corpus byte.
+This module is the one home of the stream tags (``StreamTag``). Markov
+tokens and phrase picks add the corpus stream s to their tag, so markov
+stream 16443 draws the pattern tag, 24798 the phrase-bank tag, and s the
+picks of stream s - 24799. No bound refuses them, as the benchmark's
+corpus streams (8*seed + 2v in ``train``, 2*seed elsewhere) would meet
+it: 24798 is the ``train`` stream of seed 3099. A new tag derivation
+would change every corpus byte.
 """
 
 from __future__ import annotations

@@ -115,6 +115,8 @@ class ExperimentConfig:
     def __post_init__(self):
         check_int("experiment", "seed", self.seed)
         check_int("experiment", "rewarm_steps", self.rewarm_steps, minimum=0)
+        if self.growth is not None and not isinstance(self.growth, GrowthConfig):
+            raise ValidationError(f"growth must be a GrowthConfig, not {type(self.growth).__name__}")
         if self.growth is not None and not 0 <= self.growth.trigger_step < self.schedule.steps:
             raise ValidationError(
                 f"growth config: trigger_step must lie in [0, {self.schedule.steps}), "
@@ -238,11 +240,9 @@ def adamw_step(params, grads, m, v, t, lr, betas, weight_decay):
 
 def _lr_at(config: ExperimentConfig, step: int, growth_step: int | None) -> float:
     lr = config.optimizer.lr
-    warm = min(1.0, (step + 1) / max(config.schedule.warmup, 1))
-    factor = warm
+    factor = min(1.0, (step + 1) / max(config.schedule.warmup, 1))
     if growth_step is not None and step >= growth_step and config.rewarm_steps > 0:
-        factor = min(warm, (step - growth_step + 1) / config.rewarm_steps)
-        factor = min(factor, 1.0)
+        factor = min(factor, (step - growth_step + 1) / config.rewarm_steps)
     return lr * factor
 
 

@@ -326,5 +326,5 @@ class TestContinuedConfig:
         assert cont.model == grown and cont.seed == 77
         assert cont.growth is None
         assert cont.corpus.seed == base.corpus.seed
-        assert cont.corpus.stream != base.corpus.stream
+        assert cont.corpus.stream == base.corpus.stream + CONTINUED_OFFSET
         assert cont.schedule.steps == 30 and cont.schedule.snapshot_every == 10

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from growformer import cli
 from growformer.checkpoint import load_checkpoint, save_checkpoint
+from growformer.corpus import gen_corpus
 from growformer.errors import ValidationError
+from growformer.growth import GrowthPlan
 from growformer.model import ModelConfig, init_params
 from growformer.rng import HELDOUT_STREAM, StreamTag, derive_seed
 from growformer.training import (
@@ -171,6 +173,10 @@ class TestConfig:
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
         assert message in capsys.readouterr().err
 
+    def test_plan_without_trigger_rejected(self):
+        with pytest.raises(ValidationError, match="growth must be a GrowthConfig, not GrowthPlan"):
+            make_config(growth=GrowthPlan(2, 2, "strict-zero", seed=5))
+
     @pytest.mark.parametrize(
         "block, key, value, message",
         [
@@ -306,3 +312,9 @@ def test_heldout_disjoint_from_training_stream():
     assert all(len(h) == 32 for h in held)
     held2 = heldout_sequences(cfg, count=4)
     assert all(np.array_equal(a, b) for a, b in zip(held, held2))
+
+
+def test_heldout_windows_draw_the_heldout_stream():
+    cfg = make_config()
+    want = gen_corpus(cfg.corpus.generator, cfg.corpus.seed, 3 * cfg.model.context_len, stream=HELDOUT_STREAM)
+    assert np.array_equal(np.concatenate(heldout_sequences(cfg, count=3)), want)
