@@ -7,8 +7,9 @@ block with a key that is not a field of its dataclass, a value of the
 wrong type, a NaN or infinite optimizer value, a beta outside [0, 1), a
 negative schedule or rewarm step count, a corpus stream that is negative
 or is the held-out stream (for ``ablate``, also the continued stream two
-past the base's), a growth trigger outside the schedule, a metrics
-series with a non-finite value, a ``fit-scaling`` or ``periodicity``
+past the base's), a growth trigger outside the schedule, a growth block
+whose grown widths break d < m < a, a metrics series with a non-finite
+value, a ``fit-scaling`` or ``periodicity``
 metrics file that holds several growth paths and no ``--path``, or none
 under the label given, a bad checkpoint such as one truncated, one with
 a negative counter or a matrix listed twice, or one whose matrices are
@@ -78,7 +79,7 @@ def _cmd_train(args) -> int:
 def _cmd_grow(args) -> int:
     ck = load_checkpoint(args.ckpt)
     plan = GrowthPlan(args.dm, args.da, args.init, seed=args.seed)
-    probe = heldout_sequences(checkpoint_experiment(ck), count=4)
+    probe = heldout_sequences(checkpoint_experiment(ck))
     new_params, new_config, report = grow_model(
         ck.params, ck.model_config, plan, strict_hierarchy=not args.permissive, probe=probe
     )
@@ -100,7 +101,7 @@ def _cmd_grow(args) -> int:
 def _cmd_verify(args) -> int:
     old = load_checkpoint(args.old)
     new = load_checkpoint(args.new)
-    probe = heldout_sequences(checkpoint_experiment(old), count=8)
+    probe = heldout_sequences(checkpoint_experiment(old))
     deviation = verify_function_preservation(
         old.params, old.model_config, new.params, new.model_config, probe
     )

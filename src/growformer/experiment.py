@@ -216,7 +216,7 @@ def ablate_axes(base_ckpt: Checkpoint, budget: int, delta_total: int | None = No
         plan = GrowthPlan(dm, da, "guarded-zero", seed=derive_seed(base_exp.seed, dm * 1000 + da))
         # cadence = budget: only the endpoint matters here
         _, result = _grow_and_continue(
-            base_ckpt, base_exp, plan, budget, budget, heldout[:2], strict_hierarchy=False
+            base_ckpt, base_exp, plan, budget, budget, heldout, strict_hierarchy=False
         )
         new_config = result.final.model_config
         final_loss = result.log[-1].heldout_loss

@@ -87,16 +87,15 @@ def _harmonic_design(t, f, trend):
 def harmonic_fit(
     times,
     values,
-    freq: float | None = None,
     trend: str = "none",
 ) -> HarmonicFit:
     """Fit values ~ a0 + a1*cos(2*pi*f*t + phase) [+ slope*t] by OLS.
 
     The frequency is searched on a 512-point grid over
-    [1/(2*span), 1/(2*min_spacing)] unless ``freq`` pins it; ties in the
-    grid argmax resolve to the lowest frequency. The F statistic treats
-    the frequency as fixed, which is only calibrated when ``freq`` is
-    supplied rather than searched.
+    [1/(2*span), 1/(2*min_spacing)]; ties in the grid argmax resolve to
+    the lowest frequency. The F-test p-value treats the searched
+    frequency as if it were fixed in advance, so it is not calibrated:
+    on 11 points of white noise it falls below 0.05 about half the time.
     """
     t = np.asarray(times, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
@@ -124,12 +123,9 @@ def harmonic_fit(
             f_stat=0.0, p_value=1.0, dof=dof, trend=trend, degenerate=True,
         )
 
-    if freq is not None:
-        grid = np.array([float(freq)])
-    else:
-        span = t[-1] - t[0]
-        min_spacing = float(np.diff(t).min())
-        grid = np.linspace(1.0 / (2.0 * span), 1.0 / (2.0 * min_spacing), 512)
+    span = t[-1] - t[0]
+    min_spacing = float(np.diff(t).min())
+    grid = np.linspace(1.0 / (2.0 * span), 1.0 / (2.0 * min_spacing), 512)
 
     best_r2 = -np.inf
     best = None

@@ -12,6 +12,7 @@ from .checkpoint import Checkpoint
 from .corpus import gen_corpus
 from .errors import NumericError, ValidationError, check_int, check_keys, check_real
 from .growth import GrowthPlan, embed, grow_model
+from .ladder import validate_hierarchy
 from .model import ModelConfig, heldout_loss, init_params, model_loss_and_grads
 from .rng import HELDOUT_STREAM, RngState, StreamTag, derive_seed, seeded_ints
 
@@ -122,6 +123,9 @@ class ExperimentConfig:
                 f"growth config: trigger_step must lie in [0, {self.schedule.steps}), "
                 f"the steps of the schedule, got {self.growth.trigger_step}"
             )
+        if self.growth is not None:
+            grown = self.model.grown(self.growth.delta_m, self.growth.delta_a)
+            validate_hierarchy(grown.hidden_size, grown.ladder_m, grown.ladder_a, strict=True)
         if self.optimizer.lr <= 0:
             raise ValidationError(f"lr must be positive, got {self.optimizer.lr}")
         if self.schedule.steps % self.schedule.snapshot_every != 0:
@@ -328,7 +332,7 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
         step = step0 + local
         if step == growth_step:
             params, model_config, _ = grow_model(
-                params, model_config, config.growth, probe=heldout[:2]
+                params, model_config, config.growth, probe=heldout
             )
             m, v = embed(m, model_config), embed(v, model_config)
         start = int(seeded_ints(order_rng, 1, stream.size - ctx)[0])

@@ -1,4 +1,3 @@
-import itertools
 import math
 from unittest import mock
 
@@ -54,65 +53,14 @@ class TestNoc:
         assert ab == noc(ws(b), ws(a))
         assert 0.0 <= ab <= 1.0
 
-    def test_bin_count_stability(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=20_000)
-        b = rng.normal(0.7, 1.1, size=20_000)
-        assert abs(noc(ws(a), ws(b), bins=64) - noc(ws(a), ws(b), bins=128)) < 0.02
-
     def test_degenerate_equal_constants(self):
         assert noc(ws(np.full(10, 2.0)), ws(np.full(7, 2.0))) == 1.0
 
     def test_distinct_constants(self):
         assert noc(ws(np.full(10, 1.0)), ws(np.full(7, 3.0))) == 0.0
 
-    def test_bad_bins(self):
-        with pytest.raises(ValidationError):
-            noc(ws([1.0, 2.0]), ws([3.0]), bins=1)
-
-
-def brute_force_two_sided_p(x, y):
-    """Oracle: enumerate every assignment of the pooled values to the
-    first sample; two-sided p is twice the null mass at or below the
-    smaller of the two observed U statistics."""
-    pooled = sorted(x + y)
-    n1 = len(x)
-    n12 = n1 * (len(pooled) - n1)
-
-    def u_of(first_idx):
-        first = [pooled[i] for i in first_idx]
-        rest = [pooled[i] for i in range(len(pooled)) if i not in first_idx]
-        return sum(1 for a in first for b in rest if a > b)
-
-    u1 = sum(1 for a in x for b in y if a > b)
-    observed = min(u1, n12 - u1)
-    combos = list(itertools.combinations(range(len(pooled)), n1))
-    extreme = sum(1 for comb in combos if u_of(set(comb)) <= observed)
-    return min(1.0, 2 * extreme / len(combos))
-
 
 class TestUPScore:
-    def test_tiny_exact_case(self):
-        p = u_p_score(ws([1.0, 2.0]), ws([3.0, 4.0]))
-        assert abs(p - 1 / 3) < 1e-12
-
-    def test_exact_matches_enumeration_oracle(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            x = list(rng.normal(size=4))
-            y = list(rng.normal(size=5))
-            ours = u_p_score(ws(x), ws(y), method="exact")
-            assert abs(ours - brute_force_two_sided_p(x, y)) < 1e-12
-
-    def test_exact_vs_approx_agreement_at_n8(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            x = rng.normal(size=8)
-            y = rng.normal(size=8)
-            exact = u_p_score(ws(x), ws(y), method="exact")
-            approx = u_p_score(ws(x), ws(y), method="approx")
-            assert abs(exact - approx) < 0.05
-
     def test_extreme_separation(self):
         rng = np.random.default_rng(8)
         base = rng.normal(size=1000)
@@ -129,14 +77,6 @@ class TestUPScore:
         grid = np.arange(1, 201) / 200
         d = max(np.abs(ps - grid).max(), np.abs(ps - (grid - 1 / 200)).max())
         assert d < 1.628 / np.sqrt(200)
-
-    def test_ties_fall_back_to_approx(self):
-        x = [1.0, 1.0, 2.0]
-        y = [1.0, 3.0, 4.0]
-        p = u_p_score(ws(x), ws(y))  # ties present, still returns a p-value
-        assert 0.0 <= p <= 1.0
-        with pytest.raises(ValidationError, match="tie"):
-            u_p_score(ws(x), ws(y), method="exact")
 
     def test_small_samples_rejected(self):
         with pytest.raises(ValidationError):
@@ -316,6 +256,19 @@ class TestRankOracle:
         with mock.patch.object(alignment, "_tie_averaged_ranks", reference_tie_averaged_ranks):
             expected = u_p_score(x, y)
         assert u_p_score(x, y) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(tie_heavy(min_size=4), st.floats(0.0, 1.0))
+    def test_u_p_score_matches_scipy(self, values, split):
+        # all-tied samples included: both give 1.0
+        from scipy.stats import mannwhitneyu  # ~1.4 s to import, so only here
+
+        n1 = min(max(2, int(split * values.size)), values.size - 2)
+        x, y = values[:n1], values[n1:]
+        expected = mannwhitneyu(
+            x, y, alternative="two-sided", method="asymptotic", use_continuity=True
+        ).pvalue
+        assert u_p_score(ws(x), ws(y)) == expected
 
     def test_signed_zeros_share_one_group(self):
         ranks, ties = alignment._tie_averaged_ranks(np.array([0.0, -0.0, 1.0, -0.0]))

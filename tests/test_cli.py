@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,14 +9,22 @@ import pytest
 
 from growformer import cli, growth
 from growformer.checkpoint import load_checkpoint, save_checkpoint
-from growformer.experiment import SNAPSHOT_COLUMNS, emit_reports, run_growth_experiment
+from growformer.experiment import (
+    SNAPSHOT_COLUMNS,
+    ablate_axes,
+    emit_reports,
+    run_growth_experiment,
+)
 from growformer.model import ModelConfig
 from growformer.rng import HELDOUT_STREAM
 from growformer.training import (
     CorpusConfig,
     ExperimentConfig,
+    GrowthConfig,
     OptimizerConfig,
     ScheduleConfig,
+    checkpoint_experiment,
+    heldout_sequences,
     train,
 )
 
@@ -465,6 +474,28 @@ def test_analyze_grown_series_exits_0(base_path, tmp_path, capsys):
     assert all(0.0 <= float(line.split(",")[1]) <= 1.0 for line in lines[1:])
     fits = json.loads((out / "fits.json").read_text(encoding="utf-8"))
     assert {"harmonic", "fisher_g", "scaling_law"} <= set(fits)
+
+
+def test_every_preservation_gate_probes_every_heldout_window(
+    base_run, base_path, tmp_path, monkeypatch
+):
+    # in-run growth, the four ablate settings, grow and verify, in that order
+    real = growth.verify_function_preservation
+    probe_sizes = []
+
+    def spy(old_params, old_config, new_params, new_config, probe):
+        probe_sizes.append(len(probe))
+        return real(old_params, old_config, new_params, new_config, probe)
+
+    monkeypatch.setattr(growth, "verify_function_preservation", spy)
+    monkeypatch.setattr(cli, "verify_function_preservation", spy)
+    base_exp = checkpoint_experiment(base_run)
+    train(replace(base_exp, growth=GrowthConfig(2, 2, "guarded-zero", seed=1, trigger_step=0)))
+    ablate_axes(base_run, budget=1)
+    grown = tmp_path / "grown.nxf"
+    assert cli.main(grow_args(base_path, grown, "guarded-zero")) == 0
+    assert cli.main(["verify", "--old", str(base_path), "--new", str(grown)]) == 0
+    assert probe_sizes == [len(heldout_sequences(base_exp))] * 7
 
 
 def test_zero_policy_grow_with_nonzero_deviation_exits_2(base_path, tmp_path, capsys, monkeypatch):

@@ -1,8 +1,10 @@
 """Every imported name in the package, its tests and the benchmark
 harness is used, every module-level function, class and assigned name
 of the package is referenced, every name in ``growformer.__all__``
-resolves and is listed once, in sorted order, and no ``derive_seed``
-call outside ``rng.py`` spells its stream tag as a number.
+resolves and is listed once, in sorted order, no ``derive_seed``
+call outside ``rng.py`` spells its stream tag as a number, and every
+parameter default of a package function that the package or the
+benchmark harness calls is passed by one of those calls.
 
 Stdlib-``ast`` stand-ins for a linter's unused-import rule (a name bound
 by an import must appear as a name somewhere else in the module, or in
@@ -102,6 +104,66 @@ def test_detects_a_literal_stream_tag():
 )
 def test_no_literal_stream_tags(path):
     assert literal_stream_tags(path.read_text(encoding="utf-8")) == []
+
+
+def unpassed_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function.parameter`` for every parameter with a default of
+    a function in ``modules`` (module name to source) that a call in
+    ``callers`` names, where no such call passes it by position or by
+    keyword. A ``*args`` or ``**kwargs`` spread passes every parameter."""
+    calls = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    found = []
+    for module, source in modules.items():
+        for fn in ast.walk(ast.parse(source)):
+            if not isinstance(fn, ast.FunctionDef) or fn.name not in calls:
+                continue
+            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            defaulted = positional[len(positional) - len(fn.args.defaults) :] + [
+                a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None
+            ]
+            passed = set()
+            for call in calls[fn.name]:
+                if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords
+                ):
+                    passed.update(defaulted)
+                passed.update(positional[: len(call.args)])
+                passed.update(k.arg for k in call.keywords)
+            found.extend(f"{module}.{fn.name}.{name}" for name in defaulted if name not in passed)
+    return found
+
+
+def test_detects_a_default_no_caller_passes():
+    module = (
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n\n\n"
+        "def spread(x=0):\n    pass\n\n\n"
+        "def only_tests_call(y=0):\n    pass\n\n\n"
+        "class K:\n    def method(self, z=0, w=1):\n        pass\n"
+    )
+    caller = "f(0, c=1)\nspread(*args)\nK().method(5)\n"
+    assert unpassed_defaults({"m": module}, [caller]) == ["m.f.b", "m.f.d", "m.method.w"]
+
+
+# defaults that no package or benchmark call passes, and why each stays
+UNPASSED_DEFAULT_ALLOWED = {
+    "cli.main.argv",  # None reads sys.argv, as the console script and ``-m`` run need
+    # the paper's recorded harmonic R^2 is matched only with trend="linear"
+    # (tests/test_paper_claims.py), and fits.json records the trend fields
+    "seriesstats.harmonic_fit.trend",
+}
+
+
+def test_every_default_is_passed_by_some_caller():
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    callers = list(modules.values()) + [path.read_text(encoding="utf-8") for path in BENCHMARK]
+    assert sorted(set(unpassed_defaults(modules, callers)) - UNPASSED_DEFAULT_ALLOWED) == []
 
 
 def loads(source: str) -> set[str]:

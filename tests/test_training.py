@@ -173,6 +173,21 @@ class TestConfig:
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
         assert message in capsys.readouterr().err
 
+    def test_growth_that_breaks_the_hierarchy_rejected(self, tmp_path, capsys):
+        # m=20, a=24 grown by (10, 0) has m=30 > a=24: refused before any step
+        message = "ladder hierarchy violated: stage 2 width 24 < stage 1 width 30"
+        growth = {"delta_m": 10, "delta_a": 0, "init_policy": "guarded-zero", "seed": 5,
+                  "trigger_step": 30}
+        with pytest.raises(ValidationError, match=message):
+            make_config(growth=GrowthConfig(**growth))
+        blob = {**make_config().to_dict(), "growth": growth}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(blob), encoding="utf-8")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_plan_without_trigger_rejected(self):
         with pytest.raises(ValidationError, match="growth must be a GrowthConfig, not GrowthPlan"):
             make_config(growth=GrowthPlan(2, 2, "strict-zero", seed=5))
