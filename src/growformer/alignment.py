@@ -7,8 +7,8 @@ Two distribution statistics drive everything:
                   (shared equal-width bins over the union range).
 * ``u_p_score`` - two-sided Mann-Whitney p-value locating the new-block
                   entries against the frozen base distribution, by the
-                  normal approximation (no growth yields a sample small
-                  enough for exact enumeration to matter).
+                  normal approximation, from a rank sum that is exact
+                  while n1 * (n1 + n2) < 2^52 (see ``u_p_score``).
 
 Their signed shifts relative to a reference snapshot combine into the
 scalar radial indicator r = sqrt(up_pct^2 + noc_pct^2); small r means the
@@ -74,20 +74,6 @@ def noc(f_sample: WeightSample, g_sample: WeightSample) -> float:
     return float(overlap / (f.size * g.size))
 
 
-def _tie_averaged_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fractional ranks (1-based) and the tie-group sizes, in sorted order."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    group_start = np.ones(values.size, dtype=bool)
-    group_start[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    starts = np.flatnonzero(group_start)
-    sizes = np.diff(starts, append=values.size)
-    # a group over sorted slots i..j shares the rank 0.5 * (i + j) + 1
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (2 * starts + sizes - 1) + 1.0, sizes)
-    return ranks, sizes.astype(np.float64)
-
-
 def u_p_score(new_sample: WeightSample, base_sample: WeightSample) -> float:
     """Two-sided Mann-Whitney p-value for the location of ``new`` vs ``base``.
 
@@ -95,20 +81,27 @@ def u_p_score(new_sample: WeightSample, base_sample: WeightSample) -> float:
     only path: an exact null distribution matters only for a sample of
     a few entries, and d < m < a gives every growth at least 3 new
     entries per projection (9 per layer) against a base of at least 33.
+
+    The rank sum r1 of ``new`` is exact in any order of summation: a new
+    entry in a tie group of ``count`` values ending at pooled sorted slot
+    ``end`` - 1 has the rank (2 * end - count + 1) / 2, so 2 * r1 is an
+    int64 sum, and float64 holds it and r1 exactly while n1 * (n1 + n2)
+    < 2^52, which ``SUBSAMPLE_LIMIT`` keeps below 2^35.
     """
     x = new_sample.values
     y = base_sample.values
     n1, n2 = x.size, y.size
     if n1 < 2 or n2 < 2:
         raise ValidationError(f"both samples need >= 2 entries, got {n1} and {n2}")
-    combined = np.concatenate([x, y])
-    ranks, ties = _tie_averaged_ranks(combined)
-    r1 = float(ranks[:n1].sum())
+    values, count = np.unique(np.concatenate([x, y]), return_counts=True)
+    end = np.cumsum(count)
+    group = values.searchsorted(np.sort(x))
+    r1 = float((2 * end[group] - count[group] + 1).sum()) / 2
     u1 = n1 * n2 + n1 * (n1 + 1) / 2.0 - r1
 
     n = n1 + n2
     mu = n1 * n2 / 2.0
-    tie_term = (ties**3 - ties).sum() / (n * (n - 1))
+    tie_term = (count.astype(np.float64) ** 3 - count).sum() / (n * (n - 1))
     var = n1 * n2 / 12.0 * ((n + 1) - tie_term)
     if var <= 0:
         return 1.0

@@ -2,22 +2,23 @@
 
 Subcommands: train, grow, verify, analyze, fit-scaling, periodicity,
 flops, ablate. Exit codes: 0 success; 1 malformed or unreadable input
-(a config or metrics file that does not parse or lacks a field, a config
-block with a key that is not a field of its dataclass, a value of the
-wrong type, a NaN or infinite optimizer value, a beta outside [0, 1), a
-negative schedule or rewarm step count, a corpus stream that is negative
-or is the held-out stream (for ``ablate``, also the continued stream two
-past the base's), a growth trigger outside the schedule, a growth block
-whose grown widths break d < m < a, a metrics series with a non-finite
-value, a ``fit-scaling`` or ``periodicity``
-metrics file that holds several growth paths and no ``--path``, or none
-under the label given, a bad checkpoint such as one truncated, one with
-a negative counter or a matrix listed twice, or one whose matrices are
-missing, extra or misshapen for its model config, a ``grow``, ``verify``
-or ``analyze`` base checkpoint that carries no experiment config to draw
-held-out probes from, a missing path or a directory), reported as one
-``error:`` line without a traceback; 2 numeric failure, such as a
-zero-policy ``grow`` whose probe deviation is not exactly 0.0.
+(a bad command-line argument, a config or metrics file that does not
+parse or lacks a field, a config block with a key that is not a field of
+its dataclass, a value of the wrong type, a NaN or infinite optimizer
+value, a beta outside [0, 1), a negative schedule or rewarm step count,
+a corpus stream that is negative or is the held-out stream (for
+``ablate``, also the continued stream two past the base's), a growth
+trigger outside the schedule, a growth block whose grown widths break
+d < m < a, a metrics series with a non-finite value, a ``fit-scaling``
+or ``periodicity`` metrics file that holds several growth paths and no
+``--path``, or none under the label given, a bad checkpoint such as one
+truncated, one with a negative counter or a matrix listed twice, or one
+whose matrices are missing, extra or misshapen for its model config, a
+``grow``, ``verify`` or ``analyze`` base checkpoint that carries no
+experiment config to draw held-out probes from, a missing path or a
+directory), reported as one ``error:`` line without a traceback; 2
+numeric failure, such as a zero-policy ``grow`` whose probe deviation
+is not exactly 0.0.
 """
 
 from __future__ import annotations
@@ -202,8 +203,15 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a ValidationError for a bad command line (exit 1, not 2)."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="growformer")
+    parser = _Parser(prog="growformer")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model from an experiment config")
@@ -263,9 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -134,6 +134,7 @@ def softmax_rows(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         raise ValidationError(f"x must be 2-D or a stack of 2-D arrays, got ndim={x.ndim}")
     if mask is None:
         out = x - x.max(axis=-1, keepdims=True)
+        np.exp(out, out=out)
     else:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != x.shape[-2:]:
@@ -141,10 +142,11 @@ def softmax_rows(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         if not mask.any(axis=1).all():
             bad = int(np.flatnonzero(~mask.any(axis=1))[0])
             raise ValidationError(f"softmax row {bad} is fully masked")
-        # exp(-inf) is exactly 0, so the excluded entries need no second pass
         out = np.where(mask, x, -np.inf)
         out -= out.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
+        # exp(-inf) is +0.0 but takes numpy's slow special-value path
+        np.exp(out, out=out, where=mask)
+        np.copyto(out, 0.0, where=~mask)
     out /= out.sum(axis=-1, keepdims=True)
     return out
 

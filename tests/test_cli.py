@@ -293,6 +293,26 @@ def test_unreadable_config_exits_1(command, kind, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--config", "x", "--out", "y", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["flops", "--config", "x", "--seq-len", "abc"], "invalid int value: 'abc'"),
+    (["grow", "--ckpt", "x"], "the following arguments are required"),
+    (["nosuch"], "invalid choice: 'nosuch'"),
+])
+def test_malformed_command_line_exits_1_with_one_error_line(argv, message, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and "usage:" not in captured.err + captured.out
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["flops", "--help"])
+    assert exc.value.code == 0
+    assert "--seq-len" in capsys.readouterr().out
+
+
 def test_fit_scaling_on_a_header_only_metrics_csv_exits_1(tmp_path, capsys):
     path = tmp_path / "metrics.csv"
     path.write_text("path," + SNAPSHOT_COLUMNS + "\n", encoding="utf-8")

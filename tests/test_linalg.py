@@ -334,10 +334,21 @@ class TestSoftmaxStack:
             assert stack[idx].tobytes() == alone.tobytes()
             assert alone.tobytes() == two_pass_masked_softmax(x[idx], mask).tobytes()
             assert np.isfinite(alone).all() and not alone[~mask].any()
+            assert not np.signbit(stack[idx][~mask]).any()  # +0.0, never -0.0
         y = rng.normal(size=x.shape) * 20
         unmasked = softmax_rows(y)
         for idx in np.ndindex(*lead):
             assert unmasked[idx].tobytes() == softmax_rows(y[idx]).tobytes()
+
+    def test_causal_heads_with_underflow_match_two_pass(self):
+        mask = causal_mask(128)
+        # rows spread past 745, beyond which exp underflows to 0
+        x = np.random.default_rng(5).normal(size=(4, 128, 128)) * 120
+        stack = softmax_rows(x, mask)
+        assert (stack[:, mask] == 0.0).any()  # some allowed entries underflow
+        assert not np.signbit(stack).any()
+        for h in range(4):
+            assert stack[h].tobytes() == two_pass_masked_softmax(x[h], mask).tobytes()
 
     def test_mask_must_match_each_matrix(self):
         with pytest.raises(ValidationError, match="mask shape"):
