@@ -82,11 +82,10 @@ def u_p_score(new_sample: WeightSample, base_sample: WeightSample) -> float:
     a few entries, and d < m < a gives every growth at least 3 new
     entries per projection (9 per layer) against a base of at least 33.
 
-    The rank sum r1 of ``new`` is exact in any order of summation: a new
-    entry in a tie group of ``count`` values ending at pooled sorted slot
-    ``end`` - 1 has the rank (2 * end - count + 1) / 2, so 2 * r1 is an
-    int64 sum, and float64 holds it and r1 exactly while n1 * (n1 + n2)
-    < 2^52, which ``SUBSAMPLE_LIMIT`` keeps below 2^35.
+    r1, the rank sum of ``new``, is exact in any summation order: a new
+    entry whose tie group of ``count`` ends at pooled sorted slot ``end`` - 1
+    has the half-integer rank (2 * end - count + 1) / 2, and float64 holds
+    2 * r1 exactly while n1 * (n1 + n2) < 2^52 (2^35 at ``SUBSAMPLE_LIMIT``).
     """
     x = new_sample.values
     y = base_sample.values

@@ -1,24 +1,23 @@
 """Command-line surface.
 
 Subcommands: train, grow, verify, analyze, fit-scaling, periodicity,
-flops, ablate. Exit codes: 0 success; 1 malformed or unreadable input
-(a bad command-line argument, a config or metrics file that does not
-parse or lacks a field, a config block with a key that is not a field of
-its dataclass, a value of the wrong type, a NaN or infinite optimizer
-value, a beta outside [0, 1), a negative schedule or rewarm step count,
-a corpus stream that is negative or is the held-out stream (for
-``ablate``, also the continued stream two past the base's), a growth
-trigger outside the schedule, a growth block whose grown widths break
-d < m < a, a metrics series with a non-finite value, a ``fit-scaling``
-or ``periodicity`` metrics file that holds several growth paths and no
-``--path``, or none under the label given, a bad checkpoint such as one
-truncated, one with a negative counter or a matrix listed twice, or one
-whose matrices are missing, extra or misshapen for its model config, a
-``grow``, ``verify`` or ``analyze`` base checkpoint that carries no
-experiment config to draw held-out probes from, a missing path or a
-directory), reported as one ``error:`` line without a traceback; 2
-numeric failure, such as a zero-policy ``grow`` whose probe deviation
-is not exactly 0.0.
+flops, ablate. Exit codes: 0 success; 1 malformed or unreadable input (a
+bad argument, a config or metrics file that does not parse or lacks a
+field, a config block with a key that is not a field of its dataclass, a
+value of the wrong type, a NaN or infinite optimizer value, a beta
+outside [0, 1), a negative schedule or rewarm step count, a corpus
+stream that is negative or is the held-out stream (for ``ablate``, also
+the continued stream two past the base's), a growth trigger outside the
+schedule, a growth block whose grown widths break d < m < a, a metrics
+series with a non-finite value, a ``fit-scaling`` or ``periodicity``
+metrics file that holds several growth paths and no ``--path``, or none
+under the label given, a bad checkpoint such as one truncated, one with
+a negative counter or a matrix listed twice, or one whose matrices are
+missing, extra or misshapen for its model config, a ``grow``, ``verify``
+or ``analyze`` base checkpoint that carries no experiment config to draw
+held-out probes from, a missing path or a directory), reported as one
+``error:`` line without a traceback; 2 numeric failure, such as a
+zero-policy ``grow`` whose probe deviation is not exactly 0.0.
 """
 
 from __future__ import annotations
