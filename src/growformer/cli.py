@@ -179,7 +179,7 @@ def _cmd_periodicity(args) -> int:
     r = cols["r"]
     out = {
         "harmonic": harmonic_fit(tokens, r).to_dict(),
-        "fisher_g": fisher_g_test(r, detrend=args.detrend).to_dict(),
+        "fisher_g": fisher_g_test(r, detrend="linear").to_dict(),
     }
     print(json.dumps(out, sort_keys=True, indent=2))
     return 0
@@ -249,9 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="growth path label; required when the file holds more than one")
     p.set_defaults(fn=_cmd_fit_scaling)
 
-    p = sub.add_parser("periodicity", help="harmonic + spectral tests on the r series")
+    p = sub.add_parser("periodicity", help="harmonic fit and Fisher's g test on the r series")
     p.add_argument("--metrics", required=True)
-    p.add_argument("--detrend", choices=("linear", "none"), default="linear")
     p.add_argument("--path", default=None,
                    help="growth path label; required when the file holds more than one")
     p.set_defaults(fn=_cmd_periodicity)
@@ -271,7 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help; a bad command line raises ValidationError
+            return exc.code
         return args.fn(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

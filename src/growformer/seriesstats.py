@@ -7,7 +7,7 @@
   (see ``tests/test_paper_claims.py``).
 * ``fisher_g_test``  - max-share-of-periodogram test against white noise
   on a (optionally linearly detrended) series, with the exact null
-  p-value formula.
+  p-value formula. It is the only periodicity significance test.
 * ``scaling_law_fit`` - OLS of ln(ppl) on |ln(r)|.
 """
 
@@ -17,7 +17,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import ValidationError
 
@@ -48,17 +47,6 @@ def ols_linear(x, y) -> tuple[float, float, float]:
     return slope, intercept, float(1.0 - (res @ res) / sst)
 
 
-def f_sf(f_stat: float, d1: int, d2: int) -> float:
-    """Survival function of the F(d1, d2) distribution via the
-    regularized incomplete beta function."""
-    if not np.isfinite(f_stat):
-        return 0.0
-    if f_stat <= 0:
-        return 1.0
-    x = d2 / (d2 + d1 * f_stat)
-    return float(betainc(d2 / 2.0, d1 / 2.0, x))
-
-
 @dataclass
 class HarmonicFit:
     a0: float
@@ -66,15 +54,12 @@ class HarmonicFit:
     freq: float
     phase: float
     r_squared: float
-    f_stat: float
-    p_value: float
-    dof: tuple[int, int]
     trend: str = "none"  # "none" or "linear"
     trend_slope: float = 0.0
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "dof": list(self.dof)}
+        return asdict(self)
 
 
 def _harmonic_design(t, f, trend):
@@ -93,9 +78,8 @@ def harmonic_fit(
 
     The frequency is searched on a 512-point grid over
     [1/(2*span), 1/(2*min_spacing)]; ties in the grid argmax resolve to
-    the lowest frequency. The F-test p-value treats the searched
-    frequency as if it were fixed in advance, so it is not calibrated:
-    on 11 points of white noise it falls below 0.05 about half the time.
+    the lowest frequency. It reports no p-value; periodicity significance
+    comes from ``fisher_g_test``, whose null accounts for the search.
     """
     t = np.asarray(times, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
@@ -103,24 +87,19 @@ def harmonic_fit(
         raise ValidationError("times and values must be 1-D and equally long")
     if not (np.isfinite(t).all() and np.isfinite(v).all()):
         raise ValidationError("times and values must be finite")
-    n = t.size
-    if n < 4:
-        raise ValidationError(f"need at least 4 observations, got {n}")
+    n_min = 5 if trend == "linear" else 4  # one more than the coefficients
+    if t.size < n_min:
+        raise ValidationError(f"need at least {n_min} observations, got {t.size}")
     if not (np.diff(t) > 0).all():
         raise ValidationError("times must be strictly increasing")
     if trend not in ("none", "linear"):
         raise ValidationError(f"unknown trend mode {trend!r}")
 
-    k = 2 if trend == "none" else 3  # non-intercept regressors
-    dof = (k, n - k - 1)
-    if dof[1] < 1:
-        raise ValidationError(f"too few observations for dof {dof}")
-
     sst = float(((v - v.mean()) ** 2).sum())
     if sst == 0:
         return HarmonicFit(
             a0=float(v.mean()), a1=0.0, freq=0.0, phase=0.0, r_squared=0.0,
-            f_stat=0.0, p_value=1.0, dof=dof, trend=trend, degenerate=True,
+            trend=trend, degenerate=True,
         )
 
     span = t[-1] - t[0]
@@ -146,14 +125,9 @@ def harmonic_fit(
         phase = math.pi
     slope = float(coef[3]) if trend == "linear" else 0.0
     r2 = max(min(best_r2, 1.0), 0.0)
-    if r2 >= 1.0:
-        f_stat, p = float("inf"), 0.0
-    else:
-        f_stat = (r2 / dof[0]) / ((1.0 - r2) / dof[1])
-        p = f_sf(f_stat, *dof)
     return HarmonicFit(
         a0=a0, a1=a1, freq=float(f), phase=phase, r_squared=r2,
-        f_stat=f_stat, p_value=p, dof=dof, trend=trend, trend_slope=slope,
+        trend=trend, trend_slope=slope,
     )
 
 

@@ -96,10 +96,13 @@ Notes, one per row:
   grows. At desk scale, 0-budget NOC falls as strict-zero growth gets
   larger.
 * REPORTED_HARMONIC: R^2 0.685 at dof (2, 8) gives F 8.70, not the
-  recorded 5.89, and F 5.89 gives p 0.027, not 0.035. The recorded R^2
-  is matched (0.701) only with ``trend="linear"``, whose dof is (3, 7).
-  The pipeline's own ``fits.json`` fits without a trend and gets 0.498
-  on this series.
+  recorded 5.89, and F 5.89 gives p 0.027, not 0.035. The test derives
+  F from R^2 itself: ``harmonic_fit`` reports no F or p, because an
+  F-test at a grid-searched frequency is not calibrated, and periodicity
+  significance comes from Fisher's g alone. The recorded R^2 is matched
+  (0.701) only with ``trend="linear"``, whose dof is (3, 7). The
+  pipeline's own ``fits.json`` fits without a trend and gets 0.498 on
+  this series.
 * REPORTED_FISHER_G: the linearly detrended zero-path r gives g 0.48755
   and p 0.34480, the recorded 0.4876 and 0.3448 at their 4 decimals.
 * REPORTED_SCALING: ``scaling_law_fit`` on the recorded zero path gives

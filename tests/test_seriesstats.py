@@ -4,7 +4,6 @@ import pytest
 from growformer.errors import ValidationError
 from growformer.refdata import GROWTH_PATH_BUDGETS_B, GROWTH_PATH_TRAJECTORIES, REPORTED_FISHER_G, REPORTED_HARMONIC
 from growformer.seriesstats import (
-    f_sf,
     fisher_g_p_value,
     fisher_g_test,
     harmonic_fit,
@@ -54,7 +53,7 @@ class TestHarmonicFit:
 
     def test_constant_values_degenerate(self):
         fit = harmonic_fit(np.arange(6.0), np.full(6, 2.0))
-        assert fit.degenerate and fit.a1 == 0.0 and fit.p_value == 1.0
+        assert fit.degenerate and fit.a1 == 0.0
 
     def test_offset_invariance(self):
         t = np.arange(0.0, 31.0, 3.0)
@@ -71,17 +70,11 @@ class TestHarmonicFit:
         # dominant period close to the reported ~11-budget-unit cycle
         assert 9.0 < 1 / fit.freq < 12.0
 
-    def test_f_p_monotone_in_r2(self):
-        n = 11
-        ps = []
-        for r2 in (0.2, 0.4, 0.6, 0.8):
-            f = (r2 / 2) / ((1 - r2) / (n - 3))
-            ps.append(f_sf(f, 2, n - 3))
-        assert all(a > b for a, b in zip(ps, ps[1:]))
-
-    def test_too_few_points(self):
+    @pytest.mark.parametrize("trend, n", [("none", 3), ("linear", 4)])
+    def test_too_few_points(self, trend, n):
+        # one more observation than coefficients: a0, cos, sin [, slope]
         with pytest.raises(ValidationError):
-            harmonic_fit([0.0, 1.0, 2.0], [1.0, 2.0, 1.0])
+            harmonic_fit(np.arange(float(n)), [1.0, 2.0, 1.0, 0.0][:n], trend=trend)
 
     def test_non_increasing_times(self):
         with pytest.raises(ValidationError):
@@ -128,15 +121,22 @@ class TestFisherG:
         mc = float((g > 0.5).mean())
         assert abs(fisher_g_p_value(0.5, 5) - mc) < 0.005
 
-    def test_null_p_values_uniform(self):
+    @pytest.mark.parametrize("n, detrend", [(64, "none"), (11, "linear")])
+    def test_null_p_values_uniform(self, n, detrend):
+        # (11, "linear") is the case fits.json computes on its 11-snapshot r
         rng = np.random.default_rng(3)
-        ps = np.sort([
-            fisher_g_test(rng.normal(size=64), detrend="none").p_value
-            for _ in range(200)
+        ps = np.array([
+            fisher_g_test(rng.normal(size=n), detrend=detrend).p_value
+            for _ in range(2000)
         ])
+        head = np.sort(ps[:200])
         grid = np.arange(1, 201) / 200
-        d = max(np.abs(ps - grid).max(), np.abs(ps - (grid - 1 / 200)).max())
+        d = max(np.abs(head - grid).max(), np.abs(head - (grid - 1 / 200)).max())
         assert d < 1.628 / np.sqrt(200)
+        # linear detrending leaves the test slightly over-sized (shares of
+        # 0.048 to 0.055 were measured), so the bound on the false-positive
+        # rate is the nominal 0.05 plus three binomial standard deviations
+        assert (ps < 0.05).mean() <= 0.05 + 3 * np.sqrt(0.05 * 0.95 / ps.size)
 
     def test_g_at_least_inverse_m(self):
         rng = np.random.default_rng(4)
@@ -199,9 +199,9 @@ class TestScalingLaw:
 class TestReportedValueConsistency:
     def test_reported_f_and_p_are_documented_not_asserted(self):
         # the recorded analysis quotes R^2=0.685 with F=5.89 at dof (2,8)
-        # and p=0.035; those three are mutually inconsistent, so the
-        # harness reports its own F alongside (see the REPORTED_HARMONIC
-        # row of test_paper_claims.py)
+        # and p=0.035; those three are mutually inconsistent. The harness
+        # reports no F of its own, so this test derives F from R^2 (see the
+        # REPORTED_HARMONIC row of test_paper_claims.py)
         r2 = REPORTED_HARMONIC["r_squared"]
         f_from_r2 = (r2 / 2) / ((1 - r2) / 8)
         assert abs(f_from_r2 - REPORTED_HARMONIC["f_stat"]) > 1.0
