@@ -41,15 +41,27 @@ def validate_hierarchy(d: int, m: int, a: int, strict: bool = False) -> list[str
     return violations
 
 
-def ladder_forward(ws: Triple, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+def ladder_forward(
+    ws: Triple, x: np.ndarray, *, keep_cache: bool
+) -> tuple[np.ndarray, tuple | None]:
     """out = gelu(gelu(x W_up) W_mid) W_down, and the cache of stage inputs,
-    pre-activations and Phi(pre-activation) that ladder_backward reuses."""
+    pre-activations and Phi(pre-activation) that ladder_backward reuses.
+
+    The cache exists only for the backward pass: with ``keep_cache``
+    False it is None, and the six intermediates are freed on return
+    instead of staying alive with the caller. A forward-only pass then
+    keeps one projection's intermediates live at a time, which at the
+    grown toy size is what lets its working set fit a 2 MiB L2.
+    """
     w_up, w_mid, w_down = ws
     z_up = matmul(x, w_up)
     h_up, cdf_up = gelu(z_up)
     z_mid = matmul(h_up, w_mid)
     h_mid, cdf_mid = gelu(z_mid)
-    return matmul(h_mid, w_down), (x, z_up, h_up, cdf_up, z_mid, h_mid, cdf_mid)
+    out = matmul(h_mid, w_down)
+    if not keep_cache:
+        return out, None
+    return out, (x, z_up, h_up, cdf_up, z_mid, h_mid, cdf_mid)
 
 
 def ladder_backward(ws: Triple, cache: tuple, d_out: np.ndarray) -> tuple[np.ndarray, Triple]:
@@ -69,7 +81,11 @@ class AttentionCache:
     """What attention_backward reuses from attention_forward: the three
     projections' ladder caches and outputs, and ``probs``, the post-softmax
     attention weights of every head as one (n_heads, n, n) array. The head
-    count is ``probs.shape[0]``."""
+    count is ``probs.shape[0]``.
+
+    Only a pass that runs the backward builds one: it keeps six stage
+    arrays of each projection alive, several times a forward's own
+    working set, so a forward-only pass that kept it would spill L2."""
 
     q_cache: tuple
     k_cache: tuple
@@ -81,15 +97,18 @@ class AttentionCache:
 
 
 def attention_forward(
-    q_ws: Triple, k_ws: Triple, v_ws: Triple, x: np.ndarray, n_heads: int
-) -> tuple[np.ndarray, AttentionCache]:
+    q_ws: Triple, k_ws: Triple, v_ws: Triple, x: np.ndarray, n_heads: int, *, keep_cache: bool
+) -> tuple[np.ndarray, AttentionCache | None]:
     """Multi-head causal scaled dot-product attention over three staged
     projections.
 
     Returns the concatenated head outputs (no output projection here) and
-    the cache for the backward pass. Each head's products are 2-D
-    ``matmul`` calls; the scaled scores of all heads share one
-    (n_heads, n, n) buffer and one masked softmax.
+    the cache for the backward pass, or None without ``keep_cache``: the
+    cache exists only for the backward, and leaving it out frees each
+    projection's intermediates as soon as the projection returns (see
+    ``ladder_forward``). Each head's products are 2-D ``matmul`` calls;
+    the scaled scores of all heads share one (n_heads, n, n) buffer and
+    one masked softmax.
     """
     x = as_matrix(x, "x")
     d = x.shape[1]
@@ -99,9 +118,9 @@ def attention_forward(
     head_dim = d // n_heads
     scale = 1.0 / np.sqrt(head_dim)
 
-    q, q_cache = ladder_forward(q_ws, x)
-    k, k_cache = ladder_forward(k_ws, x)
-    v, v_cache = ladder_forward(v_ws, x)
+    q, q_cache = ladder_forward(q_ws, x, keep_cache=keep_cache)
+    k, k_cache = ladder_forward(k_ws, x, keep_cache=keep_cache)
+    v, v_cache = ladder_forward(v_ws, x, keep_cache=keep_cache)
 
     heads = [slice(h * head_dim, (h + 1) * head_dim) for h in range(n_heads)]
     scores = np.empty((n_heads, n, n))
@@ -111,6 +130,8 @@ def attention_forward(
     out = np.empty_like(q)
     for h, sl in enumerate(heads):
         out[:, sl] = matmul(probs[h], v[:, sl])
+    if not keep_cache:
+        return out, None
     return out, AttentionCache(q_cache, k_cache, v_cache, q, k, v, probs)
 
 

@@ -7,6 +7,13 @@ then a final norm and an unembedding matrix. All linear maps are
 bias-free. Forward and backward are hand-written on 2-D float64 arrays,
 one sequence at a time.
 
+Only ``model_loss_and_grads`` keeps the per-block caches, because only
+the backward reads them. Every forward-only pass (``model_forward``,
+``heldout_loss``, preservation checks) builds none, and each block's
+intermediates die with the block: at ``TOY_CONFIG`` grown by (32, 32)
+the caches would take about 8 MiB, where the forward alone needs under
+2 MiB, the per-core L2 of the benchmark host.
+
 ``param_shapes`` is the one statement of the parameter layout, and
 ``check_params`` holds a parameter set to it where one enters the program.
 """
@@ -171,7 +178,10 @@ def _layernorm_backward(d_out, g, cache):
 
 
 def _check_tokens(config: ModelConfig, token_ids) -> np.ndarray:
-    ids = np.asarray(token_ids, dtype=np.int64)
+    ids = np.asarray(token_ids)
+    # a float or bool id would be truncated to some other token, not refused
+    if ids.dtype.kind not in "iu":
+        raise ValidationError(f"token_ids must be integers, got dtype {ids.dtype}")
     if ids.ndim != 1:
         raise ValidationError("token_ids must be a 1-D sequence")
     n = ids.shape[0]
@@ -184,39 +194,54 @@ def _check_tokens(config: ModelConfig, token_ids) -> np.ndarray:
             f"token id out of range [0, {config.vocab_size}): "
             f"min={ids.min()}, max={ids.max()}"
         )
-    return ids
+    return ids.astype(np.int64, copy=False)
 
 
-def _forward(config, params, ids, keep_caches=False):
+def _block_forward(params, i, h, n_heads, keep_cache):
+    """One pre-norm block: h + attention, then + FFN. Returns the block's
+    output and, with ``keep_cache``, what the backward reuses. Without
+    it every intermediate goes out of scope when the block returns."""
+    p = f"blocks.{i}."
+    a_in, ln1_cache = _layernorm_forward(h, params[p + "ln1.g"], params[p + "ln1.b"])
+    att, att_cache = attention_forward(
+        *_projections(params, i), a_in, n_heads, keep_cache=keep_cache
+    )
+    h1 = h + matmul(att, params[p + "attn.w_o"])
+    f_in, ln2_cache = _layernorm_forward(h1, params[p + "ln2.g"], params[p + "ln2.b"])
+    ffn_pre = matmul(f_in, params[p + "ffn.w1"])
+    ffn_act, ffn_cdf = gelu(ffn_pre)
+    h2 = h1 + matmul(ffn_act, params[p + "ffn.w2"])
+    if not keep_cache:
+        return h2, None
+    return h2, dict(
+        ln1=ln1_cache,
+        att=att_cache,
+        att_concat=att,
+        ln2=ln2_cache,
+        f_in=f_in,
+        a_in=a_in,
+        ffn_pre=ffn_pre,
+        ffn_act=ffn_act,
+        ffn_cdf=ffn_cdf,
+    )
+
+
+def _forward(config, params, ids, keep_caches):
+    """Logits, the final norm's input and cache, and, with
+    ``keep_caches``, one cache per block for the backward.
+
+    Caches exist only for the backward pass. A forward-only pass keeps
+    none, so its live set is one block's intermediates (one ladder
+    projection's at a time inside attention): for ``TOY_CONFIG`` grown by
+    (32, 32) on a full window that is under 2 MiB, inside a per-core L2,
+    where the caches alone take several times that."""
     n = ids.shape[0]
     h = params["tok_emb"][ids] + params["pos_emb"][:n]
     caches = []
     for i in range(config.n_layers):
-        p = f"blocks.{i}."
-        a_in, ln1_cache = _layernorm_forward(h, params[p + "ln1.g"], params[p + "ln1.b"])
-        att, att_cache = attention_forward(*_projections(params, i), a_in, config.n_heads)
-        att_out = matmul(att, params[p + "attn.w_o"])
-        h1 = h + att_out
-        f_in, ln2_cache = _layernorm_forward(h1, params[p + "ln2.g"], params[p + "ln2.b"])
-        ffn_pre = matmul(f_in, params[p + "ffn.w1"])
-        ffn_act, ffn_cdf = gelu(ffn_pre)
-        ffn_out = matmul(ffn_act, params[p + "ffn.w2"])
-        h2 = h1 + ffn_out
+        h, cache = _block_forward(params, i, h, config.n_heads, keep_caches)
         if keep_caches:
-            caches.append(
-                dict(
-                    ln1=ln1_cache,
-                    att=att_cache,
-                    att_concat=att,
-                    ln2=ln2_cache,
-                    f_in=f_in,
-                    a_in=a_in,
-                    ffn_pre=ffn_pre,
-                    ffn_act=ffn_act,
-                    ffn_cdf=ffn_cdf,
-                )
-            )
-        h = h2
+            caches.append(cache)
     hn, lnf_cache = _layernorm_forward(h, params["ln_f.g"], params["ln_f.b"])
     logits = matmul(hn, params["unembed"])
     return logits, hn, lnf_cache, caches
@@ -236,7 +261,7 @@ def _loss_from_logits(logits, ids):
 def model_forward(config: ModelConfig, params: dict, token_ids):
     """Return (logits, mean next-token cross-entropy loss)."""
     ids = _check_tokens(config, token_ids)
-    logits, _, _, _ = _forward(config, params, ids)
+    logits, _, _, _ = _forward(config, params, ids, keep_caches=False)
     loss, _, _ = _loss_from_logits(logits, ids)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss {loss}")

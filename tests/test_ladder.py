@@ -69,32 +69,32 @@ def scalar_loop_forward(ws, x):
 class TestLadderForward:
     def test_zero_input_gives_zero_output(self):
         ws = init_triple(4, 6, 8, RngState(1))
-        out, _ = ladder_forward(ws, np.zeros((3, 4)))
+        out, _ = ladder_forward(ws, np.zeros((3, 4)), keep_cache=False)
         assert np.array_equal(out, np.zeros((3, 4)))
 
     def test_zero_weights_give_zero_output(self):
         ws = (np.zeros((4, 6)), np.zeros((6, 8)), np.zeros((8, 4)))
         x = np.random.default_rng(0).normal(size=(3, 4))
-        out, _ = ladder_forward(ws, x)
+        out, _ = ladder_forward(ws, x, keep_cache=False)
         assert np.array_equal(out, np.zeros((3, 4)))
 
     def test_matches_scalar_loop_oracle(self):
         ws = init_triple(4, 6, 8, RngState(9))
         x = np.random.default_rng(1).normal(size=(2, 4))
-        out, _ = ladder_forward(ws, x)
+        out, _ = ladder_forward(ws, x, keep_cache=False)
         assert np.abs(out - scalar_loop_forward(ws, x)).max() < 1e-12
 
     def test_width_mismatch(self):
         ws = init_triple(4, 6, 8, RngState(1))
         with pytest.raises(ValidationError, match="shape mismatch: 3x5 @ 4x6"):
-            ladder_forward(ws, np.zeros((3, 5)))
+            ladder_forward(ws, np.zeros((3, 5)), keep_cache=False)
 
 
 class TestLadderBackward:
     def test_zero_upstream_gives_zero_grads(self):
         ws = init_triple(3, 4, 5, RngState(4))
         x = np.random.default_rng(2).normal(size=(2, 3))
-        _, cache = ladder_forward(ws, x)
+        _, cache = ladder_forward(ws, x, keep_cache=True)
         dx, grads = ladder_backward(ws, cache, np.zeros((2, 3)))
         assert np.array_equal(dx, np.zeros_like(x))
         for g in grads:
@@ -106,19 +106,21 @@ class TestLadderBackward:
         x = rng.normal(size=(2, 3))
         proj = rng.normal(size=(2, 3))  # fixed linear functional of the output
 
-        _, cache = ladder_forward(ws, x)
+        _, cache = ladder_forward(ws, x, keep_cache=True)
         dx, grads = ladder_backward(ws, cache, proj)
         for i in range(3):
             def f(w, i=i):
                 trial = [m.copy() for m in ws]
                 trial[i] = w
-                return float((ladder_forward(trial, x)[0] * proj).sum())
+                return float((ladder_forward(trial, x, keep_cache=False)[0] * proj).sum())
 
             fd = finite_diff_grad(f, ws[i], eps=1e-5)
             denom = np.maximum(np.abs(fd), 1e-4)
             assert (np.abs(grads[i] - fd) / denom).max() < 1e-5
         fd_x = finite_diff_grad(
-            lambda m: float((ladder_forward(ws, m)[0] * proj).sum()), x, eps=1e-5
+            lambda m: float((ladder_forward(ws, m, keep_cache=False)[0] * proj).sum()),
+            x,
+            eps=1e-5,
         )
         assert np.abs(dx - fd_x).max() < 1e-6
 
@@ -129,7 +131,7 @@ class TestLadderBackward:
         w_up, _, _ = init_triple(3, 4, 5, RngState(5))
         ws = (w_up, np.zeros((4, 5)), np.zeros((5, 3)))
         x = np.random.default_rng(4).normal(size=(2, 3))
-        out, cache = ladder_forward(ws, x)
+        out, cache = ladder_forward(ws, x, keep_cache=True)
         assert np.array_equal(out, np.zeros((2, 3)))
         _, grads = ladder_backward(ws, cache, np.ones((2, 3)))
         assert not grads[0].any()
@@ -145,18 +147,18 @@ class TestAttention:
     def test_single_token_returns_value_row(self):
         q, k, v = self._three(4, 6, 8, 1)
         x = np.random.default_rng(5).normal(size=(1, 4))
-        out, _ = attention_forward(q, k, v, x, n_heads=2)
-        v_out, _ = ladder_forward(v, x)
+        out, _ = attention_forward(q, k, v, x, n_heads=2, keep_cache=False)
+        v_out, _ = ladder_forward(v, x, keep_cache=False)
         assert np.abs(out - v_out).max() < 1e-14
 
     def test_causality(self):
         q, k, v = self._three(4, 6, 8, 2)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(5, 4))
-        out, _ = attention_forward(q, k, v, x, n_heads=2)
+        out, _ = attention_forward(q, k, v, x, n_heads=2, keep_cache=False)
         x2 = x.copy()
         x2[3] += rng.normal(size=4)
-        out2, _ = attention_forward(q, k, v, x2, n_heads=2)
+        out2, _ = attention_forward(q, k, v, x2, n_heads=2, keep_cache=False)
         assert np.array_equal(out[:3], out2[:3])
         assert np.abs(out2[3:] - out[3:]).max() > 0
 
@@ -165,10 +167,10 @@ class TestAttention:
         # three staged projections applied first
         q, k, v = self._three(4, 6, 8, 3)
         x = np.random.default_rng(7).normal(size=(3, 4))
-        out, _ = attention_forward(q, k, v, x, n_heads=1)
-        qm, _ = ladder_forward(q, x)
-        km, _ = ladder_forward(k, x)
-        vm, _ = ladder_forward(v, x)
+        out, _ = attention_forward(q, k, v, x, n_heads=1, keep_cache=False)
+        qm, _ = ladder_forward(q, x, keep_cache=False)
+        km, _ = ladder_forward(k, x, keep_cache=False)
+        vm, _ = ladder_forward(v, x, keep_cache=False)
         scores = (qm @ km.T) / np.sqrt(4)
         probs = softmax_rows(scores, np.tril(np.ones((3, 3), dtype=bool)))
         assert np.abs(out - probs @ vm).max() < 1e-10
@@ -178,10 +180,12 @@ class TestAttention:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, 4))
         proj = rng.normal(size=(3, 4))
-        out, cache = attention_forward(q, k, v, x, n_heads=2)
+        out, cache = attention_forward(q, k, v, x, n_heads=2, keep_cache=True)
         dx, q_g, k_g, v_g = attention_backward(q, k, v, cache, proj)
         fd_x = finite_diff_grad(
-            lambda m: float((attention_forward(q, k, v, m, n_heads=2)[0] * proj).sum()),
+            lambda m: float(
+                (attention_forward(q, k, v, m, n_heads=2, keep_cache=False)[0] * proj).sum()
+            ),
             x,
             eps=1e-5,
         )
@@ -189,7 +193,8 @@ class TestAttention:
 
         def f_w(w):
             q2 = (w, *q[1:])
-            return float((attention_forward(q2, k, v, x, n_heads=2)[0] * proj).sum())
+            out, _ = attention_forward(q2, k, v, x, n_heads=2, keep_cache=False)
+            return float((out * proj).sum())
 
         fd_w = finite_diff_grad(f_w, q[0], eps=1e-5)
         denom = np.maximum(np.abs(fd_w), 1e-4)
@@ -198,15 +203,15 @@ class TestAttention:
     def test_head_mismatch(self):
         q, k, v = self._three(4, 6, 8, 9)
         with pytest.raises(ValidationError, match="n_heads"):
-            attention_forward(q, k, v, np.zeros((2, 4)), n_heads=3)
+            attention_forward(q, k, v, np.zeros((2, 4)), n_heads=3, keep_cache=False)
 
 
 def per_head_attention(q_ws, k_ws, v_ws, x, n_heads, d_out):
     """Oracle: attention forward and backward one head at a time, each
     head with its own 2-D masked softmax and softmax backward."""
-    q, q_cache = ladder_forward(q_ws, x)
-    k, k_cache = ladder_forward(k_ws, x)
-    v, v_cache = ladder_forward(v_ws, x)
+    q, q_cache = ladder_forward(q_ws, x, keep_cache=True)
+    k, k_cache = ladder_forward(k_ws, x, keep_cache=True)
+    v, v_cache = ladder_forward(v_ws, x, keep_cache=True)
     n, d = q.shape
     head_dim = d // n_heads
     scale = 1.0 / np.sqrt(head_dim)
@@ -245,7 +250,7 @@ class TestBatchedHeads:
         x = gen.normal(size=(n, d))
         d_out = gen.normal(size=(n, d))
         with exact_arithmetic() if exact else nullcontext():
-            out, cache = attention_forward(q, k, v, x, n_heads)
+            out, cache = attention_forward(q, k, v, x, n_heads, keep_cache=True)
             grads = attention_backward(q, k, v, cache, d_out)
             want_out, want_grads = per_head_attention(q, k, v, x, n_heads, d_out)
         assert out.tobytes() == want_out.tobytes()
@@ -255,7 +260,8 @@ class TestBatchedHeads:
 
     def test_cache_holds_one_probability_stack(self):
         q, k, v = (init_triple(8, 10, 12, RngState(4)) for _ in range(3))
-        _, cache = attention_forward(q, k, v, np.random.default_rng(4).normal(size=(5, 8)), 4)
+        x = np.random.default_rng(4).normal(size=(5, 8))
+        _, cache = attention_forward(q, k, v, x, 4, keep_cache=True)
         assert cache.probs.shape == (4, 5, 5)
         assert not cache.probs[:, ~causal_mask(5)].any()
         assert np.abs(cache.probs.sum(axis=-1) - 1.0).max() < 1e-14

@@ -1,10 +1,19 @@
+import tracemalloc
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growformer.errors import ValidationError
-from growformer.ladder import ladder_backward, ladder_forward
+from growformer.growth import GrowthPlan, grow_model
+from growformer.ladder import attention_forward, ladder_backward, ladder_forward
+from growformer.linalg import exact_arithmetic
 from growformer.model import (
+    TOY_CONFIG,
     ModelConfig,
+    _forward,
     check_params,
     heldout_loss,
     init_params,
@@ -64,6 +73,24 @@ class TestForward:
         with pytest.raises(ValidationError, match="out of range"):
             model_forward(TINY, params, np.array([0, 99]))
 
+    @pytest.mark.parametrize(
+        "ids", [tiny_batch() + 0.9, [True, False, True], np.array([1.0, 2.0])]
+    )
+    def test_non_integer_tokens_refused(self, ids):
+        # a float or bool id used to be truncated: ids + 0.9 scored as ids
+        params = init_params(TINY, seed=1)
+        with pytest.raises(ValidationError, match="must be integers"):
+            model_forward(TINY, params, ids)
+        with pytest.raises(ValidationError, match="must be integers"):
+            model_loss_and_grads(TINY, params, ids)
+
+    def test_unsigned_tokens_score_as_signed(self):
+        params = init_params(TINY, seed=1)
+        ids = tiny_batch()
+        assert model_forward(TINY, params, ids.astype(np.uint8))[1] == (
+            model_forward(TINY, params, ids)[1]
+        )
+
     def test_causality_by_perturbation(self):
         params = init_params(TINY, seed=2)
         ids = tiny_batch(seed=5)
@@ -80,6 +107,77 @@ class TestForward:
         a, la = model_forward(TINY, params, ids)
         b, lb = model_forward(TINY, params, ids)
         assert np.array_equal(a, b) and la == lb
+
+
+@st.composite
+def small_model(draw):
+    n_heads = draw(st.integers(1, 3))
+    d = n_heads * draw(st.integers(2, 4))
+    m = d + draw(st.integers(1, 4))
+    config = ModelConfig(
+        vocab_size=draw(st.integers(2, 12)),
+        context_len=draw(st.integers(2, 9)),
+        hidden_size=d,
+        n_heads=n_heads,
+        n_layers=draw(st.integers(1, 2)),
+        ladder_m=m,
+        ladder_a=m + draw(st.integers(1, 4)),
+        ffn_size=draw(st.integers(1, 16)),
+    )
+    n = draw(st.integers(2, config.context_len))
+    return config, n, draw(st.integers(0, 2**32 - 1))
+
+
+class TestForwardOnly:
+    """The forward-only path builds no caches and computes the same bits
+    as the caching path the backward runs on."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_model(), st.booleans())
+    def test_bit_equal_to_caching_path(self, case, exact):
+        config, n, seed = case
+        params = init_params(config, seed)
+        ids = seeded_ints(RngState(seed), n, config.vocab_size)
+        with exact_arithmetic() if exact else nullcontext():
+            logits, loss = model_forward(config, params, ids)
+            cached_logits, _, _, caches = _forward(config, params, ids, keep_caches=True)
+            cached_loss, _ = model_loss_and_grads(config, params, ids)
+            x = seeded_gaussian(RngState(seed + 1), n, config.hidden_size, 0.0, 1.0)
+            ws = tuple(params[f"blocks.0.attn.q.{s}"] for s in ("w_up", "w_mid", "w_down"))
+            lad = [ladder_forward(ws, x, keep_cache=keep) for keep in (False, True)]
+            qkv = [ws] * 3
+            att = [
+                attention_forward(*qkv, x, config.n_heads, keep_cache=keep)
+                for keep in (False, True)
+            ]
+        assert logits.tobytes() == cached_logits.tobytes()
+        assert loss == cached_loss
+        assert len(caches) == config.n_layers
+        for (out, cache), (cached_out, kept) in (lad, att):
+            assert cache is None and kept is not None
+            assert out.tobytes() == cached_out.tobytes()
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_grown_forward_fits_in_l2(self, exact):
+        # The bound is the benchmark host's per-core L2 (2 MiB): one
+        # forward of the grown toy model on a full window must allocate
+        # less at its peak, as it does once the caches that only the
+        # backward reads are not built. Keeping them peaks at ~8.4 MiB.
+        config = TOY_CONFIG.grown(32, 32)
+        params, _, _ = grow_model(
+            init_params(TOY_CONFIG, 0), TOY_CONFIG, GrowthPlan(32, 32, "noise:0.1", 1)
+        )
+        ids = seeded_ints(RngState(5), config.context_len, config.vocab_size)
+        with exact_arithmetic() if exact else nullcontext():
+            model_forward(config, params, ids)  # lazy imports and the mask cache
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                model_forward(config, params, ids)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 class TestGradients:
@@ -164,7 +262,7 @@ class TestExpressivityWitness:
         v = [np.zeros_like(w) for w in ws]
         mse = np.inf
         for t in range(1, 4001):
-            out, cache = ladder_forward(ws, x)
+            out, cache = ladder_forward(ws, x, keep_cache=True)
             err = out - y
             mse = float((err**2).mean())
             _, grads = ladder_backward(ws, cache, 2 * err / err.size)

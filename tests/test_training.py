@@ -213,6 +213,50 @@ class TestConfig:
             ExperimentConfig.from_dict(blob)
 
 
+FUZZ_BASE = make_config(growth=GrowthConfig(2, 2, "noise:0.1", 5, trigger_step=20)).to_dict()
+
+
+def config_paths(blob):
+    """Every key of a config blob as a path: the top-level keys, the keys
+    of each block and the entries of each list."""
+    for key, value in blob.items():
+        yield (key,)
+        for sub, inner in value.items() if isinstance(value, dict) else ():
+            yield (key, sub)
+            if isinstance(inner, list):
+                yield from ((key, sub, i) for i in range(len(inner)))
+
+
+FUZZ_PATHS = list(config_paths(FUZZ_BASE))
+_DELETE = object()
+FUZZ_VALUES = [
+    _DELETE, None, True, False, "", "2", 1.5, float("nan"), float("inf"), -float("inf"),
+    2**70, -(2**70), 0, -1, [], {}, [1, 2],
+]
+
+
+class TestConfigFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(FUZZ_PATHS), st.sampled_from(FUZZ_VALUES))
+    def test_single_field_mutation_ends_in_validation_error(self, path, value):
+        # a mutated config either loads, and round-trips, or is refused
+        # with ValidationError; no other exception may escape from_dict
+        blob = json.loads(json.dumps(FUZZ_BASE))
+        *parents, last = path
+        target = blob
+        for key in parents:
+            target = target[key]
+        if value is _DELETE:
+            del target[last]
+        else:
+            target[last] = value
+        try:
+            cfg = ExperimentConfig.from_dict(blob)
+        except ValidationError:
+            return
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
 class TestTrain:
     def test_snapshot_cadence_and_counters(self):
         result = train(make_config(steps=40, snapshot_every=20))
