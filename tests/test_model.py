@@ -144,17 +144,16 @@ class TestForwardOnly:
             cached_loss, _ = model_loss_and_grads(config, params, ids)
             x = seeded_gaussian(RngState(seed + 1), n, config.hidden_size, 0.0, 1.0)
             ws = tuple(params[f"blocks.0.attn.q.{s}"] for s in ("w_up", "w_mid", "w_down"))
-            lad = [ladder_forward(ws, x, keep_cache=keep) for keep in (False, True)]
-            qkv = [ws] * 3
-            att = [
-                attention_forward(*qkv, x, config.n_heads, keep_cache=keep)
+            ladder_runs = [ladder_forward(ws, x, keep_cache=keep) for keep in (False, True)]
+            attention_runs = [
+                attention_forward(ws, ws, ws, x, config.n_heads, keep_cache=keep)
                 for keep in (False, True)
             ]
         assert logits.tobytes() == cached_logits.tobytes()
         assert loss == cached_loss
         assert len(caches) == config.n_layers
-        for (out, cache), (cached_out, kept) in (lad, att):
-            assert cache is None and kept is not None
+        for (out, no_cache), (cached_out, cache) in (ladder_runs, attention_runs):
+            assert no_cache is None and cache is not None
             assert out.tobytes() == cached_out.tobytes()
 
     @pytest.mark.parametrize("exact", [False, True])
