@@ -11,6 +11,7 @@ from growformer.growth import GrowthPlan, grow_model
 from growformer.ladder import attention_forward, ladder_backward, ladder_forward
 from growformer.linalg import exact_arithmetic
 from growformer.model import (
+    PROJ_STAGES,
     TOY_CONFIG,
     ModelConfig,
     _forward,
@@ -143,7 +144,7 @@ class TestForwardOnly:
             cached_logits, _, _, caches = _forward(config, params, ids, keep_caches=True)
             cached_loss, _ = model_loss_and_grads(config, params, ids)
             x = seeded_gaussian(RngState(seed + 1), n, config.hidden_size, 0.0, 1.0)
-            ws = tuple(params[f"blocks.0.attn.q.{s}"] for s in ("w_up", "w_mid", "w_down"))
+            ws = tuple(params[f"blocks.0.attn.q.{stage}"] for stage in PROJ_STAGES)
             ladder_runs = [ladder_forward(ws, x, keep_cache=keep) for keep in (False, True)]
             attention_runs = [
                 attention_forward(ws, ws, ws, x, config.n_heads, keep_cache=keep)
