@@ -79,8 +79,9 @@ def u_p_score(new_sample: WeightSample, base_sample: WeightSample) -> float:
 
     The normal approximation with tie and continuity corrections, the
     only path: an exact null distribution matters only for a sample of
-    a few entries, and d < m < a gives every growth at least 3 new
-    entries per projection (9 per layer) against a base of at least 33.
+    a few entries. Growth never shrinks a width, so from a valid init
+    (d < m < a) every growth adds at least 3 new entries per projection
+    (9 per layer) against a base of at least 33.
 
     r1, the rank sum of ``new``, is exact in any summation order: a new
     entry whose tie group of ``count`` ends at pooled sorted slot ``end`` - 1

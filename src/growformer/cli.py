@@ -8,7 +8,8 @@ value of the wrong type, a NaN or infinite optimizer value, a beta
 outside [0, 1), a negative schedule or rewarm step count, a corpus
 stream that is negative or is the held-out stream (for ``ablate``, also
 the continued stream two past the base's), a growth trigger outside the
-schedule, a growth block whose grown widths break d < m < a, a metrics
+schedule, a ``--resume`` checkpoint whose widths the growth block does
+not imply at its step, an ``ablate --delta-total`` below 3, a metrics
 series with a non-finite value, a ``fit-scaling`` or ``periodicity``
 metrics file that holds several growth paths and no ``--path``, or none
 under the label given, a bad checkpoint such as one truncated, one with
@@ -18,6 +19,10 @@ or ``analyze`` base checkpoint that carries no experiment config to draw
 held-out probes from, a missing path or a directory), reported as one
 ``error:`` line without a traceback; 2 numeric failure, such as a
 zero-policy ``grow`` whose probe deviation is not exactly 0.0.
+
+Only a fresh ladder must keep d < m < a. ``grow``, in-run growth and
+``ablate`` take any widths: the paper's axis ablation grows m past a,
+and exact preservation does not need the order.
 """
 
 from __future__ import annotations
@@ -80,9 +85,7 @@ def _cmd_grow(args) -> int:
     ck = load_checkpoint(args.ckpt)
     plan = GrowthPlan(args.dm, args.da, args.init, seed=args.seed)
     probe = heldout_sequences(checkpoint_experiment(ck))
-    new_params, new_config, report = grow_model(
-        ck.params, ck.model_config, plan, strict_hierarchy=not args.permissive, probe=probe
-    )
+    new_params, new_config, report = grow_model(ck.params, ck.model_config, plan, probe=probe)
     grown = Checkpoint(
         model_config=new_config,
         params=new_params,
@@ -227,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="strict-zero | guarded-zero | noise:<fraction>")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--permissive", action="store_true",
-                   help="allow hierarchy violations (axis ablations)")
     p.set_defaults(fn=_cmd_grow)
 
     p = sub.add_parser("verify", help="max logit deviation between two checkpoints")

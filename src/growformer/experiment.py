@@ -72,7 +72,7 @@ def continued_config(
 
 def _grow_and_continue(
     base_ckpt: Checkpoint, base_exp: ExperimentConfig, plan: GrowthPlan,
-    budget: int, cadence: int, probe, strict_hierarchy: bool = True,
+    budget: int, cadence: int, probe,
 ) -> tuple[GrowthReport, TrainResult]:
     """Grow the base under ``plan`` (gated on ``probe``), then train the
     grown model for ``budget`` steps with snapshots every ``cadence``. The
@@ -82,8 +82,7 @@ def _grow_and_continue(
         derive_seed(base_exp.seed, plan.seed), budget, cadence,
     )
     new_params, new_config, report = grow_model(
-        base_ckpt.params, base_ckpt.model_config, plan,
-        strict_hierarchy=strict_hierarchy, probe=probe,
+        base_ckpt.params, base_ckpt.model_config, plan, probe=probe
     )
     assert new_config == cont.model, (new_config, cont.model)
     return report, train(cont, resume=start_checkpoint(cont, new_params))
@@ -203,6 +202,9 @@ def ablate_axes(base_ckpt: Checkpoint, budget: int, delta_total: int | None = No
     config = base_ckpt.model_config
     if budget < 1:
         raise ValidationError("budget must be at least one step")
+    if delta_total is not None and delta_total < 3:
+        # below 3 the two M+A rows coincide (2) or are single-axis growths (1)
+        raise ValidationError(f"delta_total must be at least 3, got {delta_total}")
     s = delta_total if delta_total is not None else max(8, config.ladder_m // 2)
     minor = max(1, round(s / 8))
     settings = [
@@ -215,9 +217,7 @@ def ablate_axes(base_ckpt: Checkpoint, budget: int, delta_total: int | None = No
     for axis, dm, da in settings:
         plan = GrowthPlan(dm, da, "guarded-zero", seed=derive_seed(base_exp.seed, dm * 1000 + da))
         # cadence = budget: only the endpoint matters here
-        _, result = _grow_and_continue(
-            base_ckpt, base_exp, plan, budget, budget, heldout, strict_hierarchy=False
-        )
+        _, result = _grow_and_continue(base_ckpt, base_exp, plan, budget, budget, heldout)
         new_config = result.final.model_config
         final_loss = result.log[-1].heldout_loss
         rows.append(

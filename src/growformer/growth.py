@@ -24,6 +24,10 @@ zero-pads every tensor to the grown shapes (this alone grows the Adam
 moments); ``grow_model`` then fills each block the policy makes random,
 in ``param_shapes`` order whatever the input dict's key order, with std
 1/sqrt(rows of the grown matrix) under guarded-zero.
+
+Growth takes any widths; only a fresh ladder must keep d < m < a
+(``ladder.validate_hierarchy``). The paper's own axis ablation grows m
+past a, and nothing above depends on the order of the grown widths.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError, check_int
-from .ladder import validate_hierarchy
 from .linalg import exact_arithmetic
 from .model import PROJ_NAMES, ModelConfig, model_forward, model_loss_and_grads
 from .model import param_shapes, projection_keys
@@ -135,7 +138,6 @@ def grow_model(
     params: dict,
     config: ModelConfig,
     plan: GrowthPlan,
-    strict_hierarchy: bool = True,
     probe=None,
 ):
     """Grow every Q/K/V projection with the same plan.
@@ -147,9 +149,6 @@ def grow_model(
     NumericError (``require_exact_preservation``).
     """
     new_config = config.grown(plan.delta_m, plan.delta_a)
-    violations = validate_hierarchy(
-        new_config.hidden_size, new_config.ladder_m, new_config.ladder_a, strict=strict_hierarchy
-    )
     new_params = embed(params, new_config)
     # fill: draw every block the policy makes random, in new_block_slices order
     rng = RngState(derive_seed(plan.seed, StreamTag.GROWTH_FILL))
@@ -171,8 +170,6 @@ def grow_model(
         init_policy=plan.init_policy,
         block_init=block_init,
     )
-    if violations and not strict_hierarchy:
-        report.block_init["hierarchy_warnings"] = "; ".join(violations)
     if probe is not None and len(probe) > 0:
         report.max_output_deviation = verify_function_preservation(
             params, config, new_params, new_config, probe

@@ -22,11 +22,10 @@ from .linalg import as_matrix, causal_mask, gelu, gelu_derivative, matmul, softm
 Triple = tuple[np.ndarray, np.ndarray, np.ndarray]  # (w_up, w_mid, w_down)
 
 
-def validate_hierarchy(d: int, m: int, a: int, strict: bool = False) -> list[str]:
-    """Check d < m < a.
-
-    Returns the list of violations; in strict mode the first violation
-    raises instead.
+def validate_hierarchy(d: int, m: int, a: int) -> None:
+    """Raise ValidationError unless d < m < a: the rule for a fresh ladder
+    (``model.init_params``) only. Growth takes any widths, because the
+    paper's axis ablation grows m past a and preservation needs no order.
     """
     chain = (d, m, a)
     violations = []
@@ -36,9 +35,8 @@ def validate_hierarchy(d: int, m: int, a: int, strict: bool = False) -> list[str
             violations.append(
                 f"stage {i} width {chain[i]} {rel} stage {i - 1} width {chain[i - 1]}"
             )
-    if strict and violations:
+    if violations:
         raise ValidationError("ladder hierarchy violated: " + "; ".join(violations))
-    return violations
 
 
 def ladder_forward(

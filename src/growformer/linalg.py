@@ -117,12 +117,12 @@ def gelu_derivative(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return cdf + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
-def softmax_rows(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+def softmax_rows(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, with max-subtraction, of a 2-D array
     or of a (..., rows, cols) stack of them.
 
-    ``mask`` is an optional boolean (rows, cols) array, shared by every
-    matrix of a stack; False entries are excluded and come out exactly 0,
+    ``mask`` is a boolean (rows, cols) array, shared by every matrix of a
+    stack; False entries are excluded and come out exactly 0,
     whatever ``x`` holds there (an inf or a NaN included). A row with
     nothing allowed is an error rather than a NaN. ``x`` is not written:
     the result is one new array, and the max-subtraction, ``exp`` and
@@ -132,21 +132,17 @@ def softmax_rows(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
         raise ValidationError(f"x must be 2-D or a stack of 2-D arrays, got ndim={x.ndim}")
-    if mask is None:
-        out = x - x.max(axis=-1, keepdims=True)
-        np.exp(out, out=out)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape[-2:]:
-            raise ValidationError(f"mask shape {mask.shape} != x shape {x.shape[-2:]}")
-        if not mask.any(axis=1).all():
-            bad = int(np.flatnonzero(~mask.any(axis=1))[0])
-            raise ValidationError(f"softmax row {bad} is fully masked")
-        out = np.where(mask, x, -np.inf)
-        out -= out.max(axis=-1, keepdims=True)
-        # exp(-inf) is +0.0 but takes numpy's slow special-value path
-        np.exp(out, out=out, where=mask)
-        np.copyto(out, 0.0, where=~mask)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != x.shape[-2:]:
+        raise ValidationError(f"mask shape {mask.shape} != x shape {x.shape[-2:]}")
+    if not mask.any(axis=1).all():
+        bad = int(np.flatnonzero(~mask.any(axis=1))[0])
+        raise ValidationError(f"softmax row {bad} is fully masked")
+    out = np.where(mask, x, -np.inf)
+    out -= out.max(axis=-1, keepdims=True)
+    # exp(-inf) is +0.0 but takes numpy's slow special-value path
+    np.exp(out, out=out, where=mask)
+    np.copyto(out, 0.0, where=~mask)
     out /= out.sum(axis=-1, keepdims=True)
     return out
 

@@ -131,7 +131,7 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     zero, embeddings std 1/sqrt(cols), the unembedding 0.5/sqrt(rows) (a
     half-scale head keeps the initial loss near ln(vocab)), every other
     matrix std 1/sqrt(fan_in)."""
-    validate_hierarchy(config.hidden_size, config.ladder_m, config.ladder_a, strict=True)
+    validate_hierarchy(config.hidden_size, config.ladder_m, config.ladder_a)
     rng = RngState(derive_seed(seed, StreamTag.INIT_DRAWS))
     params: dict[str, np.ndarray] = {}
     for name, (rows, cols) in param_shapes(config).items():

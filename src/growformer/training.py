@@ -12,7 +12,6 @@ from .checkpoint import Checkpoint
 from .corpus import gen_corpus
 from .errors import NumericError, ValidationError, check_int, check_keys, check_real
 from .growth import GrowthPlan, embed, grow_model
-from .ladder import validate_hierarchy
 from .model import ModelConfig, heldout_loss, init_params, model_loss_and_grads
 from .rng import HELDOUT_STREAM, RngState, StreamTag, derive_seed, seeded_ints
 
@@ -123,9 +122,6 @@ class ExperimentConfig:
                 f"growth config: trigger_step must lie in [0, {self.schedule.steps}), "
                 f"the steps of the schedule, got {self.growth.trigger_step}"
             )
-        if self.growth is not None:
-            grown = self.model.grown(self.growth.delta_m, self.growth.delta_a)
-            validate_hierarchy(grown.hidden_size, grown.ladder_m, grown.ladder_a, strict=True)
         if self.optimizer.lr <= 0:
             raise ValidationError(f"lr must be positive, got {self.optimizer.lr}")
         if self.schedule.steps % self.schedule.snapshot_every != 0:
@@ -287,7 +283,8 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
     seeded initial parameters. ``schedule.steps`` is the absolute step
     target: resuming a checkpoint with the config that produced it
     continues to the same endpoint and reproduces the remaining snapshots
-    byte-for-byte.
+    byte-for-byte. Under a growth block, the checkpoint must hold the
+    model that block implies at its step, ungrown up to the trigger.
     """
     stream = gen_corpus(
         config.corpus.generator, config.corpus.seed, config.corpus.length,
@@ -326,6 +323,14 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
             f"checkpoint is already at step {step0}, past the target "
             f"{config.schedule.steps}"
         )
+    if config.growth is not None:  # a mismatch would skip or repeat the growth
+        grown = config.model.grown(config.growth.delta_m, config.growth.delta_a)
+        want = config.model if step0 <= growth_step else grown
+        if model_config != want:
+            raise ValidationError(
+                f"checkpoint at step {step0} holds {model_config}, but the growth "
+                f"block at step {growth_step} implies {want}"
+            )
     last_loss = float("nan")
     record(step0)
     for local in range(config.schedule.steps - step0):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from growformer import cli, growth
+from growformer import cli, experiment, growth
 from growformer.checkpoint import load_checkpoint, save_checkpoint
 from growformer.experiment import (
     SNAPSHOT_COLUMNS,
@@ -65,6 +65,20 @@ def test_guarded_zero_grow_then_verify_expect_zero(base_path, tmp_path, capsys):
     assert report["max_output_deviation"] == 0.0
     assert cli.main(["verify", "--old", str(base_path), "--new", str(grown), "--expect-zero"]) == 0
     assert "max logit deviation: 0.0" in capsys.readouterr().out
+
+
+def test_grow_past_the_hierarchy_then_verify_expect_zero(base_path, tmp_path, capsys):
+    # m 10 + 6 > a 14, as the paper's axis ablation grows: preservation holds
+    grown = tmp_path / "grown.nxf"
+    argv = ["grow", "--ckpt", str(base_path), "--dm", "6", "--da", "0",
+            "--init", "guarded-zero", "--out", str(grown)]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["new_m"], report["new_a"], report["max_output_deviation"]) == (16, 14, 0.0)
+    assert list(report["block_init"]) == sorted(
+        ["up_new", "mid_right", "mid_bottom", "mid_corner", "down_new"]
+    )
+    assert cli.main(["verify", "--old", str(base_path), "--new", str(grown), "--expect-zero"]) == 0
 
 
 @pytest.mark.parametrize("init", ["guarded-zero", "noise:0.2"])
@@ -299,6 +313,8 @@ def test_unreadable_config_exits_1(command, kind, tmp_path, capsys):
     (["grow", "--ckpt", "x"], "the following arguments are required"),
     (["nosuch"], "invalid choice: 'nosuch'"),
     (["periodicity", "--metrics", "x", "--detrend", "none"], "unrecognized arguments"),
+    (["grow", "--ckpt", "x", "--dm", "1", "--da", "1", "--init", "strict-zero", "--out", "y",
+      "--permissive"], "unrecognized arguments: --permissive"),
 ])
 def test_malformed_command_line_exits_1_with_one_error_line(argv, message, capsys):
     assert cli.main(argv) == 1
@@ -436,6 +452,18 @@ def test_ablate_exits_0(base_path, capsys):
         ["M+A", "A>M>D", "11", "21"],
     ]
     assert all(float(line.split(",")[4]) > 1.0 for line in lines[1:])
+
+
+@pytest.mark.parametrize("total", [2, 1])
+def test_ablate_delta_total_below_3_exits_1_before_training(total, base_path, monkeypatch, capsys):
+    # at 2 both M+A rows would be (1, 1); at 1 they would be single-axis growths
+    def no_training(*args, **kwargs):
+        raise AssertionError("ablate trained before refusing its delta_total")
+
+    monkeypatch.setattr(experiment, "train", no_training)
+    argv = ["ablate", "--ckpt", str(base_path), "--budget", "2", "--delta-total", str(total)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: delta_total must be at least 3, got {total}\n"
 
 
 def write_config(config: dict, tmp_path) -> str:

@@ -144,8 +144,8 @@ class TestBlockGrowth:
         keys = list(params)
         shuffler.shuffle(keys)
         plan = GrowthPlan(dm, da, policy, seed=seed)
-        want, _, _ = grow_model(params, BASE, plan, strict_hierarchy=False)
-        got, _, _ = grow_model({k: params[k] for k in keys}, BASE, plan, strict_hierarchy=False)
+        want, _, _ = grow_model(params, BASE, plan)
+        got, _, _ = grow_model({k: params[k] for k in keys}, BASE, plan)
         assert list(got) == list(want)
         assert all(got[k].tobytes() == want[k].tobytes() for k in want)
 
@@ -180,13 +180,17 @@ class TestGrowModel:
         assert report.block_init["mid_corner"] == "random"
 
     def test_hierarchy_guard(self):
+        # d < m < a binds a fresh ladder only; growth takes any widths
         params = init_params(BASE, seed=1)
-        bad = GrowthPlan(10, 0, "guarded-zero", 3)  # m 22 > a 16
-        with pytest.raises(ValidationError, match="hierarchy"):
-            grow_model(params, BASE, bad)
-        _, cfg, report = grow_model(params, BASE, bad, strict_hierarchy=False)
-        assert cfg.ladder_m == 22
-        assert "hierarchy_warnings" in report.block_init
+        past = GrowthPlan(10, 0, "guarded-zero", 3)  # m 22 > a 16
+        _, cfg, report = grow_model(params, BASE, past, probe=probe_batch())
+        assert (cfg.ladder_m, cfg.ladder_a) == (22, 16)
+        assert report.max_output_deviation == 0.0
+        assert list(report.block_init) == [
+            "up_new", "mid_right", "mid_bottom", "mid_corner", "down_new"
+        ]
+        with pytest.raises(ValidationError, match="stage 2 width 16 < stage 1 width 22"):
+            init_params(cfg, seed=1)
 
 
 class TestGrowProjections:
@@ -354,7 +358,7 @@ class TestReportWithProbe:
 
 
 class TestZeroPolicyProperties:
-    """The paper's invariant at random toy widths, the ladder widths
+    """The paper's invariant at random toy widths, grown widths that break
     d < m < a included. Head widths start at 2: a width-1 LayerNorm
     outputs only its bias, so every gradient is 0."""
 
@@ -381,7 +385,7 @@ class TestZeroPolicyProperties:
         params = init_params(config, seed=seed)
         plan = GrowthPlan(dm, da, policy, seed=seed)
         probe = probe_batch(count=2, seed=seed, n=8, vocab=16)
-        _, _, report = grow_model(params, config, plan, strict_hierarchy=False, probe=probe)
+        _, _, report = grow_model(params, config, plan, probe=probe)
         assert report.max_output_deviation == 0.0
         norms = report.new_block_grad_norms
         if policy == "strict-zero":

@@ -35,20 +35,17 @@ def init_triple(d, m, a, rng):
 
 class TestHierarchy:
     def test_production_ladder_is_valid(self):
-        assert validate_hierarchy(768, 780, 960) == []
+        assert validate_hierarchy(768, 780, 960) is None
 
-    def test_inner_inversion_flagged_but_permitted(self):
-        violations = validate_hierarchy(768, 1180, 960)
-        assert len(violations) == 1
-        assert "960" in violations[0] and "1180" in violations[0]
+    def test_inner_inversion_raises(self):
+        with pytest.raises(ValidationError) as exc:
+            validate_hierarchy(768, 1180, 960)
+        assert str(exc.value) == "ladder hierarchy violated: stage 2 width 960 < stage 1 width 1180"
 
     def test_equal_first_stage(self):
-        violations = validate_hierarchy(4, 4, 8)
-        assert len(violations) == 1
-
-    def test_strict_mode_raises(self):
-        with pytest.raises(ValidationError, match="hierarchy"):
-            validate_hierarchy(4, 4, 8, strict=True)
+        with pytest.raises(ValidationError) as exc:
+            validate_hierarchy(4, 4, 8)
+        assert str(exc.value) == "ladder hierarchy violated: stage 1 width 4 = stage 0 width 4"
 
 
 def scalar_loop_forward(ws, x):

@@ -275,17 +275,17 @@ class TestGelu:
 
 class TestSoftmaxRows:
     def test_uniform_row(self):
-        out = softmax_rows(np.full((2, 5), 3.7))
+        out = softmax_rows(np.full((2, 5), 3.7), np.ones((2, 5), dtype=bool))
         assert np.allclose(out, 0.2, atol=1e-15)
 
     def test_closed_form(self):
-        out = softmax_rows(np.array([[0.0, np.log(3.0)]]))
+        out = softmax_rows(np.array([[0.0, np.log(3.0)]]), np.ones((1, 2), dtype=bool))
         assert np.abs(out - [0.25, 0.75]).max() < 1e-14
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(6, 9)) * 30
-        out = softmax_rows(x)
+        out = softmax_rows(x, np.ones(x.shape, dtype=bool))
         direct = np.exp(x) / np.exp(x).sum(axis=1, keepdims=True)
         assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
         assert np.abs(out - direct).max() < 1e-12
@@ -335,10 +335,6 @@ class TestSoftmaxStack:
             assert alone.tobytes() == two_pass_masked_softmax(x[idx], mask).tobytes()
             assert np.isfinite(alone).all() and not alone[~mask].any()
             assert not np.signbit(stack[idx][~mask]).any()  # +0.0, never -0.0
-        y = rng.normal(size=x.shape) * 20
-        unmasked = softmax_rows(y)
-        for idx in np.ndindex(*lead):
-            assert unmasked[idx].tobytes() == softmax_rows(y[idx]).tobytes()
 
     def test_causal_heads_with_underflow_match_two_pass(self):
         mask = causal_mask(128)
@@ -354,7 +350,7 @@ class TestSoftmaxStack:
         with pytest.raises(ValidationError, match="mask shape"):
             softmax_rows(np.zeros((2, 3, 3)), np.ones((2, 3, 3), dtype=bool))
         with pytest.raises(ValidationError, match="ndim=1"):
-            softmax_rows(np.zeros(3))
+            softmax_rows(np.zeros(3), np.ones((1, 3), dtype=bool))
 
     def test_causal_mask_is_shared_and_read_only(self):
         mask = causal_mask(5)

@@ -49,6 +49,7 @@ FULL_SCALE_SEQ_LEN         reproduced    test_flops.py::TestMeasuredAnchors::tes
 MEASURED                   reproduced    test_flops.py::TestMeasuredAnchors::test_efficiency_ratio_reproduces_measured_column
 AXIS_ABLATION_ROWS         mirrored      test_experiment.py::TestAblateAxes::test_four_rows_schema_and_orders
                                          test_paper_claims.py::test_recorded_orders_hold_for_any_base_width_below_780
+                                         test_cli.py::test_grow_past_the_hierarchy_then_verify_expect_zero
 ladder_model_config        reproduced    test_flops.py::TestMeasuredAnchors::test_ladder_estimates_within_20pct
 baseline_model_config      reproduced    test_flops.py::TestMeasuredAnchors::test_ordering_ladder_below_baseline
 
@@ -124,7 +125,9 @@ Notes, one per row:
   with the recorded keys, axis column and order column. For every
   recorded row, the order label of (d, m, a) with any d < 780 is the
   recorded one; the 240M base has d = 768. The m, a and ppl values are
-  scale-specific.
+  scale-specific. The recorded M>A>D rows grow m past a, so growth takes
+  any widths (only a fresh ladder must keep d < m < a): a guarded-zero
+  ``grow`` that puts m above a still passes ``verify --expect-zero``.
 * ladder_model_config, baseline_model_config: the builders behind the
   FLOP checks above.
 """
@@ -260,8 +263,8 @@ def test_reported_scaling_does_not_follow_from_recorded_paths():
 
 
 def test_every_recorded_ladder_scale_keeps_the_width_hierarchy():
-    for size, (_, d, _, _, m, a) in LADDER_MODEL_DIMS.items():
-        assert validate_hierarchy(d, m, a) == [], size
+    for _, d, _, _, m, a in LADDER_MODEL_DIMS.values():
+        validate_hierarchy(d, m, a)  # raises on a break, naming the widths
 
 
 def test_recorded_orders_hold_for_any_base_width_below_780():

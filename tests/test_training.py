@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,20 +174,19 @@ class TestConfig:
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
         assert message in capsys.readouterr().err
 
-    def test_growth_that_breaks_the_hierarchy_rejected(self, tmp_path, capsys):
-        # m=20, a=24 grown by (10, 0) has m=30 > a=24: refused before any step
-        message = "ladder hierarchy violated: stage 2 width 24 < stage 1 width 30"
+    def test_growth_past_the_hierarchy_trains_through_the_trigger(self, tmp_path):
+        # m=20, a=24 grown by (10, 0) has m=30 > a=24: growth takes any widths
         growth = {"delta_m": 10, "delta_a": 0, "init_policy": "guarded-zero", "seed": 5,
-                  "trigger_step": 30}
-        with pytest.raises(ValidationError, match=message):
-            make_config(growth=GrowthConfig(**growth))
-        blob = {**make_config().to_dict(), "growth": growth}
+                  "trigger_step": 2}
+        grown = train(make_config(steps=4, snapshot_every=2, growth=GrowthConfig(**growth)))
+        grown = grown.final.model_config
+        assert (grown.ladder_m, grown.ladder_a) == (30, 24)
+        blob = {**make_config(steps=4, snapshot_every=2).to_dict(), "growth": growth}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(blob), encoding="utf-8")
         out = tmp_path / "run"
-        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 0
+        assert load_checkpoint(out / "step00000004.nxf").model_config == grown
 
     def test_plan_without_trigger_rejected(self):
         with pytest.raises(ValidationError, match="growth must be a GrowthConfig, not GrowthPlan"):
@@ -342,6 +342,18 @@ class TestTrain:
             for group in CHECKPOINT_GROUPS:
                 assert same_bits(getattr(resumed.final, group), getattr(full.final, group))
             assert resumed.final.rng == full.final.rng
+
+    def test_resume_with_widths_the_trigger_does_not_imply_rejected(self):
+        # resuming would skip the growth (or grow twice) yet apply its re-warm
+        growth = GrowthConfig(2, 2, "guarded-zero", seed=3, trigger_step=5)
+        cfg = make_config(steps=20, snapshot_every=10, growth=growth)
+        ungrown = train(make_config(steps=10, snapshot_every=10)).final
+        with pytest.raises(ValidationError, match="checkpoint at step 10 holds"):
+            train(cfg, resume=ungrown)
+        grown = train(cfg).checkpoints[1]
+        later = make_config(steps=20, snapshot_every=10, growth=replace(growth, trigger_step=15))
+        with pytest.raises(ValidationError, match="growth block at step 15 implies"):
+            train(later, resume=grown)
 
     def test_resume_leaves_checkpoint_unchanged(self):
         cfg = make_config(steps=20, snapshot_every=10)
