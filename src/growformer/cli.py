@@ -1,24 +1,25 @@
 """Command-line surface.
 
-Subcommands: train, grow, verify, analyze, fit-scaling, periodicity,
-flops, ablate. Exit codes: 0 success; 1 malformed or unreadable input (a
-bad argument, a config or metrics file that does not parse or lacks a
-field, a config block with a key that is not a field of its dataclass, a
-value of the wrong type, a NaN or infinite optimizer value, a beta
-outside [0, 1), a negative schedule or rewarm step count, a corpus
-stream that is negative or is the held-out stream (for ``ablate``, also
-the continued stream two past the base's), a growth trigger outside the
-schedule, a ``--resume`` checkpoint whose widths the growth block does
-not imply at its step, an ``ablate --delta-total`` below 3, a metrics
-series with a non-finite value, a ``fit-scaling`` or ``periodicity``
-metrics file that holds several growth paths and no ``--path``, or none
-under the label given, a bad checkpoint such as one truncated, one with
-a negative counter or a matrix listed twice, or one whose matrices are
-missing, extra or misshapen for its model config, a ``grow``, ``verify``
-or ``analyze`` base checkpoint that carries no experiment config to draw
-held-out probes from, a missing path or a directory), reported as one
-``error:`` line without a traceback; 2 numeric failure, such as a
-zero-policy ``grow`` whose probe deviation is not exactly 0.0.
+Subcommands: train, grow, verify, analyze, flops, ablate. Exit codes: 0
+success; 1 malformed or unreadable input (a bad argument, a config file
+that does not parse or lacks a field, a config block with a key that is
+not a field of its dataclass, a value of the wrong type, a NaN or
+infinite optimizer value, a beta outside [0, 1), a negative schedule or
+rewarm step count, a corpus stream that is negative or is the held-out
+stream (for ``ablate``, also the continued stream two past the base's),
+a growth trigger outside the schedule, a ``--resume`` checkpoint whose
+widths the config does not imply at its step, an ``ablate
+--delta-total`` below 3, a bad checkpoint such as one truncated, one
+with a negative counter or a matrix listed twice, or one whose matrices
+are missing, extra or misshapen for its model config, a ``grow``,
+``verify`` or ``analyze`` base checkpoint that carries no experiment
+config to draw held-out probes from, a missing path or a directory),
+reported as one ``error:`` line without a traceback; 2 numeric failure,
+such as a zero-policy ``grow`` whose probe deviation is not exactly 0.0.
+
+The series fits (harmonic cycle, Fisher's g, scaling law) have one home:
+the ``fits.json`` that ``analyze`` writes, as ``experiment.emit_reports``
+does for each plan.
 
 Only a fresh ladder must keep d < m < a. ``grow``, in-run growth and
 ``ablate`` take any widths: the paper's axis ablation grows m past a,
@@ -40,20 +41,14 @@ from .experiment import SNAPSHOT_COLUMNS, ablate_axes, analyze_snapshot_series, 
 from .flops import breakdown_csv_rows
 from .growth import GrowthPlan, grow_model, verify_function_preservation
 from .model import ModelConfig, heldout_loss
-from .seriesstats import fisher_g_test, harmonic_fit, scaling_law_fit
 from .training import ExperimentConfig, checkpoint_experiment, heldout_sequences, train
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not a UTF-8 text file") from exc
 
 
 def _read_json(path: str):
     try:
-        return json.loads(_read_text(path))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not a UTF-8 text file") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not a JSON file: {exc}") from exc
 
@@ -135,63 +130,10 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _read_metrics_csv(
-    path: str, names: tuple[str, ...], label: str | None = None
-) -> dict[str, list[float]]:
-    """The named columns of a metrics CSV, parsed as floats, over the rows
-    whose ``path`` cell is ``label``. ``label`` may be None when the file
-    holds one growth path or has no ``path`` column (an ``analyze``
-    alignment.csv); a file that holds several must be told which it means."""
-    rows = [line.split(",") for line in _read_text(path).strip().splitlines()]
-    header, rows = (rows[0], rows[1:]) if rows else ([], [])
-    for name in names:
-        if name not in header:
-            raise ValidationError(f"{path}: no {name!r} column in header {header}")
-    col = header.index("path") if "path" in header else None
-    if col is None and label is not None:
-        raise ValidationError(f"{path}: no 'path' column to select {label!r} from")
-    by_label: dict[str | None, list[list[float]]] = {}
-    try:
-        for row in rows:
-            cells = [float(row[header.index(name)]) for name in names]
-            by_label.setdefault(None if col is None else row[col], []).append(cells)
-    except (IndexError, ValueError) as exc:  # a short row, or a cell that is not a number
-        raise ValidationError(f"{path}: malformed metrics row: {exc}") from exc
-    labels = ", ".join(map(str, by_label))
-    if label is None and len(by_label) > 1:
-        raise ValidationError(
-            f"{path}: holds {len(by_label)} paths ({labels}); choose one with --path"
-        )
-    if label is not None and label not in by_label:
-        raise ValidationError(f"{path}: no path {label!r}; it holds {labels}")
-    chosen = next(iter(by_label.values()), []) if label is None else by_label[label]
-    return {name: [cells[i] for cells in chosen] for i, name in enumerate(names)}
-
-
-def _cmd_fit_scaling(args) -> int:
-    cols = _read_metrics_csv(args.metrics, ("r", "ppl"), label=args.path)
-    pairs = list(zip(cols["r"], cols["ppl"]))
-    fit = scaling_law_fit(pairs)
-    print(json.dumps(fit.to_dict(), sort_keys=True, indent=2))
-    return 0
-
-
-def _cmd_periodicity(args) -> int:
-    cols = _read_metrics_csv(args.metrics, ("tokens", "r"), label=args.path)
-    tokens = [t / 1000.0 for t in cols["tokens"]]
-    r = cols["r"]
-    out = {
-        "harmonic": harmonic_fit(tokens, r).to_dict(),
-        "fisher_g": fisher_g_test(r, detrend="linear").to_dict(),
-    }
-    print(json.dumps(out, sort_keys=True, indent=2))
-    return 0
-
-
 def _cmd_flops(args) -> int:
     config = _load_model_config(args.config)
     name = Path(args.config).stem
-    for line in breakdown_csv_rows([(name, config)], seq_len=args.seq_len):
+    for line in breakdown_csv_rows(name, config, seq_len=args.seq_len):
         print(line)
     return 0
 
@@ -243,18 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_analyze)
-
-    p = sub.add_parser("fit-scaling", help="fit ln(ppl) ~ |ln(r)| from a metrics CSV")
-    p.add_argument("--metrics", required=True)
-    p.add_argument("--path", default=None,
-                   help="growth path label; required when the file holds more than one")
-    p.set_defaults(fn=_cmd_fit_scaling)
-
-    p = sub.add_parser("periodicity", help="harmonic fit and Fisher's g test on the r series")
-    p.add_argument("--metrics", required=True)
-    p.add_argument("--path", default=None,
-                   help="growth path label; required when the file holds more than one")
-    p.set_defaults(fn=_cmd_periodicity)
 
     p = sub.add_parser("flops", help="per-token FLOP breakdown for a config")
     p.add_argument("--config", required=True)

@@ -96,24 +96,22 @@ def efficiency_ratio(ppl: float, flops: float) -> float:
     return ppl / flops
 
 
-def breakdown_csv_rows(named_configs, seq_len: int | None = None) -> list[str]:
-    """CSV lines (config_name, components..., total, ratio_vs_baseline).
+def breakdown_csv_rows(name: str, config: ModelConfig, seq_len: int | None = None) -> list[str]:
+    """CSV lines (config_name, components..., total, ratio_vs_baseline)
+    for one named config.
 
-    The baseline for each row is the same config with standard
-    projections.
+    The baseline is the same config with standard projections.
     """
     header = (
         "config_name,qkv_projections,attention_scores,attention_aggregate,"
         "output_projection,ffn,lm_head,total,ratio_vs_baseline"
     )
-    lines = [header]
-    for name, config in named_configs:
-        b = model_flops(config, seq_len=seq_len, projection="ladder")
-        base = model_flops(config, seq_len=seq_len, projection="standard")
-        ratio = b.total / base.total
-        lines.append(
-            f"{name},{b.qkv_projections},{b.attention_scores},"
-            f"{b.attention_aggregate},{b.output_projection},{b.ffn},"
-            f"{b.lm_head},{b.total},{ratio!r}"
-        )
-    return lines
+    b = model_flops(config, seq_len=seq_len, projection="ladder")
+    base = model_flops(config, seq_len=seq_len, projection="standard")
+    ratio = b.total / base.total
+    return [
+        header,
+        f"{name},{b.qkv_projections},{b.attention_scores},"
+        f"{b.attention_aggregate},{b.output_projection},{b.ffn},"
+        f"{b.lm_head},{b.total},{ratio!r}",
+    ]

@@ -283,8 +283,9 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
     seeded initial parameters. ``schedule.steps`` is the absolute step
     target: resuming a checkpoint with the config that produced it
     continues to the same endpoint and reproduces the remaining snapshots
-    byte-for-byte. Under a growth block, the checkpoint must hold the
-    model that block implies at its step, ungrown up to the trigger.
+    byte-for-byte. The checkpoint must hold ``config.model``, or under a
+    growth block the model grown by it once its step is past the trigger;
+    snapshots record the config's widths, so any other model is refused.
     """
     stream = gen_corpus(
         config.corpus.generator, config.corpus.seed, config.corpus.length,
@@ -323,14 +324,16 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
             f"checkpoint is already at step {step0}, past the target "
             f"{config.schedule.steps}"
         )
-    if config.growth is not None:  # a mismatch would skip or repeat the growth
-        grown = config.model.grown(config.growth.delta_m, config.growth.delta_a)
-        want = config.model if step0 <= growth_step else grown
-        if model_config != want:
-            raise ValidationError(
-                f"checkpoint at step {step0} holds {model_config}, but the growth "
-                f"block at step {growth_step} implies {want}"
-            )
+    # a mismatch would skip or repeat the growth, or label every snapshot
+    # with widths it does not hold
+    want = config.model
+    if config.growth is not None and step0 > growth_step:
+        want = want.grown(config.growth.delta_m, config.growth.delta_a)
+    if model_config != want:
+        source = "config" if config.growth is None else f"growth block at step {growth_step}"
+        raise ValidationError(
+            f"checkpoint at step {step0} holds {model_config}, but the {source} implies {want}"
+        )
     last_loss = float("nan")
     record(step0)
     for local in range(config.schedule.steps - step0):

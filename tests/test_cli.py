@@ -1,5 +1,5 @@
+import argparse
 import json
-import math
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -9,12 +9,8 @@ import pytest
 
 from growformer import cli, experiment, growth
 from growformer.checkpoint import load_checkpoint, save_checkpoint
-from growformer.experiment import (
-    SNAPSHOT_COLUMNS,
-    ablate_axes,
-    emit_reports,
-    run_growth_experiment,
-)
+from growformer.errors import ValidationError
+from growformer.experiment import ablate_axes
 from growformer.model import ModelConfig
 from growformer.rng import HELDOUT_STREAM
 from growformer.training import (
@@ -312,9 +308,10 @@ def test_unreadable_config_exits_1(command, kind, tmp_path, capsys):
     (["flops", "--config", "x", "--seq-len", "abc"], "invalid int value: 'abc'"),
     (["grow", "--ckpt", "x"], "the following arguments are required"),
     (["nosuch"], "invalid choice: 'nosuch'"),
-    (["periodicity", "--metrics", "x", "--detrend", "none"], "unrecognized arguments"),
     (["grow", "--ckpt", "x", "--dm", "1", "--da", "1", "--init", "strict-zero", "--out", "y",
       "--permissive"], "unrecognized arguments: --permissive"),
+    (["periodicity", "--metrics", "x"], "invalid choice: 'periodicity'"),
+    (["fit-scaling", "--metrics", "x"], "invalid choice: 'fit-scaling'"),
 ])
 def test_malformed_command_line_exits_1_with_one_error_line(argv, message, capsys):
     assert cli.main(argv) == 1
@@ -323,23 +320,15 @@ def test_malformed_command_line_exits_1_with_one_error_line(argv, message, capsy
     assert captured.err.count("\n") == 1 and "usage:" not in captured.err + captured.out
 
 
+def test_docstring_lists_exactly_the_parser_subcommands():
+    listed = cli.__doc__.split("Subcommands:", 1)[1].split(".", 1)[0]
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [name.strip() for name in listed.split(",")] == list(sub.choices)
+
+
 def test_help_still_exits_0(capsys):
     assert cli.main(["flops", "--help"]) == 0
     assert "--seq-len" in capsys.readouterr().out
-
-
-def test_fit_scaling_on_a_header_only_metrics_csv_exits_1(tmp_path, capsys):
-    path = tmp_path / "metrics.csv"
-    path.write_text("path," + SNAPSHOT_COLUMNS + "\n", encoding="utf-8")
-    assert cli.main(["fit-scaling", "--metrics", str(path)]) == 1
-    assert capsys.readouterr().err == "error: no (r, ppl) pairs given\n"
-
-
-def test_metrics_csv_without_ppl_column_exits_1(tmp_path, capsys):
-    path = tmp_path / "metrics.csv"
-    path.write_text("tokens,r\n0,0.0\n320,0.5\n", encoding="utf-8")
-    assert cli.main(["fit-scaling", "--metrics", str(path)]) == 1
-    assert "no 'ppl' column" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -358,86 +347,6 @@ def test_checkpoint_off_its_parameter_layout_exits_1(name, shape, base_path, tmp
     assert cli.main(["verify", "--old", str(base_path), "--new", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_non_finite_metrics_exit_1(bad, tmp_path, capsys):
-    path = tmp_path / "metrics.csv"
-    rows = [f"{320 * i},{0.1 * (i + 1)},{3.0 + i}" for i in range(8)]
-    rows[3] = f"960,{bad},6.0"
-    path.write_text("tokens,r,ppl\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    for command in ("fit-scaling", "periodicity"):
-        assert cli.main([command, "--metrics", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "finite" in err
-
-
-def test_periodicity_exits_0(tmp_path, capsys):
-    path = tmp_path / "metrics.csv"
-    rows = [f"{320 * i},{0.5 + 0.3 * math.cos(2 * math.pi * i / 4) + 0.01 * i}" for i in range(12)]
-    path.write_text("tokens,r\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    assert cli.main(["periodicity", "--metrics", str(path)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert set(out["harmonic"]) == {
-        "a0", "a1", "freq", "phase", "r_squared", "trend", "trend_slope", "degenerate"
-    }
-    assert out["harmonic"]["degenerate"] is False
-    assert abs(out["harmonic"]["freq"] - 1 / 1.28) < 0.05  # one cycle per 4 rows of 320 tokens
-    assert out["fisher_g"]["fourier_term_count"] == 5
-
-
-@pytest.fixture(scope="module")
-def two_plan_reports(base_run, tmp_path_factory):
-    """metrics.csv of a two-plan growth experiment, and of its first plan
-    emitted alone."""
-    plans = [growth.GrowthPlan(2, 2, "guarded-zero", seed=3),
-             growth.GrowthPlan(2, 2, "noise:0.1", seed=3)]
-    series = run_growth_experiment(base_run, plans, budget=8, cadence=2)
-    both, first = tmp_path_factory.mktemp("both"), tmp_path_factory.mktemp("first")
-    emit_reports(series, both)
-    label = sorted(series)[0]
-    emit_reports({label: series[label]}, first)
-    return both / "metrics.csv", first / "metrics.csv", sorted(series)
-
-
-@pytest.mark.parametrize("command", ["fit-scaling", "periodicity"])
-def test_one_path_of_a_multi_plan_file_reads_as_that_path_alone(
-    command, two_plan_reports, capsys
-):
-    both, first, labels = two_plan_reports
-    assert cli.main([command, "--metrics", str(first)]) == 0
-    alone = capsys.readouterr().out
-    assert cli.main([command, "--metrics", str(both), "--path", labels[0]]) == 0
-    assert capsys.readouterr().out == alone
-
-
-@pytest.mark.parametrize("command", ["fit-scaling", "periodicity"])
-@pytest.mark.parametrize("extra", [[], ["--path", "no-such-plan"]], ids=["no-path", "unknown"])
-def test_multi_plan_file_without_a_known_path_exits_1(
-    command, extra, two_plan_reports, capsys
-):
-    both, _, labels = two_plan_reports
-    assert cli.main([command, "--metrics", str(both), *extra]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert all(label in err for label in labels)
-
-
-def test_path_label_on_a_file_without_a_path_column_exits_1(tmp_path, capsys):
-    path = tmp_path / "alignment.csv"
-    path.write_text("tokens,r\n0,0.5\n320,0.6\n", encoding="utf-8")
-    assert cli.main(["periodicity", "--metrics", str(path), "--path", "x"]) == 1
-    assert "no 'path' column" in capsys.readouterr().err
-
-
-def test_short_row_of_a_multi_plan_file_exits_1(two_plan_reports, tmp_path, capsys):
-    both, _, labels = two_plan_reports
-    short = tmp_path / "metrics.csv"
-    lines = both.read_text(encoding="utf-8").splitlines()
-    label_only = lines[1].split(",")[lines[0].split(",").index("path")]
-    short.write_text("\n".join([lines[0], label_only, *lines[2:]]) + "\n", encoding="utf-8")
-    assert cli.main(["periodicity", "--metrics", str(short), "--path", labels[0]]) == 1
-    assert "malformed metrics row" in capsys.readouterr().err
 
 
 def test_ablate_exits_0(base_path, capsys):
@@ -506,10 +415,29 @@ def test_resume_past_the_rng_counter_limit_exits_1(tmp_path, capsys):
     assert not (resumed / "step00000004.nxf").exists()
 
 
+def test_resume_from_other_widths_without_growth_exits_1(base_path, tmp_path, capsys):
+    # every snapshot would record the config's widths while holding the grown matrices
+    grown = tmp_path / "grown.nxf"
+    assert cli.main(grow_args(base_path, grown, "guarded-zero")) == 0
+    capsys.readouterr()
+    config = experiment_blob()
+    config["schedule"] = {"steps": 8, "warmup": 2, "snapshot_every": 2}
+    with pytest.raises(ValidationError, match="but the config implies"):
+        train(ExperimentConfig.from_dict(config), resume=load_checkpoint(grown))
+    out = tmp_path / "run"
+    argv = ["train", "--config", write_config(config, tmp_path), "--out", str(out),
+            "--resume", str(grown)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint at step 4 holds") and err.count("\n") == 1
+    assert not list(out.glob("*.nxf"))
+
+
 def test_analyze_grown_series_exits_0(base_path, tmp_path, capsys):
     grown = tmp_path / "grown.nxf"
     assert cli.main(grow_args(base_path, grown, "guarded-zero")) == 0
     config = experiment_blob()
+    config["model"] = MODEL.grown(2, 2).to_dict()
     config["schedule"] = {"steps": 8, "warmup": 2, "snapshot_every": 2}
     series, out = tmp_path / "series", tmp_path / "out"
     assert cli.main(["train", "--config", write_config(config, tmp_path), "--out", str(series),

@@ -19,6 +19,7 @@ from growformer.growth import GrowthPlan
 from growformer.model import ModelConfig, heldout_loss
 from growformer.refdata import AXIS_ABLATION_ROWS
 from growformer.rng import CONTINUED_OFFSET, HELDOUT_STREAM
+from growformer.seriesstats import fisher_g_test, harmonic_fit, scaling_law_fit
 from growformer.training import (
     CorpusConfig,
     ExperimentConfig,
@@ -271,6 +272,45 @@ class TestEmitReports:
         for rel in ("metrics.csv", "growth_report.json", "summary.json",
                     "strict-zero-dm3-da4/trajectory.csv", "strict-zero-dm3-da4/fits.json"):
             assert (a_dir / rel).read_bytes() == (b_dir / rel).read_bytes(), rel
+
+    def test_fits_json_is_the_fit_of_its_own_metrics_rows(self, tmp_path):
+        # each plan's fits.json holds the seriesstats fits of that plan's
+        # metrics.csv rows alone, and its bytes do not depend on the other plans
+        def fit_block(fn, *args, **kwargs):
+            try:
+                return {"degenerate": False, **fn(*args, **kwargs).to_dict()}
+            except ValidationError as exc:
+                return {"degenerate": True, "reason": str(exc)}
+
+        series = run_growth_experiment(
+            pretrained_base(),
+            [GrowthPlan(3, 4, "guarded-zero", seed=2), GrowthPlan(3, 4, "noise:0.2", seed=2)],
+            budget=40,
+            cadence=4,
+        )
+        emit_reports(series, tmp_path / "both")
+        lines = (tmp_path / "both" / "metrics.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        fitted = 0
+        for label in series:
+            mine = [row for row in rows if row["path"] == label]
+            tokens = [int(row["tokens"]) / 1000.0 for row in mine]
+            r = [float(row["r"]) for row in mine]
+            ppl = [float(row["ppl"]) for row in mine]
+            want = {
+                "harmonic": fit_block(harmonic_fit, tokens, r),
+                "fisher_g": fit_block(fisher_g_test, r, detrend="linear"),
+                "scaling_law": fit_block(scaling_law_fit, list(zip(r, ppl))),
+            }
+            fits_bytes = (tmp_path / "both" / label / "fits.json").read_bytes()
+            fits = json.loads(fits_bytes)
+            for key, block in want.items():
+                assert json.dumps(fits[key], sort_keys=True) == json.dumps(block, sort_keys=True)
+                fitted += not block["degenerate"]
+            emit_reports({label: series[label]}, tmp_path / label)
+            assert (tmp_path / label / label / "fits.json").read_bytes() == fits_bytes
+        assert fitted == 6
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValidationError):

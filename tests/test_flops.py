@@ -138,7 +138,8 @@ class TestEfficiencyRatio:
 class TestCsvEmission:
     def test_rows_and_ratio(self):
         cfg = ladder_model_config("240M")
-        lines = breakdown_csv_rows([("ladder-240m", cfg)])
+        lines = breakdown_csv_rows("ladder-240m", cfg)
+        assert len(lines) == 2
         assert lines[0].startswith("config_name,qkv_projections,")
         cells = lines[1].split(",")
         assert cells[0] == "ladder-240m"

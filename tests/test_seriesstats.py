@@ -44,6 +44,10 @@ class TestHarmonicFit:
         t = np.arange(0.0, 31.0, 3.0)
         v = 1.0 + 0.3 * np.cos(2 * np.pi * t / 11.0)
         fit = harmonic_fit(t, v)
+        assert set(fit.to_dict()) == {
+            "a0", "a1", "freq", "phase", "r_squared", "trend", "trend_slope", "degenerate"
+        }
+        assert fit.degenerate is False
         span = t[-1] - t[0]
         grid_step = (1 / 6 - 1 / (2 * span)) / 511
         assert abs(fit.freq - 1 / 11) <= grid_step
@@ -185,6 +189,8 @@ class TestScalingLaw:
     def test_all_excluded(self):
         with pytest.raises(ValidationError, match="excluded"):
             scaling_law_fit([(0.0, 10.0), (0.0, 11.0)])
+        with pytest.raises(ValidationError, match=r"no \(r, ppl\) pairs given"):
+            scaling_law_fit([])
 
     def test_bad_ppl(self):
         with pytest.raises(ValidationError):
