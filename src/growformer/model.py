@@ -5,7 +5,8 @@ pre-norm attention (three ladder projections, multi-head softmax, output
 projection) and a pre-norm GeLU FFN, both with residual connections,
 then a final norm and an unembedding matrix. All linear maps are
 bias-free. Forward and backward are hand-written on 2-D float64 arrays,
-one sequence at a time.
+one sequence at a time; ``heldout_loss`` runs its sequences' forwards on
+one thread per CPU, since BLAS and numpy's loops release the GIL.
 
 Only ``model_loss_and_grads`` keeps the per-block caches, because only
 the backward reads them. Every forward-only pass (``model_forward``,
@@ -16,10 +17,15 @@ the caches would take about 8 MiB, where the forward alone needs under
 
 ``param_shapes`` is the one statement of the parameter layout, and
 ``check_params`` holds a parameter set to it where one enters the program.
+``check_fits_memory`` refuses a configuration whose parameters and Adam
+moments could not fit in physical memory before any of them is made.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -110,6 +116,25 @@ def projection_keys(config: ModelConfig) -> list[str]:
     return [name for name in param_shapes(config) if name.endswith(PROJ_STAGES)]
 
 
+def check_fits_memory(config: ModelConfig) -> None:
+    """Raise ValidationError when the parameters of ``config`` and their
+    two Adam moments, 8 bytes per entry each, exceed physical memory.
+
+    The count is the closed form of ``param_shapes`` in Python ints, so
+    a config too large to lay out is refused without building anything.
+    """
+    d, m, a, f = config.hidden_size, config.ladder_m, config.ladder_a, config.ffn_size
+    per_layer = 4 * d + 3 * (d * m + m * a + a * d) + d * d + 2 * d * f
+    count = (2 * config.vocab_size + config.context_len + 2) * d + config.n_layers * per_layer
+    need = 3 * 8 * count
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > physical:
+        raise ValidationError(
+            f"model: {count} parameters need {need} bytes with their Adam moments, "
+            f"more than the {physical} bytes of physical memory"
+        )
+
+
 def check_params(config: ModelConfig, params: dict, label: str) -> None:
     """Raise ValidationError unless ``params`` holds exactly the matrices
     of ``param_shapes(config)``, each of that shape. ``label`` names the
@@ -132,6 +157,7 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     half-scale head keeps the initial loss near ln(vocab)), every other
     matrix std 1/sqrt(fan_in)."""
     validate_hierarchy(config.hidden_size, config.ladder_m, config.ladder_a)
+    check_fits_memory(config)
     rng = RngState(derive_seed(seed, StreamTag.INIT_DRAWS))
     params: dict[str, np.ndarray] = {}
     for name, (rows, cols) in param_shapes(config).items():
@@ -325,6 +351,25 @@ def model_loss_and_grads(config: ModelConfig, params: dict, token_ids):
 
 
 def heldout_loss(config: ModelConfig, params: dict, sequences) -> float:
-    """Mean loss over a list of evaluation sequences."""
-    losses = [model_forward(config, params, seq)[1] for seq in sequences]
+    """Mean loss over a list of evaluation sequences.
+
+    The forwards run on a thread pool of this call, one worker per CPU
+    this process may use (never more than there are sequences), and end
+    with it. They run in parallel because each reads the parameters
+    only, and BLAS products and numpy's element-wise loops, ``ndtr``
+    included, release the GIL. A pool thread starts in an empty context,
+    where exact mode is off, so each forward runs in a copy of the
+    caller's: a caller inside ``exact_arithmetic()`` gets channel-ordered
+    products in the workers too. The losses are averaged
+    in sequence order, so the result is bit-identical to scoring the
+    sequences one after another.
+    """
+    if len(sequences) == 0:
+        raise ValidationError("heldout_loss needs at least one sequence")
+    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(sequences))) as pool:
+        futures = [
+            pool.submit(contextvars.copy_context().run, model_forward, config, params, seq)
+            for seq in sequences
+        ]
+        losses = [future.result()[1] for future in futures]
     return float(np.mean(losses))

@@ -221,6 +221,16 @@ def test_training_on_the_heldout_stream_exits_1(tmp_path, capsys):
     assert not list(out.glob("*.nxf"))
 
 
+def test_model_too_large_for_memory_exits_1(tmp_path, capsys):
+    config = experiment_blob()
+    config["model"]["ffn_size"] = 2**40
+    code, out = train_on(config, tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "physical memory" in err and err.count("\n") == 1
+    assert not list(out.glob("*.nxf"))
+
+
 def duplicate_first_matrix(data: bytes) -> bytes:
     """The checkpoint bytes with its first matrix listed twice."""
     (json_len,) = struct.unpack("<I", data[8:12])

@@ -1,5 +1,9 @@
+import os
+import threading
 import tracemalloc
 from contextlib import nullcontext
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from growformer.model import (
     TOY_CONFIG,
     ModelConfig,
     _forward,
+    check_fits_memory,
     check_params,
     heldout_loss,
     init_params,
@@ -275,8 +280,71 @@ class TestExpressivityWitness:
         assert mse < 1e-2
 
 
-def test_heldout_loss_averages():
-    params = init_params(TINY, seed=6)
-    seqs = [tiny_batch(seed=s) for s in (1, 2, 3)]
-    losses = [model_forward(TINY, params, s)[1] for s in seqs]
-    assert abs(heldout_loss(TINY, params, seqs) - np.mean(losses)) < 1e-12
+class TestHeldoutLoss:
+    PARAMS = init_params(TINY, seed=6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(2, TINY.context_len), min_size=1, max_size=9),
+        seed=st.integers(0, 2**16),
+        exact=st.booleans(),
+    )
+    def test_equals_the_in_order_mean_of_the_forwards(self, lengths, seed, exact):
+        # bit for bit, and in exact mode too: the workers must inherit it
+        seqs = [tiny_batch(seed=seed + i, n=n) for i, n in enumerate(lengths)]
+        with exact_arithmetic() if exact else nullcontext():
+            expected = float(np.mean([model_forward(TINY, self.PARAMS, s)[1] for s in seqs]))
+            assert heldout_loss(TINY, self.PARAMS, seqs) == expected
+
+    def test_bad_window_in_the_middle_raises(self):
+        seqs = [tiny_batch(seed=s) for s in (1, 2, 3)]
+        seqs[1] = seqs[1].copy()
+        seqs[1][4] = TINY.vocab_size
+        with pytest.raises(ValidationError, match="token id out of range"):
+            heldout_loss(TINY, self.PARAMS, seqs)
+
+    def test_no_windows_raises(self):
+        with pytest.raises(ValidationError, match="at least one sequence"):
+            heldout_loss(TINY, self.PARAMS, [])
+
+    def test_leaves_no_thread_behind(self):
+        before = threading.active_count()
+        heldout_loss(TINY, self.PARAMS, [tiny_batch(seed=s) for s in range(5)])
+        assert threading.active_count() == before
+
+
+def _entries(config: ModelConfig) -> int:
+    return sum(rows * cols for rows, cols in param_shapes(config).values())
+
+
+class TestMemoryBound:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(1, 50)] * 6),
+        n_heads=st.integers(1, 4),
+    )
+    def test_bound_is_three_float64_per_parameter(self, dims, n_heads):
+        vocab, ctx, head_dim, layers, m, f = dims
+        config = ModelConfig(vocab, ctx, head_dim * n_heads, n_heads, layers, m, m + 1, f)
+        need = 3 * 8 * _entries(config)
+        for physical, fits in ((need, True), (need - 1, False)):
+            # one-byte pages, so the bound is checked to the byte
+            with mock.patch.object(
+                os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else physical
+            ):
+                if fits:
+                    check_fits_memory(config)
+                else:
+                    with pytest.raises(ValidationError, match="physical memory"):
+                        check_fits_memory(config)
+
+    # Refused on the count alone: building any of these would exhaust memory.
+    @pytest.mark.parametrize("field", ["ffn_size", "n_layers"])
+    def test_init_params_refuses_a_model_too_large_for_memory(self, field):
+        with pytest.raises(ValidationError, match="physical memory"):
+            init_params(replace(TINY, **{field: 2**40}), seed=0)
+
+    def test_growth_refuses_widths_too_large_for_memory(self):
+        plan = GrowthPlan(2**70, 0, "guarded-zero", seed=0)
+        with pytest.raises(ValidationError, match="physical memory"):
+            grow_model(init_params(TINY, seed=0), TINY, plan)
