@@ -313,10 +313,6 @@ class TestHeldoutLoss:
         assert threading.active_count() == before
 
 
-def _entries(config: ModelConfig) -> int:
-    return sum(rows * cols for rows, cols in param_shapes(config).values())
-
-
 class TestMemoryBound:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -326,7 +322,7 @@ class TestMemoryBound:
     def test_bound_is_three_float64_per_parameter(self, dims, n_heads):
         vocab, ctx, head_dim, layers, m, f = dims
         config = ModelConfig(vocab, ctx, head_dim * n_heads, n_heads, layers, m, m + 1, f)
-        need = 3 * 8 * _entries(config)
+        need = 3 * 8 * sum(rows * cols for rows, cols in param_shapes(config).values())
         for physical, fits in ((need, True), (need - 1, False)):
             # one-byte pages, so the bound is checked to the byte
             with mock.patch.object(
