@@ -360,9 +360,9 @@ def heldout_loss(config: ModelConfig, params: dict, sequences) -> float:
     included, release the GIL. A pool thread starts in an empty context,
     where exact mode is off, so each forward runs in a copy of the
     caller's: a caller inside ``exact_arithmetic()`` gets channel-ordered
-    products in the workers too. The losses are averaged
-    in sequence order, so the result is bit-identical to scoring the
-    sequences one after another.
+    products in the workers too. The losses are averaged in sequence
+    order, so the result is bit-identical to scoring the sequences one
+    after another.
     """
     if len(sequences) == 0:
         raise ValidationError("heldout_loss needs at least one sequence")
