@@ -21,9 +21,9 @@ from .alignment import (
 )
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import NumericError, ValidationError
-from .flops import FlopsBreakdown, efficiency_ratio, model_flops, nexus_proj_flops, standard_proj_flops
+from .flops import FlopsBreakdown, model_flops, nexus_proj_flops, standard_proj_flops
 from .growth import GrowthPlan, GrowthReport, grow_model, new_block_gradient_report, verify_function_preservation
-from .ladder import attention_forward, ladder_forward, rank_bottleneck_check, validate_hierarchy
+from .ladder import attention_forward, ladder_forward, validate_hierarchy
 from .model import ModelConfig, TOY_CONFIG, init_params, model_forward, model_loss_and_grads
 from .rng import RngState, seeded_gaussian
 from .seriesstats import fisher_g_test, harmonic_fit, ols_linear, scaling_law_fit
@@ -46,7 +46,6 @@ __all__ = [
     "ValidationError",
     "WeightSample",
     "attention_forward",
-    "efficiency_ratio",
     "fisher_g_test",
     "grow_model",
     "harmonic_fit",
@@ -65,7 +64,6 @@ __all__ = [
     "percent_shift",
     "perf_gain",
     "radial_energy",
-    "rank_bottleneck_check",
     "save_checkpoint",
     "scaling_law_fit",
     "seeded_gaussian",

@@ -12,10 +12,11 @@ widths the config does not imply at its step, an ``ablate
 --delta-total`` below 3, a bad checkpoint such as one truncated, one
 with a negative counter or a matrix listed twice, or one whose matrices
 are missing, extra or misshapen for its model config, a ``grow``,
-``verify`` or ``analyze`` base checkpoint that carries no experiment
-config to draw held-out probes from, a missing path or a directory),
-reported as one ``error:`` line without a traceback; 2 numeric failure,
-such as a zero-policy ``grow`` whose probe deviation is not exactly 0.0.
+``verify``, ``analyze`` or ``ablate`` base checkpoint that carries no
+experiment config to draw held-out probes from, a missing path or a
+directory), reported as one ``error:`` line without a traceback; 2
+numeric failure, such as a zero-policy ``grow`` whose probe deviation is
+not exactly 0.0.
 
 The series fits (harmonic cycle, Fisher's g, scaling law) have one home:
 the ``fits.json`` that ``analyze`` writes, as ``experiment.emit_reports``

@@ -144,28 +144,3 @@ def gen_corpus(generator: str, seed: int, length: int, stream: int = 0) -> np.nd
     if generator == "mixed":
         return _mixed_stream(seed, length, stream)
     raise ValidationError(f"unknown generator {generator!r}; known: {GENERATORS}")
-
-
-def markov_stationary_unigram_entropy(seed: int) -> float:
-    """Entropy (nats) of the stationary unigram distribution, computed by
-    at most 2000 steps of power iteration over the 64^2 context-pair
-    distribution."""
-    table = markov_table(seed)
-    pi = np.full((VOCAB, VOCAB), 1.0 / (VOCAB * VOCAB))
-    for _ in range(2000):
-        nxt = np.einsum("ab,abc->bc", pi, table)
-        if np.abs(nxt - pi).sum() < 1e-13:
-            pi = nxt
-            break
-        pi = nxt
-    unigram = pi.sum(axis=0)
-    unigram = unigram / unigram.sum()
-    nz = unigram[unigram > 0]
-    return float(-(nz * np.log(nz)).sum())
-
-
-def unigram_entropy(stream: np.ndarray) -> float:
-    counts = np.bincount(stream, minlength=VOCAB).astype(np.float64)
-    p = counts / counts.sum()
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())

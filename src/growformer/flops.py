@@ -89,13 +89,6 @@ def model_flops(
     )
 
 
-def efficiency_ratio(ppl: float, flops: float) -> float:
-    """Perplexity per FLOP; lower is better."""
-    if flops <= 0:
-        raise ValidationError(f"flops must be positive, got {flops}")
-    return ppl / flops
-
-
 def breakdown_csv_rows(name: str, config: ModelConfig, seq_len: int | None = None) -> list[str]:
     """CSV lines (config_name, components..., total, ratio_vs_baseline)
     for one named config.

@@ -144,10 +144,10 @@ def grow_model(
     """Grow every Q/K/V projection with the same plan.
 
     Non-projection parameters are copied untouched. When ``probe`` (a
-    list of token sequences) is given the report also carries the max
-    output deviation on the probe and the new-block gradient norms at
-    step 0, and a zero policy whose deviation is not exactly 0.0 raises
-    NumericError (``require_exact_preservation``).
+    non-empty list of token sequences) is given the report also carries
+    the max output deviation on the probe and the new-block gradient
+    norms at step 0, and a zero policy whose deviation is not exactly 0.0
+    raises NumericError (``require_exact_preservation``).
     """
     new_config = config.grown(plan.delta_m, plan.delta_a)
     new_params = embed(params, new_config)
@@ -171,7 +171,7 @@ def grow_model(
         init_policy=plan.init_policy,
         block_init=block_init,
     )
-    if probe is not None and len(probe) > 0:
+    if probe is not None:
         report.max_output_deviation = verify_function_preservation(
             params, config, new_params, new_config, probe
         )

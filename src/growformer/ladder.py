@@ -167,42 +167,3 @@ def attention_backward(
     dx_k, k_grads = ladder_backward(k_ws, cache.k_cache, dk)
     dx_v, v_grads = ladder_backward(v_ws, cache.v_cache, dv)
     return dx_q + dx_k + dx_v, q_grads, k_grads, v_grads
-
-
-_RANK_TOL = 1e-7
-
-
-@dataclass
-class RankReport:
-    rank_x: int
-    rank_w: int
-    rank_xw: int
-    inequality_holds: bool
-
-
-def _numeric_rank(m: np.ndarray) -> int:
-    """Count singular values above _RANK_TOL * sigma_max."""
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s.max() == 0.0:
-        return 0
-    return int((s > _RANK_TOL * s.max()).sum())
-
-
-def rank_bottleneck_check(x: np.ndarray, w: np.ndarray) -> RankReport:
-    """Numeric check that rank(x @ w) <= min(rank x, rank w).
-
-    Ranks come from singular values: one counts when it exceeds
-    ``_RANK_TOL`` times the largest. A singular value that is zero in
-    exact arithmetic comes out of the SVD near eps * sigma_max, about
-    1e-16 relative, far below that threshold.
-    """
-    x = as_matrix(x, "x")
-    w = as_matrix(w, "w")
-    if x.shape[1] != w.shape[0]:
-        raise ValidationError(
-            f"rank_bottleneck_check shape mismatch: {x.shape} @ {w.shape}"
-        )
-    rx = _numeric_rank(x)
-    rw = _numeric_rank(w)
-    rxw = _numeric_rank(matmul(x, w))
-    return RankReport(rx, rw, rxw, rxw <= min(rx, rw))

@@ -29,12 +29,11 @@ from __future__ import annotations
 import functools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 
 _INV_SQRT_2PI = 0.3989422804014327
 
@@ -178,26 +177,3 @@ def eig_sym3(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if vecs[i, j] < 0:
             vecs[:, j] = -vecs[:, j]
     return vals, vecs
-
-
-def finite_diff_grad(
-    f: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a matrix."""
-    if eps <= 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
-    x = as_matrix(x, "x")
-    g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        xp = x.copy()
-        xp[idx] += eps
-        fp = float(f(xp))
-        xm = x.copy()
-        xm[idx] -= eps
-        fm = float(f(xm))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError(f"finite_diff_grad: non-finite f at index {idx}")
-        g[idx] = (fp - fm) / (2.0 * eps)
-    return g

@@ -1,5 +1,7 @@
 """Recorded results from the full-scale growth study.
 
+Test data, not part of the package: only the tests compare against it.
+
 These tables were measured on the production-scale runs (a 240M-parameter
 base grown to 300M/380M/440M on a web-text corpus): the alignment-indicator
 trajectories of the 380M path and the analyses reported on them, the
@@ -19,7 +21,7 @@ check it. In short:
   give.
 """
 
-from .model import ModelConfig
+from growformer.model import ModelConfig
 
 # Indicator trajectories along the 240M -> 380M growth path, recorded at
 # 3B-token intervals of continued training, for the three new-block

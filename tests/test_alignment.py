@@ -18,8 +18,9 @@ from growformer.alignment import (
 from growformer.errors import ValidationError
 from growformer.growth import GrowthPlan, grow_model
 from growformer.model import ModelConfig, heldout_loss, init_params
-from growformer.refdata import GROWTH_PATH_TRAJECTORIES
 from growformer.rng import RngState, seeded_gaussian, seeded_ints
+
+from refdata import GROWTH_PATH_TRAJECTORIES
 
 
 def ws(values, source="test"):

@@ -501,9 +501,17 @@ def test_checkpoint_without_experiment_config_exits_1_for_grow_and_verify(
     ck.experiment = None
     bare = tmp_path / "bare.nxf"
     save_checkpoint(ck, bare)
-    out = tmp_path / "grown.nxf"
-    assert cli.main(grow_args(bare, out, "guarded-zero")) == 1
-    assert capsys.readouterr().err == "error: base checkpoint carries no experiment config\n"
-    assert not out.exists()
-    assert cli.main(["verify", "--old", str(bare), "--new", str(base_path)]) == 1
-    assert capsys.readouterr().err == "error: base checkpoint carries no experiment config\n"
+    series = tmp_path / "series"
+    series.mkdir()
+    (series / "step1.nxf").write_bytes(base_path.read_bytes())
+    grown, analyzed = tmp_path / "grown.nxf", tmp_path / "analysis"
+    for argv in (
+        grow_args(bare, grown, "guarded-zero"),
+        ["verify", "--old", str(bare), "--new", str(base_path)],
+        ["analyze", "--base", str(bare), "--series", str(series), "--out", str(analyzed)],
+        ["ablate", "--ckpt", str(bare), "--budget", "2", "--delta-total", "8"],
+    ):
+        assert cli.main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err == "error: base checkpoint carries no experiment config\n", argv[0]
+    assert not grown.exists() and not analyzed.exists()

@@ -11,13 +11,13 @@ from growformer.corpus import (
     PATTERN_PERIOD,
     VOCAB,
     gen_corpus,
-    markov_stationary_unigram_entropy,
     markov_table,
     phrase_bank,
-    unigram_entropy,
 )
 from growformer.errors import ValidationError
 from growformer.rng import RngState, StreamTag, derive_seed, seeded_ints, seeded_uniform
+
+from oracles import markov_stationary_unigram_entropy, unigram_entropy
 
 # sha256 of gen_corpus("mixed", 0, 100_000, stream=2), recorded from the
 # per-token searchsorted sampler

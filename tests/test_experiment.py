@@ -17,7 +17,6 @@ from growformer.experiment import (
 )
 from growformer.growth import GrowthPlan
 from growformer.model import ModelConfig, heldout_loss
-from growformer.refdata import AXIS_ABLATION_ROWS
 from growformer.rng import CONTINUED_OFFSET, HELDOUT_STREAM
 from growformer.seriesstats import fisher_g_test, harmonic_fit, scaling_law_fit
 from growformer.training import (
@@ -28,6 +27,8 @@ from growformer.training import (
     heldout_sequences,
     train,
 )
+
+from refdata import AXIS_ABLATION_ROWS
 
 MODEL = ModelConfig(
     vocab_size=64, context_len=32, hidden_size=16, n_heads=2, n_layers=1,

@@ -1,21 +1,16 @@
 import pytest
 
 from growformer import ladder, model
-from growformer.errors import ValidationError
 from growformer.flops import (
     breakdown_csv_rows,
-    efficiency_ratio,
     model_flops,
     nexus_proj_flops,
     standard_proj_flops,
 )
 from growformer.model import ModelConfig, init_params, model_forward
-from growformer.refdata import (
-    MEASURED,
-    baseline_model_config,
-    ladder_model_config,
-)
 from growformer.rng import RngState, seeded_ints
+
+from refdata import MEASURED, baseline_model_config, ladder_model_config
 
 
 class TestProjFlops:
@@ -116,7 +111,7 @@ class TestMeasuredAnchors:
     @pytest.mark.parametrize("kind,size", list(MEASURED))
     def test_efficiency_ratio_reproduces_measured_column(self, kind, size):
         row = MEASURED[(kind, size)]
-        ratio = efficiency_ratio(row["ppl"], row["flops"])
+        ratio = row["ppl"] / row["flops"]
         # agree with the recorded ratio to 3 significant figures
         def sig3(x):
             from math import floor, log10
@@ -124,15 +119,6 @@ class TestMeasuredAnchors:
             return round(x, -int(floor(log10(abs(x)))) + 2)
 
         assert sig3(ratio) == sig3(row["ppl_per_flop"])
-
-
-class TestEfficiencyRatio:
-    def test_halves_with_double_flops(self):
-        assert efficiency_ratio(10.0, 2e8) == 0.5 * efficiency_ratio(10.0, 1e8)
-
-    def test_zero_flops(self):
-        with pytest.raises(ValidationError):
-            efficiency_ratio(10.0, 0.0)
 
 
 class TestCsvEmission:

@@ -17,7 +17,7 @@ from growformer.growth import (
     require_exact_preservation,
     verify_function_preservation,
 )
-from growformer.linalg import exact_arithmetic, finite_diff_grad
+from growformer.linalg import exact_arithmetic
 from growformer.model import (
     TOY_CONFIG,
     ModelConfig,
@@ -34,6 +34,8 @@ from growformer.training import (
     ScheduleConfig,
     heldout_sequences,
 )
+
+from oracles import finite_diff_grad
 
 BASE = ModelConfig(
     vocab_size=32, context_len=12, hidden_size=8, n_heads=2, n_layers=2,
@@ -355,6 +357,13 @@ class TestReportWithProbe:
         noise = GrowthPlan(3, 3, "noise:0.1", 11)
         _, _, report = grow_model(params, BASE, noise, probe=probe_batch())
         assert report.max_output_deviation == 1e-16
+
+    @pytest.mark.parametrize("policy", ["strict-zero", "guarded-zero", "noise:0.5"])
+    def test_empty_probe_is_refused(self, policy):
+        # an empty probe must not skip the exact-preservation gate
+        params = init_params(BASE, seed=10)
+        with pytest.raises(ValidationError, match="probe must be non-empty"):
+            grow_model(params, BASE, GrowthPlan(3, 3, policy, 11), probe=[])
 
 
 class TestZeroPolicyProperties:

@@ -1,21 +1,27 @@
 """Every imported name in the package, its tests and the benchmark
 harness is used, every module-level function, class and assigned name
-of the package is referenced, every name in ``growformer.__all__``
-resolves and is listed once, in sorted order, no ``derive_seed``
-call outside ``rng.py`` spells its stream tag as a number, and every
+of the package is used by the program, every one of a test helper
+module is used by the tests, every name in ``growformer.__all__``
+resolves and is listed once, in sorted order, no ``derive_seed`` call
+outside ``rng.py`` spells its stream tag as a number, and every
 parameter default of a package function that the package or the
 benchmark harness calls is passed by one of those calls.
 
 Stdlib-``ast`` stand-ins for a linter's unused-import rule (a name bound
 by an import must appear as a name somewhere else in the module, or in
-the module's ``__all__``) and for a dead-code finder. A function or class
-defined at the top of a package module must be named somewhere in the
-package, its tests or the benchmark harness: as a loaded name, an
-attribute, an imported name or a string such as a tracer's span key. A
-name assigned at the top of a package module must be loaded, imported or
-named as an attribute somewhere in those files; a string does not count,
-and neither does the assignment itself. Dunder names such as ``__all__``
-are read by Python and are exempt.
+the module's ``__all__``) and for a dead-code finder. The package holds
+only the program: a function or class defined at the top of a package
+module must be named by the program, meaning a package module other
+than ``__init__.py`` (a re-export reaches nothing by itself) or a
+benchmark module other than its tests. It may be named as a loaded
+name, an attribute, an imported name or a string such as a tracer's
+span key. A name assigned at the top of a package module must be
+loaded, imported or named as an attribute by the program; a string
+does not count, and neither does the assignment itself. A definition
+that only tests reach belongs in ``tests/``. The same rule holds a test
+helper module (a ``tests/*.py`` not named ``test_*.py``, such as
+``oracles.py`` or ``refdata.py``) to what the files of ``tests/`` name.
+Dunder names such as ``__all__`` are read by Python and are exempt.
 """
 
 import ast
@@ -28,7 +34,16 @@ import growformer
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "growformer").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
-SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+SOURCES = PACKAGE + TESTS
+HELPERS = [path for path in TESTS if not path.name.startswith("test_")]
+
+
+def is_program(path: Path) -> bool:
+    """Whether a reference from ``path`` keeps a package definition in use."""
+    if path.parent.name == "perfbench":
+        return not path.name.startswith("test_")
+    return path.parent.name == "growformer" and path.name != "__init__.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -215,11 +230,32 @@ def unreferenced_assignments(module: str, loaded: set[str]) -> list[str]:
     ]
 
 
+def unreferenced(module: str, referrers: list[str]) -> list[str]:
+    """Top-level definitions, then assigned names, of ``module`` that no
+    source in ``referrers`` references."""
+    used = set().union(*(references(source) for source in referrers))
+    loaded = set().union(*(loads(source) for source in referrers))
+    return unreferenced_definitions(module, used) + unreferenced_assignments(module, loaded)
+
+
 def test_detects_an_unreferenced_definition():
-    module = "def kept():\n    pass\n\n\nclass Dead:\n    pass\n\n\ndef spanned():\n    pass\n"
+    module = (
+        "def kept():\n    pass\n\n\nclass Dead:\n    pass\n\n\ndef spanned():\n    pass\n\n\n"
+        "def tested():\n    pass\n"
+    )
     user = "from m import kept\nkept()\nSPANS = {('m', 'spanned'): ()}\n"
-    used = references(module) | references(user)
-    assert unreferenced_definitions(module, used) == ["Dead"]
+    test = "from m import tested\ntested()\n"
+    assert unreferenced(module, [module, user, test]) == ["Dead"]
+    # a test is not the program, so what only a test names is dead
+    assert unreferenced(module, [module, user]) == ["Dead", "tested"]
+    program = [ROOT / "src/growformer/m.py", ROOT / "perfbench/run.py"]
+    not_program = [
+        ROOT / "src/growformer/__init__.py",
+        ROOT / "perfbench/test_perfbench.py",
+        ROOT / "tests/test_m.py",
+        ROOT / "tests/oracles.py",
+    ]
+    assert [is_program(path) for path in program + not_program] == [True] * 2 + [False] * 4
 
 
 def test_detects_an_unreferenced_assignment():
@@ -233,16 +269,15 @@ def test_detects_an_unreferenced_assignment():
 
 
 def test_every_package_definition_is_referenced():
-    files = SOURCES + BENCHMARK
-    sources = [path.read_text(encoding="utf-8") for path in files]
-    used = set().union(*(references(source) for source in sources))
-    loaded = set().union(*(loads(source) for source in sources))
-    dead = {
-        path.name: unreferenced_definitions(source, used)
-        + unreferenced_assignments(source, loaded)
-        for path, source in zip(files, sources)
-        if path in PACKAGE
-    }
+    program = [path.read_text(encoding="utf-8") for path in PACKAGE + BENCHMARK if is_program(path)]
+    dead = {path.name: unreferenced(path.read_text(encoding="utf-8"), program) for path in PACKAGE}
+    assert {name: defs for name, defs in dead.items() if defs} == {}
+
+
+def test_every_test_helper_definition_is_referenced():
+    tests = [path.read_text(encoding="utf-8") for path in TESTS]
+    dead = {path.name: unreferenced(path.read_text(encoding="utf-8"), tests) for path in HELPERS}
+    assert HELPERS
     assert {name: defs for name, defs in dead.items() if defs} == {}
 
 

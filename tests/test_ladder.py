@@ -11,18 +11,18 @@ from growformer.ladder import (
     attention_forward,
     ladder_backward,
     ladder_forward,
-    rank_bottleneck_check,
     validate_hierarchy,
 )
 from growformer.linalg import (
     causal_mask,
     exact_arithmetic,
-    finite_diff_grad,
     gelu,
     matmul,
     softmax_rows,
 )
 from growformer.rng import RngState, seeded_gaussian
+
+from oracles import finite_diff_grad
 
 
 def init_triple(d, m, a, rng):
@@ -268,20 +268,24 @@ def planted_rank_matrix(rng, rows, cols, rank):
     return rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
 
 
+def numeric_rank(m):
+    """Singular values above 1e-7 times the largest. One that is zero in
+    exact arithmetic comes out of the SVD near eps * sigma_max, about
+    1e-16 relative, far below that threshold."""
+    return int(np.linalg.matrix_rank(m, rtol=1e-7))
+
+
 class TestRankBottleneck:
     def test_rank_one_w(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(4, 3))
         w = planted_rank_matrix(rng, 3, 3, 1)
-        report = rank_bottleneck_check(x, w)
-        assert report.rank_xw == 1
-        assert report.inequality_holds
+        assert numeric_rank(matmul(x, w)) == numeric_rank(w) == 1
 
     def test_identity_w_preserves_rank(self):
         rng = np.random.default_rng(11)
         x = planted_rank_matrix(rng, 5, 4, 2)
-        report = rank_bottleneck_check(x, np.eye(4))
-        assert report.rank_xw == report.rank_x == 2
+        assert numeric_rank(matmul(x, np.eye(4))) == numeric_rank(x) == 2
 
     def test_planted_ranks_50_pairs(self):
         rng = np.random.default_rng(12)
@@ -292,7 +296,6 @@ class TestRankBottleneck:
             w_cols = int(rng.integers(2, 7))
             x = planted_rank_matrix(rng, x_rows, 5, rx)
             w = planted_rank_matrix(rng, 5, w_cols, rw)
-            report = rank_bottleneck_check(x, w)
-            assert report.inequality_holds
-            assert report.rank_x == min(rx, x_rows, 5)
-            assert report.rank_w == min(rw, w_cols, 5)
+            assert numeric_rank(matmul(x, w)) <= min(numeric_rank(x), numeric_rank(w))
+            assert numeric_rank(x) == min(rx, x_rows, 5)
+            assert numeric_rank(w) == min(rw, w_cols, 5)

@@ -16,12 +16,13 @@ from growformer.linalg import (
     causal_mask,
     eig_sym3,
     exact_arithmetic,
-    finite_diff_grad,
     gelu,
     gelu_derivative,
     matmul,
     softmax_rows,
 )
+
+from oracles import finite_diff_grad
 
 
 def triple_loop_matmul(a, b):

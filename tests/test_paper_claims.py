@@ -2,7 +2,7 @@
 tests that check it.
 
 There is one row per claim of the abstract (lower-case labels) and one
-per top-level name of ``growformer.refdata`` (its own name). Each row has
+per top-level name of ``tests/refdata.py`` (its own name). Each row has
 exactly one status:
 
 =============  ==========================================================
@@ -56,7 +56,8 @@ baseline_model_config      reproduced    test_flops.py::TestMeasuredAnchors::tes
 Notes, one per row:
 
 * linear-qkv-bottleneck: rank(XW) <= min(rank X, rank W) holds on 50
-  planted-rank pairs, so a linear projection cannot leave its input's
+  planted-rank pairs, with ranks from ``np.linalg.matrix_rank`` at
+  ``rtol=1e-7``, so a linear projection cannot leave its input's
   subspace. One staged projection fits sin(3x) to MSE < 1e-2 where the
   best affine map stays above 1e-1.
 * nexus-rank-layer: gelu(gelu(x W_up) W_mid) W_down matches a scalar-loop
@@ -137,10 +138,12 @@ import math
 import re
 from pathlib import Path
 
-from growformer import refdata
 from growformer.experiment import _axis_order_label
 from growformer.ladder import validate_hierarchy
-from growformer.refdata import (
+from growformer.seriesstats import scaling_law_fit
+
+import refdata
+from refdata import (
     AXIS_ABLATION_ROWS,
     GROWTH_PATH_BUDGETS_B,
     GROWTH_PATH_TRAJECTORIES,
@@ -148,7 +151,6 @@ from growformer.refdata import (
     REPORTED_SCALING,
     ZERO_BUDGET_NOC_BY_TARGET,
 )
-from growformer.seriesstats import scaling_law_fit
 
 TESTS = Path(__file__).resolve().parent
 STATUSES = ("reproduced", "mirrored", "inconsistent", "pending", "deleted")

@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from growformer.errors import ValidationError
-from growformer.refdata import GROWTH_PATH_BUDGETS_B, GROWTH_PATH_TRAJECTORIES, REPORTED_FISHER_G, REPORTED_HARMONIC
 from growformer.seriesstats import (
     fisher_g_p_value,
     fisher_g_test,
     harmonic_fit,
     ols_linear,
     scaling_law_fit,
+)
+
+from refdata import (
+    GROWTH_PATH_BUDGETS_B,
+    GROWTH_PATH_TRAJECTORIES,
+    REPORTED_FISHER_G,
+    REPORTED_HARMONIC,
 )
 
 ZERO_R = GROWTH_PATH_TRAJECTORIES["zero"]["r"]
