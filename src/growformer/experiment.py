@@ -164,12 +164,17 @@ def run_growth_experiment(
     budget: int,
     cadence: int,
 ) -> dict[str, ExperimentSeries]:
-    """Grow/verify/continue/analyze once per plan."""
+    """Grow/verify/continue/analyze once per plan. The result is keyed by
+    ``plan_label``, which leaves out the plan's seed, so plans that share
+    a label are refused before any of them runs."""
+    labels = [plan_label(plan) for plan in plans]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValidationError(f"plans share the series label {', '.join(repeated)}")
     base_exp = checkpoint_experiment(base_ckpt)
     heldout = heldout_sequences(base_exp)
     out: dict[str, ExperimentSeries] = {}
-    for plan in plans:
-        label = plan_label(plan)
+    for label, plan in zip(labels, plans):
         report, result = _grow_and_continue(base_ckpt, base_exp, plan, budget, cadence, heldout)
         snapshots, trajectory, fits = analyze_snapshot_series(
             base_ckpt, result.checkpoints, [row.heldout_loss for row in result.log]

@@ -7,6 +7,9 @@ then a final norm and an unembedding matrix. All linear maps are
 bias-free. Forward and backward are hand-written on 2-D float64 arrays,
 one sequence at a time; ``heldout_loss`` runs its sequences' forwards on
 one thread per CPU, since BLAS and numpy's loops release the GIL.
+``training.train`` calls it for each snapshot from a background thread
+while it keeps training, and that thread reads only the snapshot's own
+copy of the parameters, never the live ones the optimizer overwrites.
 
 Only ``model_loss_and_grads`` keeps the per-block caches, because only
 the backward reads them. Every forward-only pass (``model_forward``,

@@ -1,9 +1,13 @@
 """Training loop: AdamW with linear warmup, deterministic data order,
-checkpoint snapshots at a fixed cadence, optional in-run growth.
+checkpoint snapshots at a fixed cadence, optional in-run growth. Each
+snapshot's held-out loss is scored on a background thread while the
+loop trains on.
 """
 
 from __future__ import annotations
 
+import contextvars
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -285,40 +289,23 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
     continues to the same endpoint and reproduces the remaining snapshots
     byte-for-byte. The checkpoint must hold ``config.model``, or under a
     growth block the model grown by it once its step is past the trigger;
-    snapshots record the config's widths, so any other model is refused.
-    """
-    stream = gen_corpus(
-        config.corpus.generator, config.corpus.seed, config.corpus.length,
-        stream=config.corpus.stream,
-    )
-    heldout = heldout_sequences(config)
-    ctx = config.model.context_len
+    snapshots record the config's widths, so any other model is refused
+    before any data is generated.
 
+    Each snapshot's held-out loss is scored on a background thread while
+    training continues. The thread reads only the snapshot's own copy of
+    the parameters, never the live ones that ``adamw_step`` overwrites,
+    and runs in a copy of the caller's context, so every logged loss is
+    bit-identical to scoring the snapshot in place. The thread ends with
+    the call. If a scoring fails, that error is raised even when a later
+    training step failed too: the first failure in step order.
+    """
     if resume is None:
         resume = start_checkpoint(
             config, init_params(config.model, derive_seed(config.seed, StreamTag.INIT))
         )
     model_config = resume.model_config
-    params = {k: p.copy() for k, p in resume.params.items()}
-    m = {k: p.copy() for k, p in resume.adam_m.items()}
-    v = {k: p.copy() for k, p in resume.adam_v.items()}
-    order_rng = RngState(resume.rng.seed, resume.rng.position)
     step0, tokens = resume.step, resume.tokens
-    del resume  # a fresh start checkpoint must not live beside the copies for the whole run
-
-    growth_step = None if config.growth is None else config.growth.trigger_step
-    checkpoints: list[Checkpoint] = []
-    log: list[LogRow] = []
-    step_losses: list[float] = []
-
-    def record(step):
-        ck = _snapshot(config, model_config, params, m, v, order_rng, step, tokens)
-        checkpoints.append(ck)
-        log.append(
-            LogRow(step, tokens, last_loss if step > step0 else float("nan"),
-                   heldout_loss(model_config, params, heldout))
-        )
-
     if step0 > config.schedule.steps:
         raise ValidationError(
             f"checkpoint is already at step {step0}, past the target "
@@ -326,6 +313,7 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
         )
     # a mismatch would skip or repeat the growth, or label every snapshot
     # with widths it does not hold
+    growth_step = None if config.growth is None else config.growth.trigger_step
     want = config.model
     if config.growth is not None and step0 > growth_step:
         want = want.grown(config.growth.delta_m, config.growth.delta_a)
@@ -334,28 +322,63 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
         raise ValidationError(
             f"checkpoint at step {step0} holds {model_config}, but the {source} implies {want}"
         )
-    last_loss = float("nan")
-    record(step0)
-    for local in range(config.schedule.steps - step0):
-        step = step0 + local
-        if step == growth_step:
-            params, model_config, _ = grow_model(
-                params, model_config, config.growth, probe=heldout
-            )
-            m, v = embed(m, model_config), embed(v, model_config)
-        start = int(seeded_ints(order_rng, 1, stream.size - ctx)[0])
-        window = stream[start : start + ctx]
-        loss, grads = model_loss_and_grads(model_config, params, window)
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite training loss at step {step}")
-        last_loss = loss
-        step_losses.append(loss)
-        adamw_step(
-            params, grads, m, v, step + 1,
-            _lr_at(config, step, growth_step),
-            config.optimizer.betas, config.optimizer.weight_decay,
+
+    stream = gen_corpus(
+        config.corpus.generator, config.corpus.seed, config.corpus.length,
+        stream=config.corpus.stream,
+    )
+    heldout = heldout_sequences(config)
+    ctx = config.model.context_len
+    params = {k: p.copy() for k, p in resume.params.items()}
+    m = {k: p.copy() for k, p in resume.adam_m.items()}
+    v = {k: p.copy() for k, p in resume.adam_v.items()}
+    order_rng = RngState(resume.rng.seed, resume.rng.position)
+    del resume  # a fresh start checkpoint must not live beside the copies for the whole run
+
+    checkpoints: list[Checkpoint] = []
+    log: list[LogRow] = []
+    scores: list[Future] = []  # of each log row's held-out loss
+    step_losses: list[float] = []
+
+    def record(step):
+        ck = _snapshot(config, model_config, params, m, v, order_rng, step, tokens)
+        # ck.params is the snapshot's own copy, which no later step writes
+        score = scorer.submit(
+            contextvars.copy_context().run, heldout_loss, ck.model_config, ck.params, heldout
         )
-        tokens += ctx
-        if (step + 1) % config.schedule.snapshot_every == 0:
-            record(step + 1)
+        checkpoints.append(ck)
+        log.append(LogRow(step, tokens, last_loss if step > step0 else float("nan")))
+        scores.append(score)
+
+    last_loss = float("nan")
+    with ThreadPoolExecutor(1) as scorer:
+        try:
+            record(step0)
+            for local in range(config.schedule.steps - step0):
+                step = step0 + local
+                if step == growth_step:
+                    params, model_config, _ = grow_model(
+                        params, model_config, config.growth, probe=heldout
+                    )
+                    m, v = embed(m, model_config), embed(v, model_config)
+                start = int(seeded_ints(order_rng, 1, stream.size - ctx)[0])
+                window = stream[start : start + ctx]
+                loss, grads = model_loss_and_grads(model_config, params, window)
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite training loss at step {step}")
+                last_loss = loss
+                step_losses.append(loss)
+                adamw_step(
+                    params, grads, m, v, step + 1,
+                    _lr_at(config, step, growth_step),
+                    config.optimizer.betas, config.optimizer.weight_decay,
+                )
+                tokens += ctx
+                if (step + 1) % config.schedule.snapshot_every == 0:
+                    record(step + 1)
+        finally:
+            # Every submitted scoring precedes any step that raised here,
+            # so its error, if any, replaces the step's.
+            for row, score in zip(log, scores, strict=True):
+                row.heldout_loss = score.result()
     return TrainResult(checkpoints=checkpoints, log=log, step_losses=step_losses)

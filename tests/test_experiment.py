@@ -105,6 +105,21 @@ class TestRunGrowthExperiment:
             )
 
 
+    @pytest.mark.parametrize("plans", [
+        [GrowthPlan(4, 4, "guarded-zero", seed=1), GrowthPlan(4, 4, "guarded-zero", seed=2)],
+        [GrowthPlan(2, 2, "noise:0.1", seed=5), GrowthPlan(2, 2, "noise:0.10", seed=5)],
+    ])
+    def test_plans_sharing_a_label_rejected_before_growth(self, plans, monkeypatch):
+        base = pretrained_base(steps=2)
+
+        def grow_model(*args, **kwargs):
+            pytest.fail("grew the model before refusing plans that share a label")
+
+        monkeypatch.setattr(experiment, "grow_model", grow_model)
+        with pytest.raises(ValidationError, match=f"share the series label {plan_label(plans[0])}"):
+            run_growth_experiment(base, plans, budget=2, cadence=2)
+
+
 class TestHeldoutLossReuse:
     """The series reuses the held-out loss ``train`` logged for each
     checkpoint instead of scoring it again."""

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growformer import cli
+from growformer import cli, training
 from growformer.checkpoint import load_checkpoint, save_checkpoint
 from growformer.corpus import gen_corpus
-from growformer.errors import ValidationError
+from growformer.errors import NumericError, ValidationError
 from growformer.growth import GrowthPlan
-from growformer.model import ModelConfig, init_params
+from growformer.linalg import exact_arithmetic
+from growformer.model import ModelConfig, heldout_loss, init_params
 from growformer.rng import HELDOUT_STREAM, StreamTag, derive_seed
 from growformer.training import (
     _ADAM_EPS,
@@ -374,6 +376,95 @@ class TestTrain:
         shorter = train(make_config(steps=10, snapshot_every=10)).final
         for group in CHECKPOINT_GROUPS:
             assert same_bits(getattr(result.checkpoints[1], group), getattr(shorter, group))
+
+
+class TestBackgroundScoring:
+    """Each snapshot is scored on a background thread while training
+    continues; ``snapshot_every=1`` overlaps every scoring with the next
+    step's in-place AdamW writes."""
+
+    def scored_in_place(self, cfg, result):
+        heldout = heldout_sequences(cfg)
+        return [heldout_loss(ck.model_config, ck.params, heldout) for ck in result.checkpoints]
+
+    def test_losses_equal_scoring_each_checkpoint_through_growth(self):
+        cfg = make_config(
+            steps=12, snapshot_every=1,
+            growth=GrowthConfig(4, 6, "noise:0.1", seed=9, trigger_step=5),
+        )
+        result = train(cfg)
+        assert result.final.model_config == TINY.grown(4, 6)
+        logged = [row.heldout_loss for row in result.log]
+        assert len(logged) == 13
+        assert logged == self.scored_in_place(cfg, result)
+
+    def test_losses_equal_scoring_each_checkpoint_in_exact_mode(self):
+        cfg = make_config(steps=8, snapshot_every=1)
+        with exact_arithmetic():
+            result = train(cfg)
+            exact = self.scored_in_place(cfg, result)
+        assert [row.heldout_loss for row in result.log] == exact
+        # the scorer must inherit exact mode, or it would log these
+        assert exact != self.scored_in_place(cfg, result)
+
+    def test_no_thread_outlives_a_run_that_returns(self):
+        before = threading.enumerate()
+        train(make_config(steps=4, snapshot_every=1))
+        assert threading.enumerate() == before
+
+    def test_no_thread_outlives_a_run_that_raises(self, monkeypatch):
+        real = training.model_loss_and_grads
+        calls = []
+
+        def failing_step(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise NumericError("step failed")
+            return real(*args)
+
+        monkeypatch.setattr(training, "model_loss_and_grads", failing_step)
+        before = threading.enumerate()
+        with pytest.raises(NumericError, match="step failed"):
+            train(make_config(steps=4, snapshot_every=1))
+        assert threading.enumerate() == before
+
+    def test_scoring_error_wins_over_a_later_step_error(self, monkeypatch):
+        real_score, real_step = training.heldout_loss, training.model_loss_and_grads
+        scored, stepped = [], []
+
+        def failing_score(*args):
+            scored.append(None)
+            if len(scored) == 2:  # the snapshot at step 1
+                raise RuntimeError("scoring failed at snapshot 1")
+            return real_score(*args)
+
+        def failing_step(*args):
+            stepped.append(None)
+            if len(stepped) == 3:  # step 2, after that snapshot
+                raise NumericError("step 2 failed")
+            return real_step(*args)
+
+        monkeypatch.setattr(training, "heldout_loss", failing_score)
+        monkeypatch.setattr(training, "model_loss_and_grads", failing_step)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="scoring failed at snapshot 1"):
+            train(make_config(steps=4, snapshot_every=1))
+        assert threading.enumerate() == before
+
+    def test_refused_resume_generates_nothing_and_starts_no_thread(self, monkeypatch):
+        growth = GrowthConfig(2, 2, "guarded-zero", seed=3, trigger_step=5)
+        ungrown = train(make_config(steps=10, snapshot_every=10)).final
+
+        def gen_corpus(*args, **kwargs):
+            pytest.fail("generated data before refusing the resume checkpoint")
+
+        monkeypatch.setattr(training, "gen_corpus", gen_corpus)
+        threads = threading.active_count()
+        with pytest.raises(ValidationError, match="past the target"):
+            train(make_config(steps=5, snapshot_every=5), resume=ungrown)
+        with pytest.raises(ValidationError, match="checkpoint at step 10 holds"):
+            train(make_config(steps=20, snapshot_every=10, growth=growth), resume=ungrown)
+        assert threading.active_count() == threads
 
 
 def test_heldout_disjoint_from_training_stream():
