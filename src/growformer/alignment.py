@@ -35,7 +35,7 @@ from scipy.special import ndtr
 from .errors import ValidationError
 from .growth import new_block_slices
 from .model import ModelConfig, projection_keys
-from .rng import RngState, subsample
+from .rng import RngState, StreamTag, derive_seed, subsample
 
 SUBSAMPLE_LIMIT = 100_000
 BINS = 128
@@ -209,7 +209,7 @@ def snapshot_alignment(
             f"base (m={base_config.ladder_m}, a={base_config.ladder_a}), "
             f"current (m={current_config.ladder_m}, a={current_config.ladder_a})"
         )
-    rng = RngState(0)
+    rng = RngState(derive_seed(0, StreamTag.SUBSAMPLE))
     base_s = base_projection_sample(base_params, base_config, rng)
     cur_s = base_projection_sample(current_params, current_config, rng, "expanded-all")
     noc_val = noc(base_s, cur_s)

@@ -5,9 +5,10 @@ success; 1 malformed or unreadable input (a bad argument, a config file
 that does not parse or lacks a field, a config block with a key that is
 not a field of its dataclass, a value of the wrong type, a NaN or
 infinite optimizer value, a beta outside [0, 1), a negative schedule or
-rewarm step count, a corpus stream that is negative or is the held-out
-stream (for ``ablate``, also the continued stream two past the base's),
-a growth trigger outside the schedule, a ``--resume`` checkpoint whose
+rewarm step count, a seed (``grow --seed`` included) or corpus stream
+outside [0, 2**64), a corpus stream that is the held-out stream (for
+``ablate``, also the continued stream two past the base's), a growth
+trigger outside the schedule, a ``--resume`` checkpoint whose
 widths the config does not imply at its step, an ``ablate
 --delta-total`` below 3, a bad checkpoint such as one truncated, one
 with a negative counter or a matrix listed twice, or one whose matrices

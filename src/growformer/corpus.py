@@ -84,7 +84,7 @@ def _markov_stream(seed: int, length: int, stream: int) -> np.ndarray:
     table = markov_table(seed).reshape(VOCAB * VOCAB, VOCAB)
     cum = np.cumsum(table, axis=1)
     cum[:, -1] = 1.0
-    rng = RngState(derive_seed(seed, StreamTag.MARKOV + stream))
+    rng = RngState(derive_seed(seed, StreamTag.MARKOV, stream))
     out = np.empty(length, dtype=np.int64)
     start = seeded_ints(rng, 2, VOCAB)
     out[0] = start[0]
@@ -113,7 +113,7 @@ def _mixed_stream(seed: int, length: int, stream: int) -> np.ndarray:
     bank = phrase_bank(seed)
     n_blocks = length // _PHRASE_LEN + 2
     mar = _markov_stream(seed, length, stream)
-    picks = seeded_ints(RngState(derive_seed(seed, StreamTag.PHRASE_PICKS + stream)), n_blocks, _PHRASE_BANK)
+    picks = seeded_ints(RngState(derive_seed(seed, StreamTag.PHRASE_PICKS, stream)), n_blocks, _PHRASE_BANK)
     out = np.empty(length, dtype=np.int64)
     for b in range(n_blocks):
         start = b * _PHRASE_LEN

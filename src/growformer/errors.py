@@ -48,6 +48,12 @@ def check_int(block: str, name: str, value, minimum: int | None = None) -> None:
         raise ValidationError(f"{block} config: {name} must be an integer{bound}, got {value!r}")
 
 
+def check_seed(block: str, name: str, value) -> None:
+    """Raise ValidationError unless ``value`` is an int in [0, 2**64), one 64-bit word."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 1 << 64:
+        raise ValidationError(f"{block} config: {name} must be an integer >= 0 and < 2**64, got {value!r}")
+
+
 def check_real(block: str, name: str, value) -> None:
     """Raise ValidationError unless ``value`` is a finite int or float (not
     a bool): ``json.loads`` reads NaN, Infinity and ints too large for a

@@ -28,7 +28,7 @@ from .checkpoint import Checkpoint
 from .errors import ValidationError
 from .growth import GrowthPlan, GrowthReport, grow_model
 from .model import ModelConfig
-from .rng import CONTINUED_OFFSET, derive_seed
+from .rng import CONTINUED_OFFSET, StreamTag, derive_seed
 from .seriesstats import fisher_g_test, harmonic_fit, scaling_law_fit
 from .trajectory import TrajectoryPoint, pca_fit, trajectory_series
 from .training import (
@@ -79,7 +79,7 @@ def _grow_and_continue(
     continued config is built first, so a bad one fails before any growth."""
     cont = continued_config(
         base_exp, base_ckpt.model_config.grown(plan.delta_m, plan.delta_a),
-        derive_seed(base_exp.seed, plan.seed), budget, cadence,
+        derive_seed(base_exp.seed, StreamTag.CONTINUED_RUN, plan.seed), budget, cadence,
     )
     new_params, new_config, report = grow_model(
         base_ckpt.params, base_ckpt.model_config, plan, probe=probe
@@ -220,7 +220,7 @@ def ablate_axes(base_ckpt: Checkpoint, budget: int, delta_total: int | None = No
     ]
     rows = []
     for axis, dm, da in settings:
-        plan = GrowthPlan(dm, da, "guarded-zero", seed=derive_seed(base_exp.seed, dm * 1000 + da))
+        plan = GrowthPlan(dm, da, "guarded-zero", derive_seed(base_exp.seed, StreamTag.ABLATION_PLAN, dm, da))
         # cadence = budget: only the endpoint matters here
         _, result = _grow_and_continue(base_ckpt, base_exp, plan, budget, budget, heldout)
         new_config = result.final.model_config

@@ -4,8 +4,7 @@ Convention: one multiply-add counts as 2 FLOPs. Counted components are
 the Q/K/V projections, the attention score and aggregation matmuls at
 the full sequence length, the attention output projection, the FFN
 matmuls, and the vocabulary head. Normalisation, softmax, activations
-and embedding lookups are excluded. The tag on every breakdown records
-this so downstream comparisons know what they are looking at.
+and embedding lookups are excluded.
 
 ``model_flops`` is checked against the matmuls a real forward pass
 performs, counted at 2*m*k*n each: per module in ``tests/test_flops.py``,
@@ -14,15 +13,10 @@ and in total by the benchmark's tracer (``perfbench/test_perfbench.py``).
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 
 from .errors import ValidationError
 from .model import ModelConfig
-
-CONVENTION = (
-    "mac=2flops;counted=qkv+attn-matmuls+output-proj+ffn+lm-head;"
-    "excluded=norms,softmax,activations,embedding-lookup"
-)
 
 
 @dataclass
@@ -37,9 +31,6 @@ class FlopsBreakdown:
     @property
     def total(self) -> int:
         return sum(astuple(self))
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "total": self.total, "convention": CONVENTION}
 
 
 def nexus_proj_flops(d: int, m: int, a: int) -> int:

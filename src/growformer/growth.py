@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, check_int
+from .errors import NumericError, ValidationError, check_int, check_seed
 from .linalg import exact_arithmetic
 from .model import PROJ_NAMES, ModelConfig, model_forward, model_loss_and_grads
 from .model import check_fits_memory, param_shapes, projection_keys
@@ -54,14 +54,13 @@ class GrowthPlan:
     seed: int
 
     def __post_init__(self):
-        for name in ("delta_m", "delta_a", "seed"):
-            check_int("growth", name, getattr(self, name))
+        for name in ("delta_m", "delta_a"):
+            check_int("growth", name, getattr(self, name), minimum=0)
+        check_seed("growth", "seed", self.seed)
         if not isinstance(self.init_policy, str):
             raise ValidationError(
                 f"growth config: init_policy must be a string, got {self.init_policy!r}"
             )
-        if self.delta_m < 0 or self.delta_a < 0:
-            raise ValidationError("growth deltas must be non-negative")
         if self.delta_m + self.delta_a == 0:
             raise ValidationError("growth plan must add at least one unit of width")
         kind = self.policy_kind  # validates the string

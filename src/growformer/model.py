@@ -60,10 +60,6 @@ class ModelConfig:
                 f"n_heads {self.n_heads} does not divide hidden {self.hidden_size}"
             )
 
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_size // self.n_heads
-
     def to_dict(self) -> dict:
         return asdict(self)
 

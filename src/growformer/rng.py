@@ -6,13 +6,10 @@ The generator is a splitmix64 finalizer applied to the counter; Gaussians
 use Box-Muller with two counter slots per value. A stream has 2**64
 counter slots; a draw past the last one is refused, not wrapped.
 
-This module is the one home of the stream tags (``StreamTag``). Markov
-tokens and phrase picks add the corpus stream s to their tag, so markov
-stream 16443 draws the pattern tag, 24798 the phrase-bank tag, and s the
-picks of stream s - 24799. No bound refuses them, as the benchmark's
-corpus streams (8*seed + 2v in ``train``, 2*seed elsewhere) would meet
-it: 24798 is the ``train`` stream of seed 3099. A new tag derivation
-would change every corpus byte.
+This module is the one home of the stream tags (``StreamTag``). Every
+stream is a tag path, ``derive_seed(seed, tag, *index)``: an indexed
+stream (a corpus sample stream, a continued run, an ablation row) passes
+its index after the tag, one more level of the mix, never added to it.
 """
 
 from __future__ import annotations
@@ -41,11 +38,14 @@ class StreamTag(enum.IntEnum):
     ORDER = 0x0D0E  # training data order, under the run seed
     INIT = 0x1217  # the init seed, under the run seed
     MARKOV_TABLE = 0x3A3B  # the markov transition table, under the corpus seed
-    MARKOV = 0x3A3C  # plus the sample stream: markov tokens
+    MARKOV = 0x3A3C  # markov tokens, indexed by the sample stream
     GROWTH_FILL = 0x6702  # new-block fill, under the growth plan seed
     PATTERN = 0x7A77  # the repeat generator's pattern
     PHRASE_BANK = 0x9B1A  # the mixed generator's phrase bank
-    PHRASE_PICKS = 0x9B1B  # plus the sample stream: the mixed generator's phrase picks
+    PHRASE_PICKS = 0x9B1B  # the mixed generator's phrase picks, indexed by the sample stream
+    CONTINUED_RUN = 0xC047  # a continued run's seed, under the base's, indexed by the plan seed
+    ABLATION_PLAN = 0xAB1A  # an ablation row's plan seed, under the base's, indexed by (dm, da)
+    SUBSAMPLE = 0x5B5A  # alignment's population subsamples, under seed 0
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -80,10 +80,12 @@ class RngState:
         return cls(seed=d["seed"], position=d["position"])
 
 
-def derive_seed(seed: int, tag: int) -> int:
-    """A decorrelated child seed for an independent stream."""
-    base = ((seed ^ (tag * 0x9E3779B97F4A7C15)) + 0x9E3779B97F4A7C15) & _U64_MASK
-    return int(_mix64(np.array([base], dtype=np.uint64))[0])
+def derive_seed(seed: int, tag: int, *index: int) -> int:
+    """A decorrelated child seed: ``tag`` mixed into ``seed``, then each index in turn."""
+    for key in (tag, *index):
+        base = ((seed ^ (key * 0x9E3779B97F4A7C15)) + 0x9E3779B97F4A7C15) & _U64_MASK
+        seed = int(_mix64(np.array([base], dtype=np.uint64))[0])
+    return seed
 
 
 def _raw_uniforms(state: RngState, n: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .corpus import gen_corpus
-from .errors import NumericError, ValidationError, check_int, check_keys, check_real
+from .errors import NumericError, ValidationError, check_int, check_keys, check_real, check_seed
 from .growth import GrowthPlan, embed, grow_model
 from .model import ModelConfig, heldout_loss, init_params, model_loss_and_grads
 from .rng import HELDOUT_STREAM, RngState, StreamTag, derive_seed, seeded_ints
@@ -83,10 +83,9 @@ class CorpusConfig:
             raise ValidationError(
                 f"corpus config: generator must be a string, got {self.generator!r}"
             )
-        for name in ("seed", "length"):
-            check_int("corpus", name, getattr(self, name))
-        # a negative stream reuses another generator's random stream
-        check_int("corpus", "stream", self.stream, minimum=0)
+        check_int("corpus", "length", self.length)
+        for name in ("seed", "stream"):
+            check_seed("corpus", name, getattr(self, name))
         if self.stream == HELDOUT_STREAM:
             raise ValidationError(f"corpus config: stream {self.stream} is the held-out stream")
 
@@ -117,7 +116,7 @@ class ExperimentConfig:
     rewarm_steps: int = 50
 
     def __post_init__(self):
-        check_int("experiment", "seed", self.seed)
+        check_seed("experiment", "seed", self.seed)
         check_int("experiment", "rewarm_steps", self.rewarm_steps, minimum=0)
         if self.growth is not None and not isinstance(self.growth, GrowthConfig):
             raise ValidationError(f"growth must be a GrowthConfig, not {type(self.growth).__name__}")
@@ -297,8 +296,8 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
     the parameters, never the live ones that ``adamw_step`` overwrites,
     and runs in a copy of the caller's context, so every logged loss is
     bit-identical to scoring the snapshot in place. The thread ends with
-    the call. If a scoring fails, that error is raised even when a later
-    training step failed too: the first failure in step order.
+    the call. A failed scoring stops training at the next snapshot, and its
+    error wins over a later step's: the first failure in step order.
     """
     if resume is None:
         resume = start_checkpoint(
@@ -341,6 +340,11 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
     step_losses: list[float] = []
 
     def record(step):
+        # stop at a failed scoring; scorings run in step order, so only later ones are cancelled
+        failed = [score for score in scores if score.done() and score.exception()]
+        if failed:
+            scorer.shutdown(wait=False, cancel_futures=True)
+            raise failed[0].exception()
         ck = _snapshot(config, model_config, params, m, v, order_rng, step, tokens)
         # ck.params is the snapshot's own copy, which no later step writes
         score = scorer.submit(

@@ -94,6 +94,14 @@ def test_unknown_init_policy_exits_1(base_path, tmp_path, capsys):
     assert "unknown init policy 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "past-64-bits"])
+def test_grow_seed_outside_64_bits_exits_1(seed, base_path, tmp_path, capsys):
+    out = tmp_path / "x.nxf"
+    assert cli.main(grow_args(base_path, out, "guarded-zero") + ["--seed", str(seed)]) == 1
+    assert "growth config: seed must be an integer >= 0 and < 2**64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_truncated_checkpoint_exits_1(base_path, tmp_path, capsys):
     cut = tmp_path / "cut.nxf"
     data = base_path.read_bytes()

@@ -20,15 +20,16 @@ from growformer.rng import RngState, StreamTag, derive_seed, seeded_ints, seeded
 from oracles import markov_stationary_unigram_entropy, unigram_entropy
 
 # sha256 of gen_corpus("mixed", 0, 100_000, stream=2), recorded from the
-# per-token searchsorted sampler
-MIXED_100K_SHA256 = "4a9ba56aad2f8f5cca8c8e073395710eef578c6a7e2e61d34d27dd3a957d398f"
+# per-token searchsorted sampler, re-recorded when indexed streams came to
+# derive in two levels
+MIXED_100K_SHA256 = "d1c4aeeff8e0c73fe87d19287c10d9f75ed775c3bdee1432254483bf3a5f4337"
 
 
 def searchsorted_markov_stream(seed, length, stream):
     """Reference: the per-token np.searchsorted loop the bisect sampler replaced."""
     table = markov_table(seed).reshape(VOCAB * VOCAB, VOCAB)
     cum = np.cumsum(table, axis=1)
-    rng = RngState(derive_seed(seed, StreamTag.MARKOV + stream))
+    rng = RngState(derive_seed(seed, StreamTag.MARKOV, stream))
     out = np.empty(length, dtype=np.int64)
     start = seeded_ints(rng, 2, VOCAB)
     out[0] = start[0]

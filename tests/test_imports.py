@@ -2,10 +2,12 @@
 harness is used, every module-level function, class and assigned name
 of the package is used by the program, every one of a test helper
 module is used by the tests, every name in ``growformer.__all__``
-resolves and is listed once, in sorted order, no ``derive_seed`` call
-outside ``rng.py`` spells its stream tag as a number, and every
-parameter default of a package function that the package or the
-benchmark harness calls is passed by one of those calls.
+resolves and is listed once, in sorted order, every ``derive_seed``
+call outside ``rng.py`` names a ``StreamTag`` member as its tag and
+passes any index after it, every one-argument ``RngState`` of the
+package wraps a ``derive_seed`` call, and every parameter default of a
+package function that the package or the benchmark harness calls is
+passed by one of those calls.
 
 Stdlib-``ast`` stand-ins for a linter's unused-import rule (a name bound
 by an import must appear as a name somewhere else in the module, or in
@@ -75,30 +77,41 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def _is_int_literal(node) -> bool:
-    if isinstance(node, ast.UnaryOp):
-        node = node.operand
-    return isinstance(node, ast.Constant) and isinstance(node.value, int)
+def _name(node) -> str | None:
+    return getattr(node, "id", getattr(node, "attr", None))
 
 
-def literal_stream_tags(source: str) -> list[str]:
-    """Lines of ``derive_seed`` calls whose tag is an integer literal or a
-    literal plus or minus an offset, where a ``rng.StreamTag`` belongs."""
+def _calls(source: str, name: str) -> list[ast.Call]:
+    return [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and _name(node.func) == name
+    ]
+
+
+def untagged_derivations(source: str) -> list[str]:
+    """Lines of ``derive_seed`` calls whose tag is not a ``StreamTag``
+    member: a literal, a member plus an index, or an index passed as the
+    tag. An index belongs after the tag, as an index."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if getattr(func, "id", getattr(func, "attr", None)) != "derive_seed":
-            continue
-        tags = node.args[1:2] + [k.value for k in node.keywords if k.arg == "tag"]
-        for tag in tags:
-            if _is_int_literal(tag) or (
-                isinstance(tag, ast.BinOp)
-                and isinstance(tag.op, (ast.Add, ast.Sub))
-                and (_is_int_literal(tag.left) or _is_int_literal(tag.right))
-            ):
-                found.append(f"line {node.lineno}")
+    for call in _calls(source, "derive_seed"):
+        tags = call.args[1:2] + [k.value for k in call.keywords if k.arg == "tag"]
+        if len(tags) != 1 or not (
+            isinstance(tags[0], ast.Attribute) and _name(tags[0].value) == "StreamTag"
+        ):
+            found.append(f"line {call.lineno}")
+    return found
+
+
+def raw_rng_states(source: str) -> list[str]:
+    """Lines of one-argument ``RngState`` calls whose seed is not a
+    ``derive_seed`` call: a stream the tag table does not name."""
+    found = []
+    for call in _calls(source, "RngState"):
+        args = call.args + [k.value for k in call.keywords]
+        if len(args) == 1 and not (
+            isinstance(args[0], ast.Call) and _name(args[0].func) == "derive_seed"
+        ):
+            found.append(f"line {call.lineno}")
     return found
 
 
@@ -110,15 +123,32 @@ def test_detects_a_literal_stream_tag():
         "derive_seed(seed, StreamTag.MARKOV + stream)\n"
         "derive_seed(seed, plan.seed)\n"
         "derive_seed(seed, dm * 1000 + da)\n"
+        "derive_seed(seed)\n"
+        "derive_seed(seed, StreamTag.MARKOV, stream)\n"
+        "rng.derive_seed(seed, rng.StreamTag.ABLATION_PLAN, dm, da)\n"
+        "derive_seed(seed, tag=StreamTag.INIT)\n"
     )
-    assert literal_stream_tags(source) == ["line 1", "line 2", "line 3"]
+    assert untagged_derivations(source) == [f"line {n}" for n in range(1, 8)]
+    states = (
+        "RngState(0)\n"
+        "rng.RngState(seed)\n"
+        "RngState(seed=7)\n"
+        "RngState(derive_seed(0, StreamTag.SUBSAMPLE))\n"
+        "rng.RngState(rng.derive_seed(seed, StreamTag.ORDER))\n"
+        "RngState(state.seed, state.position)\n"
+    )
+    assert raw_rng_states(states) == ["line 1", "line 2", "line 3"]
 
 
 @pytest.mark.parametrize(
     "path", [p for p in SOURCES if p.name != "rng.py"], ids=lambda p: f"{p.parent.name}/{p.name}"
 )
 def test_no_literal_stream_tags(path):
-    assert literal_stream_tags(path.read_text(encoding="utf-8")) == []
+    source = path.read_text(encoding="utf-8")
+    assert untagged_derivations(source) == []
+    # tests may seed a generator directly; the package draws only tagged streams
+    if path in PACKAGE:
+        assert raw_rng_states(source) == []
 
 
 def unpassed_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:

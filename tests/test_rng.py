@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growformer import rng
+from growformer.corpus import PATTERN_PERIOD, gen_corpus, markov_table, phrase_bank
 from growformer.errors import ValidationError
+from growformer.growth import GrowthPlan, grow_model
+from growformer.model import TOY_CONFIG, init_params
 from growformer.rng import (
     RngState,
     StreamTag,
@@ -76,6 +79,21 @@ def test_derive_seed_decorrelates():
     a = seeded_gaussian(RngState(derive_seed(1, StreamTag.MARKOV_TABLE)), 2, 2)
     b = seeded_gaussian(RngState(derive_seed(1, StreamTag.MARKOV)), 2, 2)
     assert not np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(24_799, 2**64 - 1))
+def test_indexed_streams_miss_the_tags_they_once_met(seed, stream):
+    # markov stream s once drew the tag MARKOV + s, and these sums are tags
+    assert StreamTag.MARKOV + 16_443 == StreamTag.PATTERN
+    assert StreamTag.MARKOV + 24_798 == StreamTag.PHRASE_BANK
+    assert StreamTag.MARKOV + 24_799 == StreamTag.PHRASE_PICKS
+    assert StreamTag.MARKOV + 11_462 == StreamTag.GROWTH_FILL
+    markov = [derive_seed(seed, StreamTag.MARKOV, s) for s in (16_443, 24_798, stream, 11_462)]
+    assert markov[0] != derive_seed(seed, StreamTag.PATTERN)
+    assert markov[1] != derive_seed(seed, StreamTag.PHRASE_BANK)
+    assert markov[2] != derive_seed(seed, StreamTag.PHRASE_PICKS, stream - 24_799)
+    assert markov[3] != derive_seed(seed, StreamTag.GROWTH_FILL)
 
 
 def test_stream_tags_are_pairwise_distinct():
@@ -161,3 +179,22 @@ def test_all_ones_word_stays_below_one(monkeypatch):
         assert picked.min() >= 0 and picked.max() < 10
     finally:
         rng._fisher_yates_prefix.cache_clear()
+
+
+# sha256 of the streams that take no index, recorded from the one-level
+# derive_seed(seed, tag); an index adds a level and must leave these alone
+INDEX_FREE_SHA256 = "1478a6b9945f3a8b0d864229d9603bf56dbc3c5e8135c6ae104e3f4671e1760c"
+
+
+def test_index_free_streams_digest_pinned():
+    digest = hashlib.sha256()
+    for seed in (0, 5, 2**64 - 1):
+        params = init_params(TOY_CONFIG, derive_seed(seed, StreamTag.INIT))
+        grown, _, _ = grow_model(params, TOY_CONFIG, GrowthPlan(4, 4, "noise:0.2", seed=seed))
+        order = seeded_uniform(RngState(derive_seed(seed, StreamTag.ORDER)), 1, 16)
+        arrays = [params[key] for key in sorted(params)] + [grown[key] for key in sorted(grown)]
+        arrays += [markov_table(seed), phrase_bank(seed), order]
+        arrays.append(gen_corpus("repeat-pattern", seed, PATTERN_PERIOD))
+        for array in arrays:
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == INDEX_FREE_SHA256

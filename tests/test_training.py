@@ -1,7 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,8 +44,9 @@ TINY = ModelConfig(
 
 # sha256 over step_losses and the final params, adam_m and adam_v of the
 # in-run guarded-zero growth run below, recorded from the out-of-place
-# AdamW update and the GeLU derivative that recomputed Phi
-GROWTH_RUN_SHA256 = "674638bb8953d4778dab8633858ef6af0cb43768b022e8424fc79d443601ea53"
+# AdamW update and the GeLU derivative that recomputed Phi, re-recorded
+# when indexed streams came to derive in two levels
+GROWTH_RUN_SHA256 = "3b4a0483ff4f6bcdb5f8aef807594a7dbac376dcd13c98fb80c3f4f83301ac7d"
 CHECKPOINT_GROUPS = ("params", "adam_m", "adam_v")
 
 
@@ -190,6 +196,16 @@ class TestConfig:
         assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 0
         assert load_checkpoint(out / "step00000004.nxf").model_config == grown
 
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "past-64-bits"])
+    def test_growth_seed_outside_64_bits_rejected(self, seed):
+        growth = {"delta_m": 2, "delta_a": 2, "init_policy": "guarded-zero", "seed": seed,
+                  "trigger_step": 2}
+        blob = {**make_config().to_dict(), "growth": growth}
+        with pytest.raises(ValidationError, match=r"growth config: seed must be .* < 2\*\*64"):
+            ExperimentConfig.from_dict(blob)
+        with pytest.raises(ValidationError, match=r"growth config: seed must be .* < 2\*\*64"):
+            GrowthPlan(2, 2, "guarded-zero", seed=seed)
+
     def test_plan_without_trigger_rejected(self):
         with pytest.raises(ValidationError, match="growth must be a GrowthConfig, not GrowthPlan"):
             make_config(growth=GrowthPlan(2, 2, "strict-zero", seed=5))
@@ -202,13 +218,18 @@ class TestConfig:
             ("schedule", "steps", -20, "steps must be an integer >= 0"),
             ("schedule", "warmup", -7, "warmup must be an integer >= 0"),
             ("experiment", "rewarm_steps", -3, "rewarm_steps must be an integer >= 0"),
+            ("corpus", "stream", 2**64, r"stream must be an integer >= 0 and < 2\*\*64"),
+            ("corpus", "seed", -3, r"seed must be an integer >= 0 and < 2\*\*64"),
+            ("corpus", "seed", 2**70, r"seed must be an integer >= 0 and < 2\*\*64"),
+            ("experiment", "seed", -1, r"seed must be an integer >= 0 and < 2\*\*64"),
+            ("experiment", "seed", 2**64, r"seed must be an integer >= 0 and < 2\*\*64"),
         ],
         ids=["heldout-stream", "negative-stream", "negative-steps", "negative-warmup",
-             "negative-rewarm"],
+             "negative-rewarm", "stream-past-64-bits", "negative-corpus-seed",
+             "corpus-seed-past-64-bits", "negative-seed", "seed-past-64-bits"],
     )
     def test_aliasing_stream_or_negative_count_rejected(self, block, key, value, message):
-        # stream -1 reuses the random stream of markov_table or of the phrase
-        # bank: MARKOV - 1 is MARKOV_TABLE, and PHRASE_PICKS - 1 is PHRASE_BANK
+        # seeds and streams are 64-bit words: -3 would draw what 2**64 - 3 draws
         blob = make_config().to_dict()
         (blob if block == "experiment" else blob[block])[key] = value
         with pytest.raises(ValidationError, match=f"{block} config: .*{message}"):
@@ -450,6 +471,57 @@ class TestBackgroundScoring:
         with pytest.raises(RuntimeError, match="scoring failed at snapshot 1"):
             train(make_config(steps=4, snapshot_every=1))
         assert threading.enumerate() == before
+
+    def test_training_stops_at_the_snapshot_after_a_failed_scoring(self, monkeypatch):
+        real_score, real_step = training.heldout_loss, training.model_loss_and_grads
+        submitted, scored, stepped = [], [], []
+
+        class Scorer(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(super().submit(*args, **kwargs))
+                return submitted[-1]
+
+        def failing_score(*args):
+            scored.append(None)
+            if len(scored) == 2:  # the snapshot at step 2
+                raise RuntimeError("scoring failed at snapshot 2")
+            return real_score(*args)
+
+        def step(*args):
+            stepped.append(None)
+            if len(stepped) == 4:  # step 3: the failed scoring ends before the next snapshot
+                wait(submitted, timeout=60)
+            return real_step(*args)
+
+        monkeypatch.setattr(training, "ThreadPoolExecutor", Scorer)
+        monkeypatch.setattr(training, "heldout_loss", failing_score)
+        monkeypatch.setattr(training, "model_loss_and_grads", step)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="scoring failed at snapshot 2"):
+            train(make_config(steps=8, snapshot_every=2))
+        assert len(stepped) == 4  # no step after the snapshot at step 4
+        assert len(submitted) == 2  # and that snapshot is not scored
+        assert threading.enumerate() == before
+
+    def test_losses_do_not_depend_on_the_cpu_count(self):
+        # heldout_loss sizes its pool from the CPUs the process may run on
+        cfg = make_config(steps=8, snapshot_every=2)
+        script = (
+            "import json, os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from growformer.training import ExperimentConfig, train\n"
+            "result = train(ExperimentConfig.from_dict(json.loads(sys.argv[1])))\n"
+            "print(json.dumps([result.step_losses, [row.heldout_loss for row in result.log]]))\n"
+        )
+        src = str(Path(training.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        one_cpu = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(cfg.to_dict())],
+            env=dict(os.environ, PYTHONPATH=path),
+            check=True, capture_output=True, text=True, timeout=120,
+        ).stdout
+        result = train(cfg)
+        assert json.loads(one_cpu) == [result.step_losses, [row.heldout_loss for row in result.log]]
 
     def test_refused_resume_generates_nothing_and_starts_no_thread(self, monkeypatch):
         growth = GrowthConfig(2, 2, "guarded-zero", seed=3, trigger_step=5)
