@@ -191,11 +191,12 @@ def verify_function_preservation(
     the result is exactly 0.0 for them, and strictly positive for noise
     inits on generic probes.
 
-    The probes run one after another, unlike ``heldout_loss``'s: an
-    exact-mode product is a Python loop of ``dgemm`` calls that holds the
-    GIL, so a second thread only adds switching. On a 2-vCPU host, two
-    threads took the 8-probe check of ``TOY_CONFIG`` grown by (32, 32)
-    from 532 to 564 ms in the median, and were faster in 2 of 15 runs.
+    The probes run one after another, unlike ``train``'s held-out
+    windows: an exact-mode product is a Python loop of ``dgemm`` calls
+    that holds the GIL, so a second thread only adds switching. On a
+    2-vCPU host, two threads took the 8-probe check of ``TOY_CONFIG``
+    grown by (32, 32) from 532 to 564 ms in the median, and were faster
+    in 2 of 15 runs.
     """
     if len(probe) == 0:
         raise ValidationError("probe must be non-empty")

@@ -5,11 +5,9 @@ pre-norm attention (three ladder projections, multi-head softmax, output
 projection) and a pre-norm GeLU FFN, both with residual connections,
 then a final norm and an unembedding matrix. All linear maps are
 bias-free. Forward and backward are hand-written on 2-D float64 arrays,
-one sequence at a time; ``heldout_loss`` runs its sequences' forwards on
-one thread per CPU, since BLAS and numpy's loops release the GIL.
-``training.train`` calls it for each snapshot from a background thread
-while it keeps training, and that thread reads only the snapshot's own
-copy of the parameters, never the live ones the optimizer overwrites.
+one sequence at a time; ``heldout_loss`` scores its sequences in order,
+in the caller's thread, so a caller inside ``exact_arithmetic()`` gets
+exact-mode forwards with no extra code.
 
 Only ``model_loss_and_grads`` keeps the per-block caches, because only
 the backward reads them. Every forward-only pass (``model_forward``,
@@ -26,9 +24,7 @@ moments could not fit in physical memory before any of them is made.
 
 from __future__ import annotations
 
-import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -350,25 +346,8 @@ def model_loss_and_grads(config: ModelConfig, params: dict, token_ids):
 
 
 def heldout_loss(config: ModelConfig, params: dict, sequences) -> float:
-    """Mean loss over a list of evaluation sequences.
-
-    The forwards run on a thread pool of this call, one worker per CPU
-    this process may use (never more than there are sequences), and end
-    with it. They run in parallel because each reads the parameters
-    only, and BLAS products and numpy's element-wise loops, ``ndtr``
-    included, release the GIL. A pool thread starts in an empty context,
-    where exact mode is off, so each forward runs in a copy of the
-    caller's: a caller inside ``exact_arithmetic()`` gets channel-ordered
-    products in the workers too. The losses are averaged in sequence
-    order, so the result is bit-identical to scoring the sequences one
-    after another.
-    """
+    """Mean loss over a list of evaluation sequences, scored in order in
+    the caller's thread; exact mode, if on, applies to every forward."""
     if len(sequences) == 0:
         raise ValidationError("heldout_loss needs at least one sequence")
-    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(sequences))) as pool:
-        futures = [
-            pool.submit(contextvars.copy_context().run, model_forward, config, params, seq)
-            for seq in sequences
-        ]
-        losses = [future.result()[1] for future in futures]
-    return float(np.mean(losses))
+    return float(np.mean([model_forward(config, params, s)[1] for s in sequences]))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, check_seed
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -68,10 +68,13 @@ class RngState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RngState":
-        """Read ``to_dict`` output: ``seed`` and ``position`` are non-negative
-        ints, and ``algorithm`` is the one this module implements."""
-        for name in ("seed", "position"):
-            check_int("rng", name, d[name], minimum=0)
+        """Read ``to_dict`` output: ``seed`` is one 64-bit word, ``position``
+        an int in [0, 2**64], and ``algorithm`` the one this module
+        implements. A wider seed would alias its low 64 bits."""
+        check_seed("rng", "seed", d["seed"])
+        check_int("rng", "position", d["position"], minimum=0)
+        if d["position"] > 1 << 64:
+            raise ValidationError(f"rng config: position must be at most 2**64, got {d['position']}")
         algorithm = d.get("algorithm", ALGORITHM)
         if algorithm != ALGORITHM:
             raise ValidationError(

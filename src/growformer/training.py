@@ -1,12 +1,13 @@
 """Training loop: AdamW with linear warmup, deterministic data order,
 checkpoint snapshots at a fixed cadence, optional in-run growth. Each
-snapshot's held-out loss is scored on a background thread while the
-loop trains on.
+snapshot's held-out windows are scored on a pool of background threads
+while the loop trains on.
 """
 
 from __future__ import annotations
 
 import contextvars
+import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -16,7 +17,7 @@ from .checkpoint import Checkpoint
 from .corpus import gen_corpus
 from .errors import NumericError, ValidationError, check_int, check_keys, check_real, check_seed
 from .growth import GrowthPlan, embed, grow_model
-from .model import ModelConfig, heldout_loss, init_params, model_loss_and_grads
+from .model import ModelConfig, init_params, model_forward, model_loss_and_grads
 from .rng import HELDOUT_STREAM, RngState, StreamTag, derive_seed, seeded_ints
 
 _ADAM_EPS = 1e-8
@@ -198,6 +199,11 @@ def heldout_sequences(config: ExperimentConfig, count: int = 8) -> list[np.ndarr
     return [stream[i * ctx : (i + 1) * ctx] for i in range(count)]
 
 
+def _window_loss(config: ModelConfig, params: dict, window) -> float:
+    """One held-out window's loss, without its logits: a task of ``train``'s scorer."""
+    return model_forward(config, params, window)[1]
+
+
 def _no_decay(name: str) -> bool:
     return ".ln" in name or name.startswith("ln_")
 
@@ -291,12 +297,14 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
     snapshots record the config's widths, so any other model is refused
     before any data is generated.
 
-    Each snapshot's held-out loss is scored on a background thread while
-    training continues. The thread reads only the snapshot's own copy of
-    the parameters, never the live ones that ``adamw_step`` overwrites,
-    and runs in a copy of the caller's context, so every logged loss is
-    bit-identical to scoring the snapshot in place. The thread ends with
-    the call. A failed scoring stops training at the next snapshot, and its
+    Each snapshot's held-out loss is scored while training continues, on
+    the call's one thread pool, a worker per CPU the process may use, as
+    one task per held-out window. A task reads only the snapshot's own
+    copy of the parameters, never the live ones that ``adamw_step``
+    overwrites, in a copy of the caller's context, and the window losses
+    are averaged in window order, so every logged loss is bit-identical
+    to ``heldout_loss`` on the snapshot in place. The pool ends with the
+    call. A failed window stops training at the next snapshot, and its
     error wins over a later step's: the first failure in step order.
     """
     if resume is None:
@@ -336,26 +344,29 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
 
     checkpoints: list[Checkpoint] = []
     log: list[LogRow] = []
-    scores: list[Future] = []  # of each log row's held-out loss
+    scores: list[list[Future]] = []  # each log row's window losses, in window order
     step_losses: list[float] = []
 
     def record(step):
-        # stop at a failed scoring; scorings run in step order, so only later ones are cancelled
-        failed = [score for score in scores if score.done() and score.exception()]
+        # stop at a failed window; tasks start in submission order, so only later ones are cancelled
+        failed = [w for row in scores for w in row if w.done() and w.exception()]
         if failed:
             scorer.shutdown(wait=False, cancel_futures=True)
             raise failed[0].exception()
         ck = _snapshot(config, model_config, params, m, v, order_rng, step, tokens)
         # ck.params is the snapshot's own copy, which no later step writes
-        score = scorer.submit(
-            contextvars.copy_context().run, heldout_loss, ck.model_config, ck.params, heldout
-        )
+        windows = [
+            scorer.submit(
+                contextvars.copy_context().run, _window_loss, ck.model_config, ck.params, window
+            )
+            for window in heldout
+        ]
         checkpoints.append(ck)
         log.append(LogRow(step, tokens, last_loss if step > step0 else float("nan")))
-        scores.append(score)
+        scores.append(windows)
 
     last_loss = float("nan")
-    with ThreadPoolExecutor(1) as scorer:
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as scorer:
         try:
             record(step0)
             for local in range(config.schedule.steps - step0):
@@ -381,8 +392,9 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
                 if (step + 1) % config.schedule.snapshot_every == 0:
                     record(step + 1)
         finally:
-            # Every submitted scoring precedes any step that raised here,
-            # so its error, if any, replaces the step's.
-            for row, score in zip(log, scores, strict=True):
-                row.heldout_loss = score.result()
+            # Every submitted window precedes any step that raised here, and
+            # every cancelled one follows a failed one, so the first error in
+            # step and window order, if any, replaces the step's.
+            for row, windows in zip(log, scores, strict=True):
+                row.heldout_loss = float(np.mean([w.result() for w in windows]))
     return TrainResult(checkpoints=checkpoints, log=log, step_losses=step_losses)

@@ -264,13 +264,17 @@ def with_rng_algorithm(data: bytes, algorithm: str) -> bytes:
     [
         ("step", -1, "checkpoint config: step must be an integer >= 0, got -1"),
         ("tokens", "8", "checkpoint config: tokens must be an integer >= 0, got '8'"),
-        ("seed", -3, "rng config: seed must be an integer >= 0, got -3"),
+        ("seed", -3, "rng config: seed must be an integer >= 0 and < 2**64, got -3"),
+        ("seed", 2**64 + 5,
+         "rng config: seed must be an integer >= 0 and < 2**64, got 18446744073709551621"),
         ("position", -1, "rng config: position must be an integer >= 0, got -1"),
+        ("position", 2**64 + 1,
+         "rng config: position must be at most 2**64, got 18446744073709551617"),
         ("algorithm", "xorshift", "rng config: algorithm must be 'splitmix64-boxmuller'"),
         ("duplicate", None, "matrix 'm/blocks.0.attn.k.w_down' appears twice"),
     ],
-    ids=["negative-step", "string-tokens", "negative-seed", "negative-position",
-         "unknown-algorithm", "duplicate-matrix"],
+    ids=["negative-step", "string-tokens", "negative-seed", "seed-past-64-bits",
+         "negative-position", "position-past-2**64", "unknown-algorithm", "duplicate-matrix"],
 )
 def test_malformed_checkpoint_header_or_matrix_list_exits_1(
     field, value, message, base_path, tmp_path, capsys

@@ -5,9 +5,11 @@ module is used by the tests, every name in ``growformer.__all__``
 resolves and is listed once, in sorted order, every ``derive_seed``
 call outside ``rng.py`` names a ``StreamTag`` member as its tag and
 passes any index after it, every one-argument ``RngState`` of the
-package wraps a ``derive_seed`` call, and every parameter default of a
+package wraps a ``derive_seed`` call, every parameter default of a
 package function that the package or the benchmark harness calls is
-passed by one of those calls.
+passed by one of those calls, and no package module but ``training.py``
+names ``ThreadPoolExecutor`` or ``copy_context``: ``train``'s held-out
+scorer is the package's one thread pool.
 
 Stdlib-``ast`` stand-ins for a linter's unused-import rule (a name bound
 by an import must appear as a name somewhere else in the module, or in
@@ -149,6 +151,37 @@ def test_no_literal_stream_tags(path):
     # tests may seed a generator directly; the package draws only tagged streams
     if path in PACKAGE:
         assert raw_rng_states(source) == []
+
+
+def thread_pools(source: str) -> list[str]:
+    """Lines that name ``ThreadPoolExecutor`` or ``copy_context``, in an
+    import, a call or an attribute: a thread pool and the context copy its
+    tasks need to inherit exact mode."""
+    lines = {
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (node.name if isinstance(node, ast.alias) else _name(node))
+        in ("ThreadPoolExecutor", "copy_context")
+    }
+    return [f"line {n}" for n in sorted(lines)]
+
+
+def test_detects_a_thread_pool():
+    source = (
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import contextvars\n"
+        "with futures.ThreadPoolExecutor(2) as pool:\n"
+        "    pool.submit(contextvars.copy_context().run, f)\n"
+        "from contextvars import copy_context as cc\n"
+        "pool.map(f, xs)\n"
+    )
+    assert thread_pools(source) == ["line 1", "line 3", "line 4", "line 5"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "training.py"], ids=lambda p: p.name
+)
+def test_only_training_opens_a_thread_pool(path):
+    assert thread_pools(path.read_text(encoding="utf-8")) == []
 
 
 def unpassed_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:

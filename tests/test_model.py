@@ -1,5 +1,4 @@
 import os
-import threading
 import tracemalloc
 from contextlib import nullcontext
 from dataclasses import replace
@@ -290,7 +289,7 @@ class TestHeldoutLoss:
         exact=st.booleans(),
     )
     def test_equals_the_in_order_mean_of_the_forwards(self, lengths, seed, exact):
-        # bit for bit, and in exact mode too: the workers must inherit it
+        # bit for bit, and in exact mode too, which applies in the caller's thread
         seqs = [tiny_batch(seed=seed + i, n=n) for i, n in enumerate(lengths)]
         with exact_arithmetic() if exact else nullcontext():
             expected = float(np.mean([model_forward(TINY, self.PARAMS, s)[1] for s in seqs]))
@@ -306,11 +305,6 @@ class TestHeldoutLoss:
     def test_no_windows_raises(self):
         with pytest.raises(ValidationError, match="at least one sequence"):
             heldout_loss(TINY, self.PARAMS, [])
-
-    def test_leaves_no_thread_behind(self):
-        before = threading.active_count()
-        heldout_loss(TINY, self.PARAMS, [tiny_batch(seed=s) for s in range(5)])
-        assert threading.active_count() == before
 
 
 class TestMemoryBound:

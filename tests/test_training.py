@@ -400,13 +400,25 @@ class TestTrain:
 
 
 class TestBackgroundScoring:
-    """Each snapshot is scored on a background thread while training
-    continues; ``snapshot_every=1`` overlaps every scoring with the next
-    step's in-place AdamW writes."""
+    """Each snapshot's held-out windows are scored on a thread pool while
+    training continues; ``snapshot_every=1`` overlaps every scoring with
+    the next step's in-place AdamW writes."""
 
     def scored_in_place(self, cfg, result):
         heldout = heldout_sequences(cfg)
         return [heldout_loss(ck.model_config, ck.params, heldout) for ck in result.checkpoints]
+
+    def snapshot_index(self, monkeypatch):
+        """Record every snapshot ``train`` takes; returns the index, in step
+        order, of the snapshot whose parameters a window task was given."""
+        real, snapshots = training._snapshot, []
+
+        def snapshot(*args):
+            snapshots.append(real(*args))
+            return snapshots[-1]
+
+        monkeypatch.setattr(training, "_snapshot", snapshot)
+        return lambda params: next(i for i, ck in enumerate(snapshots) if ck.params is params)
 
     def test_losses_equal_scoring_each_checkpoint_through_growth(self):
         cfg = make_config(
@@ -450,14 +462,14 @@ class TestBackgroundScoring:
         assert threading.enumerate() == before
 
     def test_scoring_error_wins_over_a_later_step_error(self, monkeypatch):
-        real_score, real_step = training.heldout_loss, training.model_loss_and_grads
-        scored, stepped = [], []
+        real_score, real_step = training._window_loss, training.model_loss_and_grads
+        index = self.snapshot_index(monkeypatch)
+        stepped = []
 
-        def failing_score(*args):
-            scored.append(None)
-            if len(scored) == 2:  # the snapshot at step 1
+        def failing_score(config, params, window):
+            if index(params) == 1:  # the snapshot at step 1
                 raise RuntimeError("scoring failed at snapshot 1")
-            return real_score(*args)
+            return real_score(config, params, window)
 
         def failing_step(*args):
             stepped.append(None)
@@ -465,27 +477,51 @@ class TestBackgroundScoring:
                 raise NumericError("step 2 failed")
             return real_step(*args)
 
-        monkeypatch.setattr(training, "heldout_loss", failing_score)
+        monkeypatch.setattr(training, "_window_loss", failing_score)
         monkeypatch.setattr(training, "model_loss_and_grads", failing_step)
         before = threading.enumerate()
         with pytest.raises(RuntimeError, match="scoring failed at snapshot 1"):
             train(make_config(steps=4, snapshot_every=1))
         assert threading.enumerate() == before
 
+    def test_first_failure_in_step_order_wins_when_scorings_overlap(self, monkeypatch):
+        # two workers, so snapshot 2 is scored while snapshot 1's first window waits
+        real_score, index = training._window_loss, self.snapshot_index(monkeypatch)
+        first_window = heldout_sequences(make_config())[0]
+        later_failed = threading.Event()
+
+        def failing_score(config, params, window):
+            snapshot = index(params)
+            if snapshot == 2:
+                later_failed.set()
+                raise RuntimeError("scoring failed at snapshot 2")
+            if snapshot == 1 and np.array_equal(window, first_window):
+                assert later_failed.wait(timeout=60)
+                raise RuntimeError("scoring failed at snapshot 1")
+            return real_score(config, params, window)
+
+        monkeypatch.setattr(training, "ThreadPoolExecutor", lambda workers: ThreadPoolExecutor(2))
+        monkeypatch.setattr(training, "_window_loss", failing_score)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="scoring failed at snapshot 1"):
+            train(make_config(steps=4, snapshot_every=1))
+        assert later_failed.is_set()
+        assert threading.enumerate() == before
+
     def test_training_stops_at_the_snapshot_after_a_failed_scoring(self, monkeypatch):
-        real_score, real_step = training.heldout_loss, training.model_loss_and_grads
-        submitted, scored, stepped = [], [], []
+        real_score, real_step = training._window_loss, training.model_loss_and_grads
+        index = self.snapshot_index(monkeypatch)
+        submitted, stepped = [], []
 
         class Scorer(ThreadPoolExecutor):
             def submit(self, *args, **kwargs):
                 submitted.append(super().submit(*args, **kwargs))
                 return submitted[-1]
 
-        def failing_score(*args):
-            scored.append(None)
-            if len(scored) == 2:  # the snapshot at step 2
+        def failing_score(config, params, window):
+            if index(params) == 1:  # the snapshot at step 2
                 raise RuntimeError("scoring failed at snapshot 2")
-            return real_score(*args)
+            return real_score(config, params, window)
 
         def step(*args):
             stepped.append(None)
@@ -494,17 +530,18 @@ class TestBackgroundScoring:
             return real_step(*args)
 
         monkeypatch.setattr(training, "ThreadPoolExecutor", Scorer)
-        monkeypatch.setattr(training, "heldout_loss", failing_score)
+        monkeypatch.setattr(training, "_window_loss", failing_score)
         monkeypatch.setattr(training, "model_loss_and_grads", step)
         before = threading.enumerate()
         with pytest.raises(RuntimeError, match="scoring failed at snapshot 2"):
             train(make_config(steps=8, snapshot_every=2))
         assert len(stepped) == 4  # no step after the snapshot at step 4
-        assert len(submitted) == 2  # and that snapshot is not scored
+        # and that snapshot is not scored: only the windows of steps 0 and 2 were submitted
+        assert len(submitted) == 2 * len(heldout_sequences(make_config()))
         assert threading.enumerate() == before
 
     def test_losses_do_not_depend_on_the_cpu_count(self):
-        # heldout_loss sizes its pool from the CPUs the process may run on
+        # train sizes its scorer pool from the CPUs the process may run on
         cfg = make_config(steps=8, snapshot_every=2)
         script = (
             "import json, os, sys\n"
