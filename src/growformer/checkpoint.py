@@ -1,18 +1,18 @@
 """Binary checkpoint format.
 
 Layout (little-endian): magic ``NXF1``, u32 format version, u32 JSON
-length, the JSON blob (model config, RNG state, counters, optional
-experiment config; sorted keys), u32 matrix count, then per matrix:
-u32 name length, name bytes, u32 rows, u32 cols, 2-byte dtype tag,
-raw row-major payload. Matrices are written in sorted name order, so
+length, the JSON blob (format version, model config, RNG state,
+counters, experiment config; sorted keys), u32 matrix count, then per
+matrix: u32 name length, name bytes, u32 rows, u32 cols, 2-byte dtype
+tag, raw row-major payload. Matrices are written in sorted name order, so
 save -> load -> save is byte-identical, and load in ``param_shapes`` order.
 
 Every matrix is written as ``f8``, so a reloaded checkpoint resumes
-bit-exactly. The loader also reads the ``f4`` tag, and ignores the
-``dtype``, ``arithmetic`` and ``out_dir`` keys, of older writers' files.
-Every read is bounds-checked: a truncated or padded file, a negative or
-non-int counter or RNG field, an unknown RNG algorithm, or a matrix
-listed twice is a ValidationError.
+bit-exactly, and the loader reads exactly what the writer writes: a
+header key missing (``experiment`` included, which must be an object),
+another dtype tag, a truncated or padded file, a negative or non-int
+counter or RNG field, an unknown RNG algorithm, or a matrix listed twice
+is a ValidationError.
 
 Shape contract: the parameters and both Adam moments each hold exactly
 the matrices that ``model.param_shapes`` lists for the header's model
@@ -36,7 +36,7 @@ from .rng import RngState
 
 MAGIC = b"NXF1"
 FORMAT_VERSION = 1
-_DTYPES = {b"f8": np.dtype("<f8"), b"f4": np.dtype("<f4")}
+_F8 = np.dtype("<f8")
 
 
 @dataclass
@@ -46,9 +46,9 @@ class Checkpoint:
     adam_m: dict[str, np.ndarray]
     adam_v: dict[str, np.ndarray]
     rng: RngState
-    step: int = 0
-    tokens: int = 0
-    experiment: dict | None = None
+    step: int
+    tokens: int
+    experiment: dict
 
 
 def _header_json(ck: Checkpoint) -> bytes:
@@ -78,7 +78,7 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
         fh.write(blob)
         fh.write(struct.pack("<I", len(entries)))
         for name, mat in entries:
-            mat = np.ascontiguousarray(mat, dtype=_DTYPES[b"f8"])
+            mat = np.ascontiguousarray(mat, dtype=_F8)
             nb = name.encode("utf-8")
             fh.write(struct.pack("<I", len(nb)))
             fh.write(nb)
@@ -106,12 +106,18 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValidationError(f"{path}: unsupported format version {version}")
     try:
         blob = json.loads(take(json_len, "JSON header").decode("utf-8"))
+        if type(blob["version"]) is not int or blob["version"] != version:
+            raise ValidationError(f"header version {blob['version']!r}, expected {version}")
+        if not isinstance(blob["experiment"], dict):
+            raise ValidationError(f"experiment must be an object, got {blob['experiment']!r}")
         model_config = ModelConfig.from_dict(blob["model"])
         rng = RngState.from_dict(blob["rng"])
         step, tokens = blob["step"], blob["tokens"]
         for name in ("step", "tokens"):
             check_int("checkpoint", name, blob[name], minimum=0)
-    except (ValueError, KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise ValidationError(f"{path}: bad JSON header: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
         raise ValidationError(f"{path}: bad JSON header: {exc}") from exc
     (count,) = struct.unpack("<I", take(4, "matrix count"))
     groups: dict[str, dict[str, np.ndarray]] = {"p/": {}, "m/": {}, "v/": {}}
@@ -123,15 +129,15 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValidationError(f"{path}: matrix name is not UTF-8") from exc
         rows, cols = struct.unpack("<II", take(8, f"shape of {name!r}"))
         tag = take(2, f"dtype tag of {name!r}")
-        if tag not in _DTYPES:
-            raise ValidationError(f"{path}: unknown dtype tag {tag!r}")
-        payload = take(rows * cols * _DTYPES[tag].itemsize, f"payload of {name!r}")
+        if tag != b"f8":
+            raise ValidationError(f"{path}: dtype tag {tag!r} of {name!r}, expected b'f8'")
+        payload = take(rows * cols * _F8.itemsize, f"payload of {name!r}")
         prefix, base = name[:2], name[2:]
         if prefix not in groups:
             raise ValidationError(f"{path}: unknown matrix group {prefix!r}")
         if base in groups[prefix]:
             raise ValidationError(f"{path}: matrix {name!r} appears twice")
-        mat = np.frombuffer(payload, dtype=_DTYPES[tag]).reshape(rows, cols)
+        mat = np.frombuffer(payload, dtype=_F8).reshape(rows, cols)
         groups[prefix][base] = mat.astype(np.float64)
     if off != len(data):
         raise ValidationError(f"{path}: {len(data) - off} trailing bytes after the last matrix")
@@ -147,5 +153,5 @@ def load_checkpoint(path) -> Checkpoint:
         rng=rng,
         step=step,
         tokens=tokens,
-        experiment=blob.get("experiment"),
+        experiment=blob["experiment"],
     )

@@ -11,13 +11,11 @@ outside [0, 2**64), a corpus stream that is the held-out stream (for
 trigger outside the schedule, a ``--resume`` checkpoint whose
 widths the config does not imply at its step, an ``ablate
 --delta-total`` below 3, a bad checkpoint such as one truncated, one
-with a negative counter or a matrix listed twice, or one whose matrices
-are missing, extra or misshapen for its model config, a ``grow``,
-``verify``, ``analyze`` or ``ablate`` base checkpoint that carries no
-experiment config to draw held-out probes from, a missing path or a
-directory), reported as one ``error:`` line without a traceback; 2
-numeric failure, such as a zero-policy ``grow`` whose probe deviation is
-not exactly 0.0.
+with a missing header key, a negative counter or a matrix listed twice,
+or one whose matrices are missing, extra or misshapen for its model
+config, a missing path or a directory), reported as one ``error:`` line
+without a traceback; 2 numeric failure, such as a zero-policy ``grow``
+whose probe deviation is not exactly 0.0.
 
 The series fits (harmonic cycle, Fisher's g, scaling law) have one home:
 the ``fits.json`` that ``analyze`` writes, as ``experiment.emit_reports``

@@ -8,9 +8,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import MISSING, Field
 
-# keys older writers put in config blocks and nothing reads; dropped on read
-_LEGACY_KEYS = ("dtype", "arithmetic", "out_dir")
-
 
 class ValidationError(ValueError):
     """Bad shapes, inconsistent configs, or out-of-contract arguments."""
@@ -22,20 +19,19 @@ class NumericError(RuntimeError):
 
 
 def check_keys(block: str, d, fields: Sequence[Field], required: tuple[str, ...] = ()) -> dict:
-    """The key rule of every config block: a copy of ``d`` without the
-    legacy keys, whose keys are the names of ``fields``. An unknown key is
-    a ValidationError naming it, and so is a missing one whose field has
-    no default or that ``required`` names."""
+    """The key rule of every config block: a copy of ``d``, whose keys are
+    the names of ``fields``. An unknown key is a ValidationError naming
+    it, and so is a missing one whose field has no default or that
+    ``required`` names."""
     if not isinstance(d, dict):
         raise ValidationError(f"{block} config must be an object, got {type(d).__name__}")
-    d = {k: v for k, v in d.items() if k not in _LEGACY_KEYS}
     names = [f.name for f in fields]
     needed = [f.name for f in fields if f.default is MISSING and f.default_factory is MISSING]
     problems = [f"unknown key {k!r}" for k in d if k not in names]
     problems += [f"missing required key {k!r}" for k in needed + list(required) if k not in d]
     if problems:
         raise ValidationError(f"{block} config: " + ", ".join(problems))
-    return d
+    return dict(d)
 
 
 def check_int(block: str, name: str, value, minimum: int | None = None) -> None:

@@ -240,7 +240,6 @@ def _block_forward(params, i, h, n_heads, keep_cache):
         att_concat=att,
         ln2=ln2_cache,
         f_in=f_in,
-        a_in=a_in,
         ffn_pre=ffn_pre,
         ffn_act=ffn_act,
         ffn_cdf=ffn_cdf,

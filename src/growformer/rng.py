@@ -75,10 +75,9 @@ class RngState:
         check_int("rng", "position", d["position"], minimum=0)
         if d["position"] > 1 << 64:
             raise ValidationError(f"rng config: position must be at most 2**64, got {d['position']}")
-        algorithm = d.get("algorithm", ALGORITHM)
-        if algorithm != ALGORITHM:
+        if d["algorithm"] != ALGORITHM:
             raise ValidationError(
-                f"rng config: algorithm must be {ALGORITHM!r}, got {algorithm!r}"
+                f"rng config: algorithm must be {ALGORITHM!r}, got {d['algorithm']!r}"
             )
         return cls(seed=d["seed"], position=d["position"])
 

@@ -17,7 +17,7 @@ from .checkpoint import Checkpoint
 from .corpus import gen_corpus
 from .errors import NumericError, ValidationError, check_int, check_keys, check_real, check_seed
 from .growth import GrowthPlan, embed, grow_model
-from .model import ModelConfig, init_params, model_forward, model_loss_and_grads
+from .model import ModelConfig, heldout_loss, init_params, model_loss_and_grads
 from .rng import HELDOUT_STREAM, RngState, StreamTag, derive_seed, seeded_ints
 
 _ADAM_EPS = 1e-8
@@ -146,8 +146,7 @@ class ExperimentConfig:
         is held to the key rule of ``errors.check_keys``: a key that is not a
         field of the block's dataclass is a ValidationError naming it, and
         so is a missing key whose field has no default. The optimizer's
-        ``lr`` is required too. Legacy ``dtype``, ``arithmetic`` and
-        ``out_dir`` keys are dropped, and a value of the wrong type is a
+        ``lr`` is required too, and a value of the wrong type is a
         ValidationError naming its key."""
         d = check_keys("experiment", d, fields(cls))
         if d.get("growth") is not None:
@@ -163,8 +162,6 @@ class ExperimentConfig:
 
 def checkpoint_experiment(ck: Checkpoint) -> ExperimentConfig:
     """The experiment config a base checkpoint carries."""
-    if ck.experiment is None:
-        raise ValidationError("base checkpoint carries no experiment config")
     return ExperimentConfig.from_dict(ck.experiment)
 
 
@@ -197,11 +194,6 @@ def heldout_sequences(config: ExperimentConfig, count: int = 8) -> list[np.ndarr
         stream=HELDOUT_STREAM,
     )
     return [stream[i * ctx : (i + 1) * ctx] for i in range(count)]
-
-
-def _window_loss(config: ModelConfig, params: dict, window) -> float:
-    """One held-out window's loss, without its logits: a task of ``train``'s scorer."""
-    return model_forward(config, params, window)[1]
 
 
 def _no_decay(name: str) -> bool:
@@ -299,13 +291,14 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
 
     Each snapshot's held-out loss is scored while training continues, on
     the call's one thread pool, a worker per CPU the process may use, as
-    one task per held-out window. A task reads only the snapshot's own
-    copy of the parameters, never the live ones that ``adamw_step``
-    overwrites, in a copy of the caller's context, and the window losses
-    are averaged in window order, so every logged loss is bit-identical
-    to ``heldout_loss`` on the snapshot in place. The pool ends with the
-    call. A failed window stops training at the next snapshot, and its
-    error wins over a later step's: the first failure in step order.
+    one ``heldout_loss`` task per held-out window. A task reads only the
+    snapshot's own copy of the parameters, never the live ones that
+    ``adamw_step`` overwrites, in a copy of the caller's context, and the
+    window losses are averaged in window order, so every logged loss is
+    bit-identical to ``heldout_loss`` on the snapshot in place. The pool
+    ends with the call. A failed window stops training at the next
+    snapshot, and its error wins over a later step's: the first failure
+    in step order.
     """
     if resume is None:
         resume = start_checkpoint(
@@ -357,7 +350,7 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
         # ck.params is the snapshot's own copy, which no later step writes
         windows = [
             scorer.submit(
-                contextvars.copy_context().run, _window_loss, ck.model_config, ck.params, window
+                contextvars.copy_context().run, heldout_loss, ck.model_config, ck.params, [window]
             )
             for window in heldout
         ]

@@ -10,6 +10,8 @@ from growformer.errors import ValidationError
 from growformer.model import ModelConfig, init_params, param_shapes
 from growformer.rng import RngState
 
+from checkpoint_bytes import with_header
+
 CFG = ModelConfig(
     vocab_size=16, context_len=8, hidden_size=8, n_heads=2, n_layers=1,
     ladder_m=12, ladder_a=16, ffn_size=16,
@@ -43,6 +45,8 @@ def test_roundtrip_values(tmp_path):
     for k in ck.params:
         assert np.array_equal(back.params[k], ck.params[k])
         assert np.array_equal(back.adam_v[k], ck.adam_v[k])
+    for group in (back.params, back.adam_m, back.adam_v):
+        assert all(p.dtype == np.float64 and p.flags.writeable for p in group.values())
 
 
 def test_save_load_save_bytes_identical(tmp_path):
@@ -91,6 +95,7 @@ def tiny_checkpoint():
         rng=RngState(5, position=6),
         step=1,
         tokens=8,
+        experiment={"note": "tiny"},
     )
 
 
@@ -114,33 +119,20 @@ def test_trailing_bytes_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def test_legacy_f4_file_with_dtype_and_arithmetic_keys_loads(tmp_path):
-    model = {**UNIT.to_dict(), "dtype": "f4"}
-    experiment = {"arithmetic": "f8", "model": model, "seed": 0}
-    header = json.dumps(
-        {"version": 1, "model": model, "rng": RngState(7).to_dict(), "step": 3,
-         "tokens": 24, "experiment": experiment},
-        sort_keys=True, separators=(",", ":"),
-    ).encode("utf-8")
-    w = np.array([[0.1]])
-    names = sorted(g + k for g in ("m/", "p/", "v/") for k in param_shapes(UNIT))
-    blob = b"NXF1" + struct.pack("<II", 1, len(header)) + header
-    blob += struct.pack("<I", len(names))
-    for name in names:
-        nb = name.encode("utf-8")
-        blob += struct.pack("<I", len(nb)) + nb + struct.pack("<II", 1, 1) + b"f4"
-        blob += w.astype("<f4").tobytes()
-    path = tmp_path / "legacy.nxf"
-    path.write_bytes(blob)
-    back = load_checkpoint(path)
-    assert back.model_config == UNIT
-    assert back.step == 3 and back.tokens == 24 and back.rng.seed == 7
-    assert back.experiment == experiment
-    assert list(back.params) == list(param_shapes(UNIT))
-    for name, p in back.params.items():
-        assert p.dtype == np.float64
-        assert np.array_equal(p, w.astype(np.float32).astype(np.float64))
-        assert np.array_equal(back.adam_m[name], p) and np.array_equal(back.adam_v[name], p)
+def test_every_header_key_the_writer_writes_is_required(tmp_path):
+    # the keys come from the written header, so one the writer adds is required too
+    path = tmp_path / "full.nxf"
+    save_checkpoint(tiny_checkpoint(), path)
+    data = path.read_bytes()
+    (json_len,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12 : 12 + json_len])
+    cuts = [lambda h, k=k: h.pop(k) for k in header]
+    cuts += [lambda h, k=k: h["rng"].pop(k) for k in header["rng"]]
+    assert len(cuts) == len(header) + 3 and "experiment" in header
+    for cut in cuts:
+        path.write_bytes(with_header(data, cut))
+        with pytest.raises(ValidationError, match="bad JSON header: missing key"):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from growformer import cli, experiment, growth
 from growformer.checkpoint import load_checkpoint, save_checkpoint
 from growformer.errors import ValidationError
 from growformer.experiment import ablate_axes
+from growformer.flops import model_flops
 from growformer.model import ModelConfig
 from growformer.rng import HELDOUT_STREAM
 from growformer.training import (
@@ -23,6 +24,8 @@ from growformer.training import (
     heldout_sequences,
     train,
 )
+
+from checkpoint_bytes import as_f4, with_header
 
 MODEL = ModelConfig(
     vocab_size=64, context_len=16, hidden_size=8, n_heads=2, n_layers=1,
@@ -249,16 +252,6 @@ def duplicate_first_matrix(data: bytes) -> bytes:
     return data[:start] + struct.pack("<I", count + 1) + entry + data[start + 4 :]
 
 
-def with_rng_algorithm(data: bytes, algorithm: str) -> bytes:
-    """The checkpoint bytes with ``algorithm`` written into the header's
-    RNG block."""
-    (json_len,) = struct.unpack("<I", data[8:12])
-    header = json.loads(data[12 : 12 + json_len])
-    header["rng"]["algorithm"] = algorithm
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + json_len :]
-
-
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -289,7 +282,7 @@ def test_malformed_checkpoint_header_or_matrix_list_exits_1(
     if field == "duplicate":
         bad.write_bytes(duplicate_first_matrix(bad.read_bytes()))
     elif field == "algorithm":
-        bad.write_bytes(with_rng_algorithm(bad.read_bytes(), value))
+        bad.write_bytes(with_header(bad.read_bytes(), lambda h: h["rng"].update(algorithm=value)))
     argv = ["train", "--config", write_config(experiment_blob(), tmp_path),
             "--out", str(tmp_path / "run"), "--resume", str(bad)]
     assert cli.main(argv) == 1
@@ -297,6 +290,22 @@ def test_malformed_checkpoint_header_or_matrix_list_exits_1(
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not list((tmp_path / "run").glob("*.nxf"))
+
+
+def test_flops_prints_the_same_breakdown_for_a_model_and_an_experiment_config(tmp_path, capsys):
+    outputs = []
+    for kind, blob in (("bare", MODEL.to_dict()), ("experiment", experiment_blob())):
+        path = tmp_path / kind / "model.json"  # one stem: it names the CSV row
+        path.parent.mkdir()
+        path.write_text(json.dumps(blob), encoding="utf-8")
+        assert cli.main(["flops", "--config", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    header, row = outputs[0].splitlines()
+    row = dict(zip(header.split(","), row.split(","), strict=True))
+    ladder, standard = model_flops(MODEL), model_flops(MODEL, projection="standard")
+    assert row["config_name"] == "model" and int(row["total"]) == ladder.total
+    assert float(row["ratio_vs_baseline"]) == ladder.total / standard.total
 
 
 @pytest.mark.parametrize("value", ["16", 16.0, True, 0, -8, None])
@@ -506,24 +515,54 @@ def test_zero_policy_grow_with_nonzero_deviation_exits_2(base_path, tmp_path, ca
     assert not out.exists()
 
 
+def base_checkpoint_commands(bad: Path, base_path: Path, tmp_path: Path) -> list[list[str]]:
+    """Each command that reads ``bad`` as its base checkpoint."""
+    series = tmp_path / "series"
+    series.mkdir(exist_ok=True)
+    (series / "step1.nxf").write_bytes(base_path.read_bytes())
+    return [
+        grow_args(bad, tmp_path / "grown.nxf", "guarded-zero"),
+        ["verify", "--old", str(bad), "--new", str(base_path)],
+        ["analyze", "--base", str(bad), "--series", str(series), "--out", str(tmp_path / "out")],
+        ["ablate", "--ckpt", str(bad), "--budget", "2", "--delta-total", "8"],
+    ]
+
+
 def test_checkpoint_without_experiment_config_exits_1_for_grow_and_verify(
     base_path, tmp_path, capsys
 ):
-    ck = load_checkpoint(base_path)
-    ck.experiment = None
     bare = tmp_path / "bare.nxf"
-    save_checkpoint(ck, bare)
-    series = tmp_path / "series"
-    series.mkdir()
-    (series / "step1.nxf").write_bytes(base_path.read_bytes())
-    grown, analyzed = tmp_path / "grown.nxf", tmp_path / "analysis"
-    for argv in (
-        grow_args(bare, grown, "guarded-zero"),
-        ["verify", "--old", str(bare), "--new", str(base_path)],
-        ["analyze", "--base", str(bare), "--series", str(series), "--out", str(analyzed)],
-        ["ablate", "--ckpt", str(bare), "--budget", "2", "--delta-total", "8"],
+    for edit, message in (
+        (lambda h: h.pop("experiment"), "bad JSON header: missing key 'experiment'"),
+        (lambda h: h.update(experiment=None),
+         "bad JSON header: experiment must be an object, got None"),
     ):
+        bare.write_bytes(with_header(base_path.read_bytes(), edit))
+        for argv in base_checkpoint_commands(bare, base_path, tmp_path):
+            assert cli.main(argv) == 1, argv[0]
+            assert capsys.readouterr().err == f"error: {bare}: {message}\n", argv[0]
+    assert not (tmp_path / "grown.nxf").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "rewrite, message",
+    [
+        (as_f4, "dtype tag b'f4'"),
+        (lambda d: with_header(d, lambda h: h["model"].update(dtype="f4")),
+         "model config: unknown key 'dtype'"),
+        (lambda d: with_header(d, lambda h: h["experiment"].update(arithmetic="f8")),
+         "experiment config: unknown key 'arithmetic'"),
+        (lambda d: with_header(d, lambda h: h["experiment"].update(out_dir=None)),
+         "experiment config: unknown key 'out_dir'"),
+    ],
+    ids=["f4-tag", "model-dtype-key", "experiment-arithmetic-key", "experiment-out_dir-key"],
+)
+def test_base_checkpoint_no_writer_produces_exits_1(rewrite, message, base_path, tmp_path, capsys):
+    bad = tmp_path / "bad.nxf"
+    bad.write_bytes(rewrite(base_path.read_bytes()))
+    for argv in base_checkpoint_commands(bad, base_path, tmp_path):
         assert cli.main(argv) == 1, argv[0]
         err = capsys.readouterr().err
-        assert err == "error: base checkpoint carries no experiment config\n", argv[0]
-    assert not grown.exists() and not analyzed.exists()
+        assert err.startswith("error: ") and message in err, argv[0]
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "grown.nxf").exists() and not (tmp_path / "out").exists()

@@ -282,19 +282,6 @@ class TestExpressivityWitness:
 class TestHeldoutLoss:
     PARAMS = init_params(TINY, seed=6)
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        lengths=st.lists(st.integers(2, TINY.context_len), min_size=1, max_size=9),
-        seed=st.integers(0, 2**16),
-        exact=st.booleans(),
-    )
-    def test_equals_the_in_order_mean_of_the_forwards(self, lengths, seed, exact):
-        # bit for bit, and in exact mode too, which applies in the caller's thread
-        seqs = [tiny_batch(seed=seed + i, n=n) for i, n in enumerate(lengths)]
-        with exact_arithmetic() if exact else nullcontext():
-            expected = float(np.mean([model_forward(TINY, self.PARAMS, s)[1] for s in seqs]))
-            assert heldout_loss(TINY, self.PARAMS, seqs) == expected
-
     def test_bad_window_in_the_middle_raises(self):
         seqs = [tiny_batch(seed=s) for s in (1, 2, 3)]
         seqs[1] = seqs[1].copy()

@@ -30,7 +30,6 @@ from growformer.training import (
     ScheduleConfig,
     _no_decay,
     adamw_step,
-    checkpoint_experiment,
     heldout_sequences,
     start_checkpoint,
     train,
@@ -132,12 +131,15 @@ class TestConfig:
         back = ExperimentConfig.from_dict(cfg.to_dict())
         assert back == cfg
 
-    def test_legacy_keys_ignored(self):
-        cfg = make_config()
-        blob = cfg.to_dict()
-        blob["arithmetic"] = "f8"
-        blob["model"]["dtype"] = "f4"
-        assert ExperimentConfig.from_dict(blob) == cfg
+    @pytest.mark.parametrize(
+        "block, key", [("model", "dtype"), (None, "arithmetic"), (None, "out_dir")]
+    )
+    def test_dtype_arithmetic_and_out_dir_are_unknown_keys(self, block, key):
+        blob = make_config().to_dict()
+        (blob if block is None else blob[block])[key] = None
+        message = f"{block or 'experiment'} config: unknown key '{key}'"
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig.from_dict(blob)
 
     @pytest.mark.parametrize(
         "block, key, value",
@@ -160,16 +162,6 @@ class TestConfig:
         blob["growth"][key] = value
         with pytest.raises(ValidationError, match=f"growth.*{key} must be an integer"):
             ExperimentConfig.from_dict(blob)
-
-    def test_old_header_with_out_dir_loads(self, tmp_path):
-        cfg = make_config()
-        ck = start_checkpoint(cfg, init_params(cfg.model, seed=1))
-        ck.experiment = {**cfg.to_dict(), "out_dir": None}  # as older writers wrote it
-        save_checkpoint(ck, tmp_path / "old.nxf")
-        back = load_checkpoint(tmp_path / "old.nxf")
-        assert back.experiment["out_dir"] is None
-        assert checkpoint_experiment(back) == cfg
-        assert "out_dir" not in cfg.to_dict()
 
     def test_growth_needs_trigger(self, tmp_path, capsys):
         blob = make_config().to_dict()
@@ -462,14 +454,14 @@ class TestBackgroundScoring:
         assert threading.enumerate() == before
 
     def test_scoring_error_wins_over_a_later_step_error(self, monkeypatch):
-        real_score, real_step = training._window_loss, training.model_loss_and_grads
+        real_score, real_step = training.heldout_loss, training.model_loss_and_grads
         index = self.snapshot_index(monkeypatch)
         stepped = []
 
-        def failing_score(config, params, window):
+        def failing_score(config, params, windows):
             if index(params) == 1:  # the snapshot at step 1
                 raise RuntimeError("scoring failed at snapshot 1")
-            return real_score(config, params, window)
+            return real_score(config, params, windows)
 
         def failing_step(*args):
             stepped.append(None)
@@ -477,7 +469,7 @@ class TestBackgroundScoring:
                 raise NumericError("step 2 failed")
             return real_step(*args)
 
-        monkeypatch.setattr(training, "_window_loss", failing_score)
+        monkeypatch.setattr(training, "heldout_loss", failing_score)
         monkeypatch.setattr(training, "model_loss_and_grads", failing_step)
         before = threading.enumerate()
         with pytest.raises(RuntimeError, match="scoring failed at snapshot 1"):
@@ -486,22 +478,22 @@ class TestBackgroundScoring:
 
     def test_first_failure_in_step_order_wins_when_scorings_overlap(self, monkeypatch):
         # two workers, so snapshot 2 is scored while snapshot 1's first window waits
-        real_score, index = training._window_loss, self.snapshot_index(monkeypatch)
+        real_score, index = training.heldout_loss, self.snapshot_index(monkeypatch)
         first_window = heldout_sequences(make_config())[0]
         later_failed = threading.Event()
 
-        def failing_score(config, params, window):
+        def failing_score(config, params, windows):
             snapshot = index(params)
             if snapshot == 2:
                 later_failed.set()
                 raise RuntimeError("scoring failed at snapshot 2")
-            if snapshot == 1 and np.array_equal(window, first_window):
+            if snapshot == 1 and np.array_equal(windows[0], first_window):
                 assert later_failed.wait(timeout=60)
                 raise RuntimeError("scoring failed at snapshot 1")
-            return real_score(config, params, window)
+            return real_score(config, params, windows)
 
         monkeypatch.setattr(training, "ThreadPoolExecutor", lambda workers: ThreadPoolExecutor(2))
-        monkeypatch.setattr(training, "_window_loss", failing_score)
+        monkeypatch.setattr(training, "heldout_loss", failing_score)
         before = threading.enumerate()
         with pytest.raises(RuntimeError, match="scoring failed at snapshot 1"):
             train(make_config(steps=4, snapshot_every=1))
@@ -509,7 +501,7 @@ class TestBackgroundScoring:
         assert threading.enumerate() == before
 
     def test_training_stops_at_the_snapshot_after_a_failed_scoring(self, monkeypatch):
-        real_score, real_step = training._window_loss, training.model_loss_and_grads
+        real_score, real_step = training.heldout_loss, training.model_loss_and_grads
         index = self.snapshot_index(monkeypatch)
         submitted, stepped = [], []
 
@@ -518,10 +510,10 @@ class TestBackgroundScoring:
                 submitted.append(super().submit(*args, **kwargs))
                 return submitted[-1]
 
-        def failing_score(config, params, window):
+        def failing_score(config, params, windows):
             if index(params) == 1:  # the snapshot at step 2
                 raise RuntimeError("scoring failed at snapshot 2")
-            return real_score(config, params, window)
+            return real_score(config, params, windows)
 
         def step(*args):
             stepped.append(None)
@@ -530,7 +522,7 @@ class TestBackgroundScoring:
             return real_step(*args)
 
         monkeypatch.setattr(training, "ThreadPoolExecutor", Scorer)
-        monkeypatch.setattr(training, "_window_loss", failing_score)
+        monkeypatch.setattr(training, "heldout_loss", failing_score)
         monkeypatch.setattr(training, "model_loss_and_grads", step)
         before = threading.enumerate()
         with pytest.raises(RuntimeError, match="scoring failed at snapshot 2"):
