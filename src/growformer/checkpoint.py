@@ -9,10 +9,10 @@ save -> load -> save is byte-identical, and load in ``param_shapes`` order.
 
 Every matrix is written as ``f8``, so a reloaded checkpoint resumes
 bit-exactly, and the loader reads exactly what the writer writes: a
-header key missing (``experiment`` included, which must be an object),
-another dtype tag, a truncated or padded file, a negative or non-int
-counter or RNG field, an unknown RNG algorithm, or a matrix listed twice
-is a ValidationError.
+header key missing (``experiment`` included, which must be an object)
+or unknown, at the top level or in the RNG block, another dtype tag, a
+truncated or padded file, a negative or non-int counter or RNG field,
+an unknown RNG algorithm, or a matrix listed twice is a ValidationError.
 
 Shape contract: the parameters and both Adam moments each hold exactly
 the matrices that ``model.param_shapes`` lists for the header's model
@@ -30,13 +30,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, check_known_keys
 from .model import ModelConfig, check_params, param_shapes
 from .rng import RngState
 
 MAGIC = b"NXF1"
 FORMAT_VERSION = 1
 _F8 = np.dtype("<f8")
+_HEADER_KEYS = ("version", "model", "rng", "step", "tokens", "experiment")
 
 
 @dataclass
@@ -108,6 +109,7 @@ def load_checkpoint(path) -> Checkpoint:
         blob = json.loads(take(json_len, "JSON header").decode("utf-8"))
         if type(blob["version"]) is not int or blob["version"] != version:
             raise ValidationError(f"header version {blob['version']!r}, expected {version}")
+        check_known_keys("checkpoint", blob, _HEADER_KEYS)
         if not isinstance(blob["experiment"], dict):
             raise ValidationError(f"experiment must be an object, got {blob['experiment']!r}")
         model_config = ModelConfig.from_dict(blob["model"])

@@ -34,6 +34,15 @@ def check_keys(block: str, d, fields: Sequence[Field], required: tuple[str, ...]
     return dict(d)
 
 
+def check_known_keys(block: str, d: dict, names: Sequence[str]) -> None:
+    """The unknown-key half of ``check_keys``, for a block that is read key
+    by key rather than into a dataclass: a key of ``d`` that ``names``
+    does not hold is a ValidationError naming it."""
+    unknown = [f"unknown key {k!r}" for k in d if k not in names]
+    if unknown:
+        raise ValidationError(f"{block} config: " + ", ".join(unknown))
+
+
 def check_int(block: str, name: str, value, minimum: int | None = None) -> None:
     """Raise ValidationError unless ``value`` is an int (not a bool) of at
     least ``minimum``."""

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, causal_mask, gelu, gelu_derivative, matmul, softmax_rows
+from .linalg import (
+    as_matrix,
+    causal_mask,
+    gelu,
+    gelu_derivative,
+    matmul,
+    softmax_rows,
+    width_dependent_products,
+)
 
 Triple = tuple[np.ndarray, np.ndarray, np.ndarray]  # (w_up, w_mid, w_down)
 
@@ -50,28 +58,36 @@ def ladder_forward(
     instead of staying alive with the caller. A forward-only pass then
     keeps one projection's intermediates live at a time, which at the
     grown toy size is what lets its working set fit a 2 MiB L2.
+
+    The three products change shape when m or a grows, so they run in a
+    ``width_dependent_products()`` scope: channel-ordered under
+    ``exact_arithmetic()``.
     """
     w_up, w_mid, w_down = ws
-    z_up = matmul(x, w_up)
-    h_up, cdf_up = gelu(z_up)
-    z_mid = matmul(h_up, w_mid)
-    h_mid, cdf_mid = gelu(z_mid)
-    out = matmul(h_mid, w_down)
+    with width_dependent_products():
+        z_up = matmul(x, w_up)
+        h_up, cdf_up = gelu(z_up)
+        z_mid = matmul(h_up, w_mid)
+        h_mid, cdf_mid = gelu(z_mid)
+        out = matmul(h_mid, w_down)
     if not keep_cache:
         return out, None
     return out, (x, z_up, h_up, cdf_up, z_mid, h_mid, cdf_mid)
 
 
 def ladder_backward(ws: Triple, cache: tuple, d_out: np.ndarray) -> tuple[np.ndarray, Triple]:
-    """Reverse-mode gradients; returns ``(d_x, (d_w_up, d_w_mid, d_w_down))``."""
+    """Reverse-mode gradients; returns ``(d_x, (d_w_up, d_w_mid, d_w_down))``.
+    Its products run in the same scope as ``ladder_forward``'s."""
     w_up, w_mid, w_down = ws
     x, z_up, h_up, cdf_up, z_mid, h_mid, cdf_mid = cache
-    g_down = matmul(h_mid.T, d_out)
-    d = matmul(d_out, w_down.T) * gelu_derivative(z_mid, cdf_mid)
-    g_mid = matmul(h_up.T, d)
-    d = matmul(d, w_mid.T) * gelu_derivative(z_up, cdf_up)
-    g_up = matmul(x.T, d)
-    return matmul(d, w_up.T), (g_up, g_mid, g_down)
+    with width_dependent_products():
+        g_down = matmul(h_mid.T, d_out)
+        d = matmul(d_out, w_down.T) * gelu_derivative(z_mid, cdf_mid)
+        g_mid = matmul(h_up.T, d)
+        d = matmul(d, w_mid.T) * gelu_derivative(z_up, cdf_up)
+        g_up = matmul(x.T, d)
+        d_x = matmul(d, w_up.T)
+    return d_x, (g_up, g_mid, g_down)
 
 
 @dataclass

@@ -7,12 +7,23 @@ inputs: the same call is bit-identical across runs.
 Matrix products have two modes. The default hands off to BLAS, which is
 fast and reproducible per shape but may round the *same* mathematical
 sum differently for different matrix shapes (kernel tiling). Inside an
-``exact_arithmetic()`` block, products instead accumulate rank-1 terms
+``exact_arithmetic()`` block, the products made inside a
+``width_dependent_products()`` scope instead accumulate rank-1 terms
 strictly in input-channel order, so the rounding of each output element
 depends only on the sequence of (a_ik, b_kj) values feeding it - never
-on how wide the matrices are. That is the arithmetic under which a
-zero-initialised width expansion leaves every pre-existing output
-bit-identical, and it is what function-preservation checks run in.
+on how wide the matrices are. ``ladder.ladder_forward`` and
+``ladder.ladder_backward`` enter that scope; every other product stays
+on BLAS in either mode.
+
+That is the arithmetic under which a zero-initialised width expansion
+leaves every pre-existing output bit-identical, and it is what
+function-preservation checks run in. Growth changes only ``ladder_m``
+and ``ladder_a``, the inner widths of the ladder's products, so those
+are the only products whose shapes change. Channel order makes their
+old output columns bit-identical. Every other product (attention scores
+and aggregate, the output projection, the FFN, the unembedding) then
+keeps its shape and receives bit-identical inputs, and BLAS rounds the
+same shape and inputs the same way, so its output is bit-identical too.
 
 Exact mode still runs on BLAS: one ``dgemm`` per input channel k, with
 inner dimension 1 and alpha = beta = 1, accumulating into one output.
@@ -23,7 +34,6 @@ multiply followed by an add. This rests on the BLAS kernel not fusing
 the K=1 product into the accumulation; the tests compare it bit for bit
 against that numpy loop.
 """
-
 from __future__ import annotations
 
 import functools
@@ -37,20 +47,33 @@ from .errors import ValidationError
 
 _INV_SQRT_2PI = 0.3989422804014327
 
-# Per thread (and per asyncio task): entering the mode in one thread leaves
-# every other thread's matmuls on the BLAS path.
+# Per thread (and per asyncio task): entering the mode or the scope in one
+# thread leaves every other thread's matmuls on the BLAS path.
 _EXACT_MODE: ContextVar[bool] = ContextVar("exact_arithmetic", default=False)
+_WIDTH_DEPENDENT: ContextVar[bool] = ContextVar("width_dependent_products", default=False)
 
 
 @contextmanager
 def exact_arithmetic():
-    """Shape-stable, channel-ordered summation for every matmul inside,
-    in the calling thread only."""
+    """Shape-stable, channel-ordered summation for every matmul made inside
+    a ``width_dependent_products()`` scope, in the calling thread only."""
     token = _EXACT_MODE.set(True)
     try:
         yield
     finally:
         _EXACT_MODE.reset(token)
+
+
+@contextmanager
+def width_dependent_products():
+    """Mark the matmuls made inside, in the calling thread, as products
+    whose shapes change when the model grows: under ``exact_arithmetic()``
+    these, and only these, sum one input channel at a time."""
+    token = _WIDTH_DEPENDENT.set(True)
+    try:
+        yield
+    finally:
+        _WIDTH_DEPENDENT.reset(token)
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -96,7 +119,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"matmul shape mismatch: {a.shape[0]}x{a.shape[1]} @ "
             f"{b.shape[0]}x{b.shape[1]}"
         )
-    if _EXACT_MODE.get():
+    if _EXACT_MODE.get() and _WIDTH_DEPENDENT.get():
         return _matmul_channel_ordered(a, b)
     return a @ b
 

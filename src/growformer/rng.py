@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int, check_seed
+from .errors import ValidationError, check_int, check_known_keys, check_seed
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -70,7 +70,8 @@ class RngState:
     def from_dict(cls, d: dict) -> "RngState":
         """Read ``to_dict`` output: ``seed`` is one 64-bit word, ``position``
         an int in [0, 2**64], and ``algorithm`` the one this module
-        implements. A wider seed would alias its low 64 bits."""
+        implements, and no other key. A wider seed would alias its low 64
+        bits."""
         check_seed("rng", "seed", d["seed"])
         check_int("rng", "position", d["position"], minimum=0)
         if d["position"] > 1 << 64:
@@ -79,6 +80,7 @@ class RngState:
             raise ValidationError(
                 f"rng config: algorithm must be {ALGORITHM!r}, got {d['algorithm']!r}"
             )
+        check_known_keys("rng", d, ("algorithm", "seed", "position"))
         return cls(seed=d["seed"], position=d["position"])
 
 

@@ -295,8 +295,9 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
     snapshot's own copy of the parameters, never the live ones that
     ``adamw_step`` overwrites, in a copy of the caller's context, and the
     window losses are averaged in window order, so every logged loss is
-    bit-identical to ``heldout_loss`` on the snapshot in place. The pool
-    ends with the call. A failed window stops training at the next
+    bit-identical to ``heldout_loss`` on the snapshot in place. The
+    starting snapshot's windows go to the pool before the training stream
+    is generated, so the two overlap. The pool ends with the call. A failed window stops training at the next
     snapshot, and its error wins over a later step's: the first failure
     in step order.
     """
@@ -323,10 +324,6 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
             f"checkpoint at step {step0} holds {model_config}, but the {source} implies {want}"
         )
 
-    stream = gen_corpus(
-        config.corpus.generator, config.corpus.seed, config.corpus.length,
-        stream=config.corpus.stream,
-    )
     heldout = heldout_sequences(config)
     ctx = config.model.context_len
     params = {k: p.copy() for k, p in resume.params.items()}
@@ -362,6 +359,11 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
     with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as scorer:
         try:
             record(step0)
+            # generated while the pool scores the first snapshot
+            stream = gen_corpus(
+                config.corpus.generator, config.corpus.seed, config.corpus.length,
+                stream=config.corpus.stream,
+            )
             for local in range(config.schedule.steps - step0):
                 step = step0 + local
                 if step == growth_step:

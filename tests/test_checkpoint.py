@@ -133,6 +133,13 @@ def test_every_header_key_the_writer_writes_is_required(tmp_path):
         path.write_bytes(with_header(data, cut))
         with pytest.raises(ValidationError, match="bad JSON header: missing key"):
             load_checkpoint(path)
+    # and no other key, at either level
+    for block, extra in (("checkpoint", lambda h: h), ("rng", lambda h: h["rng"])):
+        path.write_bytes(with_header(data, lambda h: extra(h).update(dtype="f8")))
+        with pytest.raises(
+            ValidationError, match=f"bad JSON header: {block} config: unknown key 'dtype'"
+        ):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize(

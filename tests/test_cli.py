@@ -12,7 +12,7 @@ from growformer.checkpoint import load_checkpoint, save_checkpoint
 from growformer.errors import ValidationError
 from growformer.experiment import ablate_axes
 from growformer.flops import model_flops
-from growformer.model import ModelConfig
+from growformer.model import ModelConfig, init_params
 from growformer.rng import HELDOUT_STREAM
 from growformer.training import (
     CorpusConfig,
@@ -380,6 +380,24 @@ def test_checkpoint_off_its_parameter_layout_exits_1(name, shape, base_path, tmp
     assert err.startswith("error: ") and name in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "field, value", [("hidden_size", 6), ("n_heads", 4), ("n_layers", 2), ("ffn_size", 8)]
+)
+def test_verify_of_a_model_that_is_no_growth_exits_1(
+    field, value, base_run, base_path, tmp_path, capsys
+):
+    config = replace(MODEL.grown(2, 2), **{field: value})
+    params = init_params(config, seed=0)
+    other = tmp_path / "other.nxf"
+    save_checkpoint(
+        replace(base_run, model_config=config, params=params, adam_m=params, adam_v=params), other
+    )
+    assert cli.main(["verify", "--old", str(base_path), "--new", str(other)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} mismatch between models")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_ablate_exits_0(base_path, capsys):
     assert cli.main(["ablate", "--ckpt", str(base_path), "--budget", "2",
                      "--delta-total", "8"]) == 0
@@ -554,8 +572,13 @@ def test_checkpoint_without_experiment_config_exits_1_for_grow_and_verify(
          "experiment config: unknown key 'arithmetic'"),
         (lambda d: with_header(d, lambda h: h["experiment"].update(out_dir=None)),
          "experiment config: unknown key 'out_dir'"),
+        (lambda d: with_header(d, lambda h: h.update(dtype="f8")),
+         "checkpoint config: unknown key 'dtype'"),
+        (lambda d: with_header(d, lambda h: h["rng"].update(dtype="f8")),
+         "rng config: unknown key 'dtype'"),
     ],
-    ids=["f4-tag", "model-dtype-key", "experiment-arithmetic-key", "experiment-out_dir-key"],
+    ids=["f4-tag", "model-dtype-key", "experiment-arithmetic-key", "experiment-out_dir-key",
+         "header-dtype-key", "rng-dtype-key"],
 )
 def test_base_checkpoint_no_writer_produces_exits_1(rewrite, message, base_path, tmp_path, capsys):
     bad = tmp_path / "bad.nxf"

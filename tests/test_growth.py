@@ -45,8 +45,9 @@ BASE = ModelConfig(
 
 # sha256 of the exact-mode logits of a seeded TOY_CONFIG model grown by
 # noise:0.2 on one held-out window (test_exact_mode_logits_digest_pinned),
-# re-recorded when indexed streams came to derive in two levels.
-EXACT_LOGITS_SHA256 = "49098f9eb8c43dde844cd86cc786543246f059bab7f1c792f8aad690f367ae15"
+# re-recorded when indexed streams came to derive in two levels, and again
+# when exact mode came to cover only the ladder's products.
+EXACT_LOGITS_SHA256 = "bd115660d512a44a9505f676374371f84f113b699278ea266cd0dbd615ca5107"
 
 
 def probe_batch(count=4, seed=17, n=12, vocab=32):
@@ -233,6 +234,44 @@ class TestPreservation:
         new_params, new_config, _ = grow_model(params, BASE, plan)
         dev = verify_function_preservation(params, BASE, new_params, new_config, probe_batch())
         assert dev > 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 3),  # n_heads
+        st.integers(1, 4),  # head width
+        st.integers(1, 3),  # n_layers
+        st.integers(1, 16),  # ffn_size
+        st.integers(1, 4),  # m - d
+        st.integers(1, 4),  # a - m
+        st.integers(0, 10),  # delta_m: up to 6 past a
+        st.integers(0, 4),  # delta_a
+        st.integers(0, 2**32 - 1),
+    )
+    def test_scoped_exact_mode_over_shapes(
+        self, n_heads, head_dim, n_layers, ffn_size, dm_gap, da_gap, delta_m, delta_a, seed
+    ):
+        """Only the ladder's products sum channel by channel, and that is
+        enough: zero policies give exactly 0.0 at every shape, single-axis
+        growth and m grown past a included, from perturbed base weights."""
+        d = n_heads * head_dim
+        # a width-1 layer norm outputs its bias whatever its input, so noise
+        # could change nothing
+        assume(delta_m + delta_a > 0 and d > 1)
+        config = ModelConfig(
+            vocab_size=11, context_len=6, hidden_size=d, n_heads=n_heads, n_layers=n_layers,
+            ladder_m=d + dm_gap, ladder_a=d + dm_gap + da_gap, ffn_size=ffn_size,
+        )
+        gen = np.random.default_rng(seed)
+        params = {
+            k: p + gen.normal(scale=0.3, size=p.shape)
+            for k, p in init_params(config, seed % 1000).items()
+        }
+        probe = [seeded_ints(RngState(seed + i), 6, 11) for i in range(2)]
+        for policy in ("strict-zero", "guarded-zero", "noise:0.2"):
+            plan = GrowthPlan(delta_m, delta_a, policy, seed=seed)
+            grown, grown_config, _ = grow_model(params, config, plan)
+            dev = verify_function_preservation(params, config, grown, grown_config, probe)
+            assert dev == 0.0 if plan.preserves_function else dev > 0.0, policy
 
     def test_composability(self):
         params = init_params(BASE, seed=6)

@@ -20,6 +20,7 @@ from growformer.linalg import (
     gelu_derivative,
     matmul,
     softmax_rows,
+    width_dependent_products,
 )
 
 from oracles import finite_diff_grad
@@ -160,7 +161,7 @@ class TestChannelOrderedKernel:
                            [rng.normal(size=(dn, k + dk))]])
         wide_b = np.block([[b, rng.normal(size=(k, dp))],
                            [np.zeros((dk, p)), rng.normal(size=(dk, dp))]])
-        with exact_arithmetic():
+        with exact_arithmetic(), width_dependent_products():
             narrow = matmul(a, b)
             wide = matmul(wide_a, wide_b)
         assert_bit_equal(wide[:n, :p], narrow)
@@ -215,6 +216,7 @@ class TestMatmul:
         assert np.abs(left - right).max() / scale < 1e-9
 
     def test_exact_mode_is_per_thread(self, monkeypatch):
+        # only a thread both in the mode and in the scope sums channel by channel
         exact_calls = []
         channel_ordered = linalg._matmul_channel_ordered
 
@@ -228,16 +230,22 @@ class TestMatmul:
 
         def hold_exact_mode():
             with exact_arithmetic():
-                matmul(a, b)
-                entered.set()
-                release.wait(timeout=10)
+                matmul(a, b)  # outside the scope: BLAS
+                with width_dependent_products():
+                    matmul(a, b)
+                    entered.set()
+                    release.wait(timeout=10)
+                    matmul(a, b)
+
+        def in_scope_only():
+            with width_dependent_products():
                 matmul(a, b)
 
         holder = threading.Thread(target=hold_exact_mode, name="exact")
         holder.start()
         try:
             assert entered.wait(timeout=10)
-            other = threading.Thread(target=matmul, args=(a, b), name="blas")
+            other = threading.Thread(target=in_scope_only, name="blas")
             other.start()
             other.join(timeout=10)
             assert not other.is_alive()
