@@ -86,8 +86,7 @@ def ladder_backward(ws: Triple, cache: tuple, d_out: np.ndarray) -> tuple[np.nda
         g_mid = matmul(h_up.T, d)
         d = matmul(d, w_mid.T) * gelu_derivative(z_up, cdf_up)
         g_up = matmul(x.T, d)
-        d_x = matmul(d, w_up.T)
-    return d_x, (g_up, g_mid, g_down)
+        return matmul(d, w_up.T), (g_up, g_mid, g_down)
 
 
 @dataclass

@@ -18,12 +18,13 @@ on BLAS in either mode.
 That is the arithmetic under which a zero-initialised width expansion
 leaves every pre-existing output bit-identical, and it is what
 function-preservation checks run in. Growth changes only ``ladder_m``
-and ``ladder_a``, the inner widths of the ladder's products, so those
-are the only products whose shapes change. Channel order makes their
-old output columns bit-identical. Every other product (attention scores
-and aggregate, the output projection, the FFN, the unembedding) then
-keeps its shape and receives bit-identical inputs, and BLAS rounds the
-same shape and inputs the same way, so its output is bit-identical too.
+and ``ladder_a``, widths that occur only inside the ladder, so the
+ladder's products are the only ones whose shapes change. Channel order
+makes their pre-existing outputs bit-identical. Every other product
+(attention scores and aggregate, the output projection, the FFN, the
+unembedding) then keeps its shape and receives bit-identical inputs,
+and BLAS rounds the same shape and inputs the same way, so its output
+is bit-identical too.
 
 Exact mode still runs on BLAS: one ``dgemm`` per input channel k, with
 inner dimension 1 and alpha = beta = 1, accumulating into one output.
@@ -34,6 +35,7 @@ multiply followed by an add. This rests on the BLAS kernel not fusing
 the K=1 product into the accumulation; the tests compare it bit for bit
 against that numpy loop.
 """
+
 from __future__ import annotations
 
 import functools

@@ -297,9 +297,9 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
     window losses are averaged in window order, so every logged loss is
     bit-identical to ``heldout_loss`` on the snapshot in place. The
     starting snapshot's windows go to the pool before the training stream
-    is generated, so the two overlap. The pool ends with the call. A failed window stops training at the next
-    snapshot, and its error wins over a later step's: the first failure
-    in step order.
+    is generated, so the two overlap. The pool ends with the call. A
+    failed window stops training at the next snapshot, and its error wins
+    over a later step's: the first failure in step order.
     """
     if resume is None:
         resume = start_checkpoint(
