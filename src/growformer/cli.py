@@ -17,6 +17,10 @@ config, a missing path or a directory), reported as one ``error:`` line
 without a traceback; 2 numeric failure, such as a zero-policy ``grow``
 whose probe deviation is not exactly 0.0.
 
+``train`` writes each snapshot as soon as it is made and ``train_log.csv``
+at the end, so a run that fails part-way (exit 1 or 2) leaves every
+snapshot made before the failure, each resumable, and no log.
+
 The series fits (harmonic cycle, Fisher's g, scaling law) have one home:
 the ``fits.json`` that ``analyze`` writes, as ``experiment.emit_reports``
 does for each plan.
@@ -37,7 +41,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import NumericError, ValidationError
-from .experiment import SNAPSHOT_COLUMNS, ablate_axes, analyze_snapshot_series, snapshot_rows
+from .experiment import SNAPSHOT_COLUMNS, SnapshotState, ablate_axes, analyze_snapshot_series, snapshot_rows
 from .flops import breakdown_csv_rows
 from .growth import GrowthPlan, grow_model, verify_function_preservation
 from .model import ModelConfig, heldout_loss
@@ -65,14 +69,15 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     resume = load_checkpoint(args.resume) if args.resume else None
-    result = train(config, resume=resume)
-    for ck in result.checkpoints:
-        save_checkpoint(ck, out / f"step{ck.step:08d}.nxf")
+    result = train(
+        config, resume=resume,
+        on_snapshot=lambda ck: save_checkpoint(ck, out / f"step{ck.step:08d}.nxf"),
+    )
     log_lines = ["step,tokens,train_loss,heldout_loss"]
     for row in result.log:
         log_lines.append(f"{row.step},{row.tokens},{row.train_loss!r},{row.heldout_loss!r}")
     (out / "train_log.csv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(result.checkpoints)} checkpoints to {out}")
+    print(f"wrote {len(result.log)} checkpoints to {out}")
     return 0
 
 
@@ -114,10 +119,12 @@ def _cmd_analyze(args) -> int:
     paths = sorted(Path(args.series).glob("*.nxf"))
     if not paths:
         raise ValidationError(f"no .nxf checkpoints found in {args.series}")
-    series = [load_checkpoint(p) for p in paths]
-    series.sort(key=lambda ck: ck.step)
     heldout = heldout_sequences(checkpoint_experiment(base))
-    losses = [heldout_loss(ck.model_config, ck.params, heldout) for ck in series]
+    base = SnapshotState.of(base)
+    # each file's step and state, loaded one at a time: no Adam moments are kept
+    loaded = [(ck.step, SnapshotState.of(ck)) for ck in map(load_checkpoint, paths)]
+    series = [state for _, state in sorted(loaded, key=lambda pair: pair[0])]
+    losses = [heldout_loss(state.model_config, state.params, heldout) for state in series]
     snapshots, trajectory, fits = analyze_snapshot_series(base, series, losses)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -6,6 +6,10 @@ hard gate for the zero policies), continue training with snapshots at a
 fixed cadence, compute the alignment snapshot series against the frozen
 base, and run the trajectory-geometry and time-series analyses over it.
 
+``train`` hands each snapshot over as it is made. The experiment keeps
+only what the analysis reads (``SnapshotState``), which holds the
+snapshot's own parameter copy, and drops its Adam moments at once.
+
 A series needs at least 2 checkpoints. PCA and the trajectory need 3
 states that are not all equal; a shorter or flat series still yields
 every alignment snapshot, but its trajectory is empty and its fits carry
@@ -33,12 +37,26 @@ from .seriesstats import fisher_g_test, harmonic_fit, scaling_law_fit
 from .trajectory import TrajectoryPoint, pca_fit, trajectory_series
 from .training import (
     ExperimentConfig,
-    TrainResult,
+    LogRow,
     checkpoint_experiment,
     heldout_sequences,
     start_checkpoint,
     train,
 )
+
+
+@dataclass(frozen=True)
+class SnapshotState:
+    """What the series analysis reads of one snapshot."""
+
+    model_config: ModelConfig
+    params: dict[str, np.ndarray]
+    tokens: int
+
+    @classmethod
+    def of(cls, ck: Checkpoint) -> "SnapshotState":
+        """The state of ``ck``, holding its arrays, not copies."""
+        return cls(ck.model_config, ck.params, ck.tokens)
 
 
 @dataclass
@@ -73,10 +91,11 @@ def continued_config(
 def _grow_and_continue(
     base_ckpt: Checkpoint, base_exp: ExperimentConfig, plan: GrowthPlan,
     budget: int, cadence: int, probe,
-) -> tuple[GrowthReport, TrainResult]:
+) -> tuple[GrowthReport, ModelConfig, list[SnapshotState], list[LogRow]]:
     """Grow the base under ``plan`` (gated on ``probe``), then train the
-    grown model for ``budget`` steps with snapshots every ``cadence``. The
-    continued config is built first, so a bad one fails before any growth."""
+    grown model for ``budget`` steps with snapshots every ``cadence``; the
+    snapshots come back as states. The continued config is built first, so
+    a bad one fails before any growth."""
     cont = continued_config(
         base_exp, base_ckpt.model_config.grown(plan.delta_m, plan.delta_a),
         derive_seed(base_exp.seed, StreamTag.CONTINUED_RUN, plan.seed), budget, cadence,
@@ -85,7 +104,12 @@ def _grow_and_continue(
         base_ckpt.params, base_ckpt.model_config, plan, probe=probe
     )
     assert new_config == cont.model, (new_config, cont.model)
-    return report, train(cont, resume=start_checkpoint(cont, new_params))
+    states: list[SnapshotState] = []
+    result = train(
+        cont, resume=start_checkpoint(cont, new_params),
+        on_snapshot=lambda ck: states.append(SnapshotState.of(ck)),
+    )
+    return report, cont.model, states, result.log
 
 
 def _fit_block(fn, *args, **kwargs) -> dict:
@@ -98,37 +122,37 @@ def _fit_block(fn, *args, **kwargs) -> dict:
 
 
 def analyze_snapshot_series(
-    base_ckpt: Checkpoint,
-    series_ckpts: list[Checkpoint],
+    base: SnapshotState,
+    series: list[SnapshotState],
     losses: list[float],
 ) -> tuple[list[AlignmentSnapshot], list[TrajectoryPoint], dict]:
     """Alignment snapshots (first one is the reference), trajectory
     geometry, and the three series fits.
 
-    ``losses`` holds the held-out loss of each checkpoint, in the same
-    order; ``train`` logs them as ``LogRow.heldout_loss``.
+    ``series`` holds the continued run's states in step order, so no Adam
+    moments need stay alive for the analysis. ``losses`` holds the
+    held-out loss of each, in the same order; ``train`` logs them as
+    ``LogRow.heldout_loss``.
 
-    At least 2 checkpoints are required. PCA and the trajectory need 3
+    At least 2 states are required. PCA and the trajectory need 3
     states with nonzero variance; otherwise the trajectory is empty and
     ``fits["pca"]`` is ``{"degenerate": True, "reason": ...}`` in place of
     ``pca_variance_ratios`` and ``pca_loadings``.
     """
-    if len(series_ckpts) < 2:
+    if len(series) < 2:
         raise ValidationError("need at least 2 checkpoints to analyze a series")
-    if len(losses) != len(series_ckpts):
-        raise ValidationError(
-            f"got {len(losses)} held-out losses for {len(series_ckpts)} checkpoints"
-        )
+    if len(losses) != len(series):
+        raise ValidationError(f"got {len(losses)} held-out losses for {len(series)} checkpoints")
     snapshots: list[AlignmentSnapshot] = []
     reference = None
-    for ck, loss in zip(series_ckpts, losses, strict=True):
+    for state, loss in zip(series, losses, strict=True):
         snap = snapshot_alignment(
-            base_ckpt.params,
-            base_ckpt.model_config,
-            ck.params,
-            ck.model_config,
+            base.params,
+            base.model_config,
+            state.params,
+            state.model_config,
             loss,
-            tokens=ck.tokens,
+            tokens=state.tokens,
             reference=reference,
         )
         if reference is None:
@@ -175,9 +199,11 @@ def run_growth_experiment(
     heldout = heldout_sequences(base_exp)
     out: dict[str, ExperimentSeries] = {}
     for label, plan in zip(labels, plans):
-        report, result = _grow_and_continue(base_ckpt, base_exp, plan, budget, cadence, heldout)
+        report, _, states, log = _grow_and_continue(
+            base_ckpt, base_exp, plan, budget, cadence, heldout
+        )
         snapshots, trajectory, fits = analyze_snapshot_series(
-            base_ckpt, result.checkpoints, [row.heldout_loss for row in result.log]
+            SnapshotState.of(base_ckpt), states, [row.heldout_loss for row in log]
         )
         out[label] = ExperimentSeries(
             label=label,
@@ -222,9 +248,10 @@ def ablate_axes(base_ckpt: Checkpoint, budget: int, delta_total: int | None = No
     for axis, dm, da in settings:
         plan = GrowthPlan(dm, da, "guarded-zero", derive_seed(base_exp.seed, StreamTag.ABLATION_PLAN, dm, da))
         # cadence = budget: only the endpoint matters here
-        _, result = _grow_and_continue(base_ckpt, base_exp, plan, budget, budget, heldout)
-        new_config = result.final.model_config
-        final_loss = result.log[-1].heldout_loss
+        _, new_config, _, log = _grow_and_continue(
+            base_ckpt, base_exp, plan, budget, budget, heldout
+        )
+        final_loss = log[-1].heldout_loss
         rows.append(
             {
                 "axis": axis,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextvars
 import os
+from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -175,6 +176,10 @@ class LogRow:
 
 @dataclass
 class TrainResult:
+    """``checkpoints`` holds every snapshot in step order when ``train`` has
+    no ``on_snapshot``. With one it is empty, so ``final`` must not be
+    read; ``log`` has a row per snapshot either way."""
+
     checkpoints: list[Checkpoint]
     log: list[LogRow] = field(default_factory=list)
     step_losses: list[float] = field(default_factory=list)
@@ -276,9 +281,21 @@ def start_checkpoint(config: ExperimentConfig, params: dict) -> Checkpoint:
     )
 
 
-def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainResult:
-    """Run the configured schedule; returns snapshots at every cadence
-    boundary (including the starting state) and the loss log.
+def train(
+    config: ExperimentConfig,
+    resume: Checkpoint | None = None,
+    on_snapshot: Callable[[Checkpoint], None] | None = None,
+) -> TrainResult:
+    """Run the configured schedule, taking a snapshot at every cadence
+    boundary (including the starting state); returns them and the loss log.
+
+    A snapshot is a ``Checkpoint`` with its own copy of the parameters and
+    both Adam moments. Without ``on_snapshot`` the result keeps them all.
+    With it, each is passed to ``on_snapshot`` as soon as it is made, in
+    the calling thread, and the result keeps none: the caller keeps what
+    it reads or writes the snapshot out. The scorer below reads the
+    snapshot's parameters, so the hand-off must not write them; an error
+    it raises ends the run as a failed step does.
 
     Without ``resume`` the run starts from ``start_checkpoint`` over the
     seeded initial parameters. ``schedule.steps`` is the absolute step
@@ -333,6 +350,7 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
     del resume  # a fresh start checkpoint must not live beside the copies for the whole run
 
     checkpoints: list[Checkpoint] = []
+    hand_off = checkpoints.append if on_snapshot is None else on_snapshot
     log: list[LogRow] = []
     scores: list[list[Future]] = []  # each log row's window losses, in window order
     step_losses: list[float] = []
@@ -351,9 +369,9 @@ def train(config: ExperimentConfig, resume: Checkpoint | None = None) -> TrainRe
             )
             for window in heldout
         ]
-        checkpoints.append(ck)
         log.append(LogRow(step, tokens, last_loss if step > step0 else float("nan")))
         scores.append(windows)
+        hand_off(ck)
 
     last_loss = float("nan")
     with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as scorer:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import struct
 from dataclasses import replace
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from growformer import cli, experiment, growth
+from growformer import cli, experiment, growth, training
 from growformer.checkpoint import load_checkpoint, save_checkpoint
 from growformer.errors import ValidationError
 from growformer.experiment import ablate_axes
@@ -442,6 +443,99 @@ def test_train_resume_final_checkpoint_matches_direct_run(tmp_path):
                                                              "step00000004.nxf"]
     final = "step00000004.nxf"
     assert (resumed / final).read_bytes() == (direct / final).read_bytes()
+
+
+# sha256 of every file ``growformer train`` writes for the config of
+# ``direct_train`` (each snapshot and train_log.csv, each hashed with its
+# name), recorded while ``train`` still returned every snapshot for the
+# command to write after the run
+TRAIN_FILES_SHA256 = "c70466c4ce2b4b69636f38b08a2b212fa240873e5376e5fe4aade82ea5685464"
+TRAIN_FILES = [f"step{step:08d}.nxf" for step in (0, 2, 4, 6)] + ["train_log.csv"]
+
+
+def files_digest(out: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.name.encode("utf-8") + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def direct_train(tmp_path_factory):
+    """A six-step run with a snapshot every two steps and a growth at step
+    2: returns its config path and its output directory."""
+    root = tmp_path_factory.mktemp("direct")
+    config = experiment_blob()
+    config["schedule"] = {"steps": 6, "warmup": 2, "snapshot_every": 2}
+    config["growth"] = GROWTH
+    path = write_config(config, root)
+    out = root / "run"
+    assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
+    return path, out
+
+
+def test_train_writes_pinned_bytes(direct_train):
+    _, out = direct_train
+    assert sorted(p.name for p in out.iterdir()) == TRAIN_FILES
+    assert files_digest(out) == TRAIN_FILES_SHA256
+
+
+# sha256 of the alignment.csv and fits.json that ``analyze`` writes for the
+# snapshots of ``direct_train`` against its first, recorded while the
+# command still held every loaded checkpoint whole
+ANALYZE_FILES_SHA256 = "af3a66f2178a46e36f4a58b94ba6cc2c828440d5b9587d813eca0f422bdc7ba9"
+
+
+def test_analyze_writes_pinned_bytes(direct_train, tmp_path, capsys):
+    _, run = direct_train
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--base", str(run / TRAIN_FILES[0]), "--series", str(run),
+                     "--out", str(out)]) == 0
+    assert "analyzed 4 snapshots" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == ["alignment.csv", "fits.json"]
+    assert files_digest(out) == ANALYZE_FILES_SHA256
+
+
+@pytest.mark.parametrize("step", [0, 2, 4, 6])
+def test_train_resumed_from_every_snapshot_ends_in_the_direct_run_bytes(
+    step, direct_train, tmp_path
+):
+    # the snapshots at 0 and 2 hold the base widths, those at 4 and 6 the grown ones
+    path, direct = direct_train
+    start = f"step{step:08d}.nxf"
+    resumed = tmp_path / "resumed"
+    assert cli.main(["train", "--config", path, "--out", str(resumed),
+                     "--resume", str(direct / start)]) == 0
+    for name in TRAIN_FILES[TRAIN_FILES.index(start) : -1]:
+        assert (resumed / name).read_bytes() == (direct / name).read_bytes(), name
+
+
+def test_train_failing_mid_run_leaves_the_snapshots_made_before_it(
+    direct_train, tmp_path, monkeypatch, capsys
+):
+    path, direct = direct_train
+    real, steps = training.model_loss_and_grads, []
+
+    def non_finite_at_step_3(*args):
+        steps.append(None)
+        loss, grads = real(*args)
+        return (float("nan") if len(steps) == 4 else loss), grads
+
+    monkeypatch.setattr(training, "model_loss_and_grads", non_finite_at_step_3)
+    failed = tmp_path / "failed"
+    assert cli.main(["train", "--config", path, "--out", str(failed)]) == 2
+    assert capsys.readouterr().err == "numeric failure: non-finite training loss at step 3\n"
+    # no train_log.csv, and each snapshot written is the direct run's and resumes
+    assert sorted(p.name for p in failed.iterdir()) == TRAIN_FILES[:2]
+    monkeypatch.undo()
+    for name in TRAIN_FILES[:2]:
+        assert (failed / name).read_bytes() == (direct / name).read_bytes()
+        resumed = tmp_path / f"from-{name}"
+        assert cli.main(["train", "--config", path, "--out", str(resumed),
+                         "--resume", str(failed / name)]) == 0
+        final = TRAIN_FILES[3]
+        assert (resumed / final).read_bytes() == (direct / final).read_bytes()
 
 
 def test_resume_past_the_rng_counter_limit_exits_1(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,7 @@ from growformer.experiment import (
     run_growth_experiment,
 )
 from growformer.growth import GrowthPlan
-from growformer.model import ModelConfig, heldout_loss
+from growformer.model import ModelConfig, heldout_loss, init_params
 from growformer.rng import CONTINUED_OFFSET, HELDOUT_STREAM
 from growformer.seriesstats import fisher_g_test, harmonic_fit, scaling_law_fit
 from growformer.training import (
@@ -122,6 +123,28 @@ class TestRunGrowthExperiment:
         monkeypatch.setattr(experiment, "grow_model", grow_model)
         with pytest.raises(ValidationError, match=f"share the series label {plan_label(plans[0])}"):
             run_growth_experiment(base, plans, budget=2, cadence=2)
+
+
+class TestSnapshotMemory:
+    def test_each_snapshot_keeps_about_one_parameter_set(self):
+        # A snapshot holds the parameters and both Adam moments; the analysis
+        # reads only the parameters, so the experiment keeps only those. The
+        # wide growth makes a snapshot's arrays outweigh the corpus tables.
+        base = pretrained_base(steps=2)
+        plan = GrowthPlan(90, 120, "guarded-zero", seed=5)
+        set_bytes = sum(p.nbytes for p in init_params(MODEL.grown(90, 120), 0).values())
+        run_growth_experiment(base, [plan], budget=8, cadence=8)  # lazy imports
+        peaks = {}
+        for cadence in (4, 1):  # 3 and 9 snapshots
+            tracemalloc.start()
+            try:
+                run_growth_experiment(base, [plan], budget=8, cadence=cadence)
+                _, peaks[cadence] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # keeping whole snapshots grows the peak by ~3 sets per snapshot
+        sets = (peaks[1] - peaks[4]) / (9 - 3) / set_bytes
+        assert sets < 1.5, f"{sets:.2f} parameter sets per snapshot"
 
 
 class TestHeldoutLossReuse:

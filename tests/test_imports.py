@@ -9,7 +9,9 @@ package wraps a ``derive_seed`` call, every parameter default of a
 package function that the package or the benchmark harness calls is
 passed by one of those calls, and no package module but ``training.py``
 names ``ThreadPoolExecutor`` or ``copy_context``: ``train``'s held-out
-scorer is the package's one thread pool.
+scorer is the package's one thread pool. ``training.py`` imports none of
+the analysis modules (alignment, experiment, trajectory, seriesstats),
+directly or through another package module.
 
 Stdlib-``ast`` stand-ins for a linter's unused-import rule (a name bound
 by an import must appear as a name somewhere else in the module, or in
@@ -182,6 +184,61 @@ def test_detects_a_thread_pool():
 )
 def test_only_training_opens_a_thread_pool(path):
     assert thread_pools(path.read_text(encoding="utf-8")) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """Names of package modules the source imports anywhere in the file:
+    by a relative import or through the ``growformer`` name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            qualified = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # a relative import is from this package
+                module = f"growformer.{module}".rstrip(".")
+            if module == "growformer":  # ``from . import x`` names the modules themselves
+                qualified = [f"growformer.{alias.name}" for alias in node.names]
+            else:
+                qualified = [module]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in qualified if name.startswith("growformer."))
+    return found
+
+
+def reachable(graph: dict[str, set[str]], start: str) -> set[str]:
+    """Modules that ``start`` imports, directly or through another module."""
+    seen, todo = set(), [start]
+    while todo:
+        for name in graph.get(todo.pop(), set()) - seen:
+            seen.add(name)
+            todo.append(name)
+    return seen
+
+
+def test_detects_an_import_of_a_package_module():
+    source = (
+        "import json\nfrom os import path\nfrom .alignment import a\n"
+        "from . import experiment, model\nimport growformer.trajectory\n"
+        "from growformer.seriesstats import f\n\n\ndef g():\n    from .growth import h\n"
+    )
+    assert package_imports(source) == {
+        "alignment", "experiment", "model", "trajectory", "seriesstats", "growth"
+    }
+    graph = {"training": {"growth"}, "growth": {"alignment", "training"}, "alignment": set()}
+    assert reachable(graph, "training") == {"growth", "alignment", "training"}
+    assert reachable(graph, "alignment") == set()
+
+
+# the analysis side of the package; training hands snapshots over and never analyses them
+ANALYSIS_MODULES = {"alignment", "experiment", "trajectory", "seriesstats"}
+
+
+def test_training_reaches_no_analysis_module():
+    graph = {path.stem: package_imports(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    assert ANALYSIS_MODULES <= set(graph)
+    assert reachable(graph, "training") & ANALYSIS_MODULES == set()
 
 
 def unpassed_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:

@@ -390,6 +390,22 @@ class TestTrain:
         for group in CHECKPOINT_GROUPS:
             assert same_bits(getattr(result.checkpoints[1], group), getattr(shorter, group))
 
+    def test_hand_off_gets_the_snapshots_the_result_keeps_without_it(self, tmp_path):
+        cfg = make_config(
+            steps=20, snapshot_every=5,
+            growth=GrowthConfig(4, 6, "guarded-zero", seed=9, trigger_step=10),
+        )
+        kept, handed = train(cfg), []
+        result = train(cfg, on_snapshot=handed.append)
+        assert result.checkpoints == []
+        assert repr(result.log) == repr(kept.log)  # the first train_loss is nan
+        assert result.step_losses == kept.step_losses
+        assert len(handed) == len(kept.checkpoints) == 5
+        for a, b in zip(handed, kept.checkpoints):
+            save_checkpoint(a, tmp_path / "handed.nxf")
+            save_checkpoint(b, tmp_path / "kept.nxf")
+            assert (tmp_path / "handed.nxf").read_bytes() == (tmp_path / "kept.nxf").read_bytes()
+
 
 class TestBackgroundScoring:
     """Each snapshot's held-out windows are scored on a thread pool while
