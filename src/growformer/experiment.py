@@ -199,9 +199,7 @@ def run_growth_experiment(
     heldout = heldout_sequences(base_exp)
     out: dict[str, ExperimentSeries] = {}
     for label, plan in zip(labels, plans):
-        report, _, states, log = _grow_and_continue(
-            base_ckpt, base_exp, plan, budget, cadence, heldout
-        )
+        report, _, states, log = _grow_and_continue(base_ckpt, base_exp, plan, budget, cadence, heldout)
         snapshots, trajectory, fits = analyze_snapshot_series(
             SnapshotState.of(base_ckpt), states, [row.heldout_loss for row in log]
         )
@@ -248,9 +246,7 @@ def ablate_axes(base_ckpt: Checkpoint, budget: int, delta_total: int | None = No
     for axis, dm, da in settings:
         plan = GrowthPlan(dm, da, "guarded-zero", derive_seed(base_exp.seed, StreamTag.ABLATION_PLAN, dm, da))
         # cadence = budget: only the endpoint matters here
-        _, new_config, _, log = _grow_and_continue(
-            base_ckpt, base_exp, plan, budget, budget, heldout
-        )
+        _, new_config, _, log = _grow_and_continue(base_ckpt, base_exp, plan, budget, budget, heldout)
         final_loss = log[-1].heldout_loss
         rows.append(
             {

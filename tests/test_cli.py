@@ -431,20 +431,6 @@ def write_config(config: dict, tmp_path) -> str:
     return str(path)
 
 
-def test_train_resume_final_checkpoint_matches_direct_run(tmp_path):
-    config = experiment_blob()
-    config["schedule"] = {"steps": 4, "warmup": 2, "snapshot_every": 2}
-    path = write_config(config, tmp_path)
-    direct, resumed = tmp_path / "direct", tmp_path / "resumed"
-    assert cli.main(["train", "--config", path, "--out", str(direct)]) == 0
-    assert cli.main(["train", "--config", path, "--out", str(resumed),
-                     "--resume", str(direct / "step00000002.nxf")]) == 0
-    assert sorted(p.name for p in resumed.glob("*.nxf")) == ["step00000002.nxf",
-                                                             "step00000004.nxf"]
-    final = "step00000004.nxf"
-    assert (resumed / final).read_bytes() == (direct / final).read_bytes()
-
-
 # sha256 of every file ``growformer train`` writes for the config of
 # ``direct_train`` (each snapshot and train_log.csv, each hashed with its
 # name), recorded while ``train`` still returned every snapshot for the
@@ -481,6 +467,20 @@ def test_train_writes_pinned_bytes(direct_train):
     assert files_digest(out) == TRAIN_FILES_SHA256
 
 
+def test_train_resume_final_checkpoint_matches_direct_run(direct_train, tmp_path):
+    # from every snapshot, step 0 included: those at steps 0 and 2 hold the
+    # base widths, those at 4 and 6 the grown ones
+    path, direct = direct_train
+    for start in TRAIN_FILES[:-1]:
+        resumed = tmp_path / start
+        assert cli.main(["train", "--config", path, "--out", str(resumed),
+                         "--resume", str(direct / start)]) == 0
+        written = TRAIN_FILES[TRAIN_FILES.index(start) :]
+        assert sorted(p.name for p in resumed.iterdir()) == written
+        for name in written[:-1]:
+            assert (resumed / name).read_bytes() == (direct / name).read_bytes(), (start, name)
+
+
 # sha256 of the alignment.csv and fits.json that ``analyze`` writes for the
 # snapshots of ``direct_train`` against its first, recorded while the
 # command still held every loaded checkpoint whole
@@ -495,20 +495,6 @@ def test_analyze_writes_pinned_bytes(direct_train, tmp_path, capsys):
     assert "analyzed 4 snapshots" in capsys.readouterr().out
     assert sorted(p.name for p in out.iterdir()) == ["alignment.csv", "fits.json"]
     assert files_digest(out) == ANALYZE_FILES_SHA256
-
-
-@pytest.mark.parametrize("step", [0, 2, 4, 6])
-def test_train_resumed_from_every_snapshot_ends_in_the_direct_run_bytes(
-    step, direct_train, tmp_path
-):
-    # the snapshots at 0 and 2 hold the base widths, those at 4 and 6 the grown ones
-    path, direct = direct_train
-    start = f"step{step:08d}.nxf"
-    resumed = tmp_path / "resumed"
-    assert cli.main(["train", "--config", path, "--out", str(resumed),
-                     "--resume", str(direct / start)]) == 0
-    for name in TRAIN_FILES[TRAIN_FILES.index(start) : -1]:
-        assert (resumed / name).read_bytes() == (direct / name).read_bytes(), name
 
 
 def test_train_failing_mid_run_leaves_the_snapshots_made_before_it(
@@ -534,8 +520,7 @@ def test_train_failing_mid_run_leaves_the_snapshots_made_before_it(
         resumed = tmp_path / f"from-{name}"
         assert cli.main(["train", "--config", path, "--out", str(resumed),
                          "--resume", str(failed / name)]) == 0
-        final = TRAIN_FILES[3]
-        assert (resumed / final).read_bytes() == (direct / final).read_bytes()
+        assert (resumed / TRAIN_FILES[3]).read_bytes() == (direct / TRAIN_FILES[3]).read_bytes()
 
 
 def test_resume_past_the_rng_counter_limit_exits_1(tmp_path, capsys):
