@@ -68,9 +68,9 @@ def _cmd_train(args) -> int:
     config = ExperimentConfig.from_dict(_read_json(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    resume = load_checkpoint(args.resume) if args.resume else None
+    # passed straight in, so that train's own ``del`` frees the loaded state
     result = train(
-        config, resume=resume,
+        config, resume=load_checkpoint(args.resume) if args.resume else None,
         on_snapshot=lambda ck: save_checkpoint(ck, out / f"step{ck.step:08d}.nxf"),
     )
     log_lines = ["step,tokens,train_loss,heldout_loss"]

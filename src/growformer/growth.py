@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError, check_int, check_seed
-from .linalg import exact_arithmetic
+from .ladder import block_form
 from .model import PROJ_NAMES, ModelConfig, model_forward, model_loss_and_grads
 from .model import check_fits_memory, param_shapes, projection_keys
 from .rng import RngState, StreamTag, derive_seed, seeded_gaussian
@@ -186,18 +186,14 @@ def verify_function_preservation(
 ) -> float:
     """Max absolute logit deviation between the two models on the probe.
 
-    Both models run under ``exact_arithmetic()``, where the ladder's
-    products sum channel by channel and every other product, whose shape
-    growth leaves alone, stays on BLAS (see ``linalg``). The zero blocks
-    of the two zero policies then provably contribute nothing: the result
+    Both models run on BLAS, the grown one inside ``ladder.block_form``
+    at the base's widths, so each grown ladder product is the base's own
+    product plus the products through the new blocks. The zero blocks of
+    the two zero policies then provably contribute nothing: the result
     is exactly 0.0 for them, and strictly positive for noise inits on
     generic probes. That holds only for a model and its growth, so the
     two configs may differ in ``ladder_m`` and ``ladder_a`` alone; any
     other difference is a ValidationError naming the first field.
-
-    The probes run one after another in the calling thread, unlike
-    ``train``'s held-out windows: an exact-mode ladder product is a
-    Python loop of ``dgemm`` calls that holds the GIL.
     """
     if len(probe) == 0:
         raise ValidationError("probe must be non-empty")
@@ -211,11 +207,11 @@ def verify_function_preservation(
                 "ladder_m and ladder_a"
             )
     worst = 0.0
-    with exact_arithmetic():
-        for seq in probe:
-            old_logits, _ = model_forward(old_config, old_params, seq)
+    for seq in probe:
+        old_logits, _ = model_forward(old_config, old_params, seq)
+        with block_form(old_config.ladder_m, old_config.ladder_a):
             new_logits, _ = model_forward(new_config, new_params, seq)
-            worst = max(worst, float(np.abs(old_logits - new_logits).max()))
+        worst = max(worst, float(np.abs(old_logits - new_logits).max()))
     return worst
 
 

@@ -7,27 +7,36 @@ There are no bias terms and GeLU(0) = 0, so zero blocks appended to
 these matrices contribute exactly nothing to the output: that is what
 makes lossless width growth possible. Shapes are checked once, where
 parameters enter the program (``model.check_params``); ``matmul`` still
-rejects any product whose inner dimensions disagree.
+rejects any product whose inner dimensions disagree. ``block_form``
+states that losslessness literally on BLAS (see ``ladder_forward``).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import (
-    as_matrix,
-    causal_mask,
-    gelu,
-    gelu_derivative,
-    matmul,
-    softmax_rows,
-    width_dependent_products,
-)
+from .linalg import as_matrix, causal_mask, gelu, gelu_derivative, matmul, softmax_rows
 
 Triple = tuple[np.ndarray, np.ndarray, np.ndarray]  # (w_up, w_mid, w_down)
+
+# (m0, a0) of the base a ladder was grown from, in the calling context only
+_BASE_WIDTHS: ContextVar[tuple[int, int] | None] = ContextVar("base_widths", default=None)
+
+
+@contextmanager
+def block_form(m0: int, a0: int):
+    """Compute every ``ladder_forward`` made inside, in the calling
+    context only, in blocks split at the base widths (m0, a0)."""
+    token = _BASE_WIDTHS.set((m0, a0))
+    try:
+        yield
+    finally:
+        _BASE_WIDTHS.reset(token)
 
 
 def validate_hierarchy(d: int, m: int, a: int) -> None:
@@ -47,6 +56,21 @@ def validate_hierarchy(d: int, m: int, a: int) -> None:
         raise ValidationError("ladder hierarchy violated: " + "; ".join(violations))
 
 
+def _product(a: np.ndarray, b: np.ndarray, k0: int, n0: int) -> np.ndarray:
+    """a @ b split at (k0, n0); one matmul when (k0, n0) is the shape of
+    ``b``. The old block's operands are copied contiguous, as the base's
+    own are: BLAS may round a product of strided views differently."""
+    if (k0, n0) == b.shape:
+        return matmul(a, b)
+    out = np.empty((a.shape[0], b.shape[1]))
+    out[:, :n0] = matmul(np.ascontiguousarray(a[:, :k0]), np.ascontiguousarray(b[:k0, :n0]))
+    if k0 < b.shape[0]:
+        out[:, :n0] += matmul(a[:, k0:], b[k0:, :n0])
+    if n0 < b.shape[1]:
+        out[:, n0:] = matmul(a, b[:, n0:])
+    return out
+
+
 def ladder_forward(
     ws: Triple, x: np.ndarray, *, keep_cache: bool
 ) -> tuple[np.ndarray, tuple | None]:
@@ -59,34 +83,37 @@ def ladder_forward(
     keeps one projection's intermediates live at a time, which at the
     grown toy size is what lets its working set fit a 2 MiB L2.
 
-    The three products change shape when m or a grows, so they run in a
-    ``width_dependent_products()`` scope: channel-ordered under
-    ``exact_arithmetic()``.
+    Inside ``block_form(m0, a0)`` each product a @ b is split at the
+    base widths: the old block a[:, :k0] @ b[:k0, :n0] has the base
+    product's shape and inputs, so BLAS gives it the base's bits; then
+    a[:, k0:] @ b[k0:, :n0] is added into the old columns, and
+    a @ b[:, n0:] fills the new ones. Where ``mid_bottom`` and
+    ``down_new`` are zero, as under both zero policies, every added term
+    is ±0 and x + (±0) = x, so each old output keeps its value (only a
+    zero's sign may change, which no later difference can see).
     """
     w_up, w_mid, w_down = ws
-    with width_dependent_products():
-        z_up = matmul(x, w_up)
-        h_up, cdf_up = gelu(z_up)
-        z_mid = matmul(h_up, w_mid)
-        h_mid, cdf_mid = gelu(z_mid)
-        out = matmul(h_mid, w_down)
+    m0, a0 = _BASE_WIDTHS.get() or w_mid.shape
+    z_up = _product(x, w_up, x.shape[1], m0)
+    h_up, cdf_up = gelu(z_up)
+    z_mid = _product(h_up, w_mid, m0, a0)
+    h_mid, cdf_mid = gelu(z_mid)
+    out = _product(h_mid, w_down, a0, w_down.shape[1])
     if not keep_cache:
         return out, None
     return out, (x, z_up, h_up, cdf_up, z_mid, h_mid, cdf_mid)
 
 
 def ladder_backward(ws: Triple, cache: tuple, d_out: np.ndarray) -> tuple[np.ndarray, Triple]:
-    """Reverse-mode gradients; returns ``(d_x, (d_w_up, d_w_mid, d_w_down))``.
-    Its products run in the same scope as ``ladder_forward``'s."""
+    """Reverse-mode gradients; returns ``(d_x, (d_w_up, d_w_mid, d_w_down))``."""
     w_up, w_mid, w_down = ws
     x, z_up, h_up, cdf_up, z_mid, h_mid, cdf_mid = cache
-    with width_dependent_products():
-        g_down = matmul(h_mid.T, d_out)
-        d = matmul(d_out, w_down.T) * gelu_derivative(z_mid, cdf_mid)
-        g_mid = matmul(h_up.T, d)
-        d = matmul(d, w_mid.T) * gelu_derivative(z_up, cdf_up)
-        g_up = matmul(x.T, d)
-        return matmul(d, w_up.T), (g_up, g_mid, g_down)
+    g_down = matmul(h_mid.T, d_out)
+    d = matmul(d_out, w_down.T) * gelu_derivative(z_mid, cdf_mid)
+    g_mid = matmul(h_up.T, d)
+    d = matmul(d, w_mid.T) * gelu_derivative(z_up, cdf_up)
+    g_up = matmul(x.T, d)
+    return matmul(d, w_up.T), (g_up, g_mid, g_down)
 
 
 @dataclass

@@ -4,36 +4,19 @@ Everything operates on plain numpy arrays of shape (rows, cols), or for
 ``softmax_rows`` also on a stack of them, and is a pure function of its
 inputs: the same call is bit-identical across runs.
 
-Matrix products have two modes. The default hands off to BLAS, which is
-fast and reproducible per shape but may round the *same* mathematical
-sum differently for different matrix shapes (kernel tiling). Inside an
-``exact_arithmetic()`` block, the products made inside a
-``width_dependent_products()`` scope instead accumulate rank-1 terms
-strictly in input-channel order, so the rounding of each output element
-depends only on the sequence of (a_ik, b_kj) values feeding it - never
-on how wide the matrices are. ``ladder.ladder_forward`` and
-``ladder.ladder_backward`` enter that scope; every other product stays
-on BLAS in either mode.
+Matrix products run on BLAS, which is fast and reproducible per shape:
+the same shape and inputs give the same bits, though two shapes may
+round the same mathematical sum differently (kernel tiling). That is
+all lossless growth needs, because ``ladder`` computes a grown ladder's
+products in blocks at the base model's own shapes (see
+``ladder.ladder_forward``).
 
-That is the arithmetic under which a zero-initialised width expansion
-leaves every pre-existing output bit-identical, and it is what
-function-preservation checks run in. Growth changes only ``ladder_m``
-and ``ladder_a``, widths that occur only inside the ladder, so the
-ladder's products are the only ones whose shapes change. Channel order
-makes their pre-existing outputs bit-identical. Every other product
-(attention scores and aggregate, the output projection, the FFN, the
-unembedding) then keeps its shape and receives bit-identical inputs,
-and BLAS rounds the same shape and inputs the same way, so its output
-is bit-identical too.
-
-Exact mode still runs on BLAS: one ``dgemm`` per input channel k, with
-inner dimension 1 and alpha = beta = 1, accumulating into one output.
-Such a call rounds each element as fl(fl(a_ik * b_kj) + c_ij): the
-product is rounded on its own and then added, with no fused multiply-add
-spanning two channels, which is the same arithmetic as an elementwise
-multiply followed by an add. This rests on the BLAS kernel not fusing
-the K=1 product into the accumulation; the tests compare it bit for bit
-against that numpy loop.
+``exact_arithmetic()`` is a reference, not a second path of the
+program: inside it, in the calling context only, every ``matmul`` sums
+one input channel at a time, in channel order, as an elementwise
+multiply followed by an add, so each output element is rounded the same
+way whatever the shapes. Only the benchmark's eval check enters it, to
+hold the BLAS losses to that reference.
 """
 
 from __future__ import annotations
@@ -49,33 +32,20 @@ from .errors import ValidationError
 
 _INV_SQRT_2PI = 0.3989422804014327
 
-# Per thread (and per asyncio task): entering the mode or the scope in one
-# thread leaves every other thread's matmuls on the BLAS path.
+# Per thread (and per asyncio task): entering the mode in one thread
+# leaves every other thread's matmuls on BLAS.
 _EXACT_MODE: ContextVar[bool] = ContextVar("exact_arithmetic", default=False)
-_WIDTH_DEPENDENT: ContextVar[bool] = ContextVar("width_dependent_products", default=False)
 
 
 @contextmanager
 def exact_arithmetic():
-    """Shape-stable, channel-ordered summation for every matmul made inside
-    a ``width_dependent_products()`` scope, in the calling thread only."""
+    """Channel-ordered summation for every matmul made inside, in the
+    calling context only: the reference arithmetic of the module docstring."""
     token = _EXACT_MODE.set(True)
     try:
         yield
     finally:
         _EXACT_MODE.reset(token)
-
-
-@contextmanager
-def width_dependent_products():
-    """Mark the matmuls made inside, in the calling thread, as products
-    whose shapes change when the model grows: under ``exact_arithmetic()``
-    these, and only these, sum one input channel at a time."""
-    token = _WIDTH_DEPENDENT.set(True)
-    try:
-        yield
-    finally:
-        _WIDTH_DEPENDENT.reset(token)
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -87,33 +57,19 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 
 def _matmul_channel_ordered(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b summed one input channel at a time, in channel order.
-
-    Each step is a K=1 ``dgemm`` that adds the rank-1 term of channel k
-    to the output in place. It runs on the transposed problem,
-    out.T += b[k].T @ a[:, k].T, so the Fortran-ordered accumulator is
-    ``out`` in C order and every operand slice is contiguous.
-
-    The netlib reference dgemm skips the terms whose second-operand
-    entry is zero (here a[i, k] == 0), so a zero there would hide an inf
-    or NaN in ``b``. The tests pin that non-finite operands give the
-    same values as the numpy loop on the OpenBLAS in use. Where two NaNs
-    of opposite sign meet in one element the NaN's sign bit may differ.
-    """
-    # Imported here: scipy.linalg costs ~6 MB of resident memory, and
-    # only exact mode needs it.
-    from scipy.linalg.blas import dgemm
-
-    a_cols = np.ascontiguousarray(a.T)
-    b_rows = np.ascontiguousarray(b)
-    out_t = np.zeros((b.shape[1], a.shape[0]), order="F")
+    """a @ b summed one input channel at a time, in channel order: one
+    elementwise multiply and one add per channel."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    term = np.empty_like(out)
     for k in range(a.shape[1]):
-        out_t = dgemm(1.0, b_rows[k : k + 1].T, a_cols[k : k + 1], 1.0, out_t, overwrite_c=1)
-    return out_t.T
+        np.multiply(a[:, k, None], b[k, None, :], out=term)
+        out += term
+    return out
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product; see the module docstring for the two modes."""
+    """Matrix product on BLAS, or channel-ordered under
+    ``exact_arithmetic()``; see the module docstring."""
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
     if a.shape[1] != b.shape[0]:
@@ -121,7 +77,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"matmul shape mismatch: {a.shape[0]}x{a.shape[1]} @ "
             f"{b.shape[0]}x{b.shape[1]}"
         )
-    if _EXACT_MODE.get() and _WIDTH_DEPENDENT.get():
+    if _EXACT_MODE.get():
         return _matmul_channel_ordered(a, b)
     return a @ b
 

@@ -6,8 +6,8 @@ projection) and a pre-norm GeLU FFN, both with residual connections,
 then a final norm and an unembedding matrix. All linear maps are
 bias-free. Forward and backward are hand-written on 2-D float64 arrays,
 one sequence at a time; ``heldout_loss`` scores its sequences in order,
-in the caller's thread, so a caller inside ``exact_arithmetic()`` gets
-exact-mode forwards with no extra code.
+in the caller's thread and context. ``train`` scores held-out windows on
+a pool whose workers run in their own context.
 
 Only ``model_loss_and_grads`` keeps the per-block caches, because only
 the backward reads them. Every forward-only pass (``model_forward``,
@@ -346,7 +346,8 @@ def model_loss_and_grads(config: ModelConfig, params: dict, token_ids):
 
 def heldout_loss(config: ModelConfig, params: dict, sequences) -> float:
     """Mean loss over a list of evaluation sequences, scored in order in
-    the caller's thread; exact mode, if on, applies to every forward."""
+    the caller's thread and context; a pool worker that calls it, as in
+    ``train``, scores in the worker's own context."""
     if len(sequences) == 0:
         raise ValidationError("heldout_loss needs at least one sequence")
     return float(np.mean([model_forward(config, params, s)[1] for s in sequences]))

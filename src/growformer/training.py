@@ -6,7 +6,6 @@ while the loop trains on.
 
 from __future__ import annotations
 
-import contextvars
 import os
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -310,13 +309,13 @@ def train(
     the call's one thread pool, a worker per CPU the process may use, as
     one ``heldout_loss`` task per held-out window. A task reads only the
     snapshot's own copy of the parameters, never the live ones that
-    ``adamw_step`` overwrites, in a copy of the caller's context, and the
-    window losses are averaged in window order, so every logged loss is
-    bit-identical to ``heldout_loss`` on the snapshot in place. The
-    starting snapshot's windows go to the pool before the training stream
-    is generated, so the two overlap. The pool ends with the call. A
-    failed window stops training at the next snapshot, and its error wins
-    over a later step's: the first failure in step order.
+    ``adamw_step`` overwrites, in the worker's own context, not the
+    caller's. The window losses are averaged in window order, so every
+    logged loss is bit-identical to ``heldout_loss`` on the snapshot in
+    place. The starting snapshot's windows go to the pool before the
+    training stream is generated, so the two overlap. The pool ends with
+    the call. A failed window stops training at the next snapshot, and
+    its error wins over a later step's: the first failure in step order.
     """
     if resume is None:
         resume = start_checkpoint(
@@ -363,12 +362,7 @@ def train(
             raise failed[0].exception()
         ck = _snapshot(config, model_config, params, m, v, order_rng, step, tokens)
         # ck.params is the snapshot's own copy, which no later step writes
-        windows = [
-            scorer.submit(
-                contextvars.copy_context().run, heldout_loss, ck.model_config, ck.params, [window]
-            )
-            for window in heldout
-        ]
+        windows = [scorer.submit(heldout_loss, ck.model_config, ck.params, [w]) for w in heldout]
         log.append(LogRow(step, tokens, last_loss if step > step0 else float("nan")))
         scores.append(windows)
         hand_off(ck)

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import struct
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -479,6 +480,30 @@ def test_train_resume_final_checkpoint_matches_direct_run(direct_train, tmp_path
         assert sorted(p.name for p in resumed.iterdir()) == written
         for name in written[:-1]:
             assert (resumed / name).read_bytes() == (direct / name).read_bytes(), (start, name)
+
+
+def test_train_resume_frees_the_loaded_checkpoint_before_the_first_write(
+    direct_train, tmp_path, monkeypatch
+):
+    # train copies the resumed state, so the loaded checkpoint and both of
+    # its Adam moments must not stay alive beside the copies for the run
+    path, direct = direct_train
+    loaded, alive_at_writes = [], []
+
+    def load(*args):
+        ck = load_checkpoint(*args)
+        loaded.append(weakref.ref(ck))
+        return ck
+
+    def save(ck, out):
+        alive_at_writes.append(loaded[0]() is not None)
+        save_checkpoint(ck, out)
+
+    monkeypatch.setattr(cli, "load_checkpoint", load)
+    monkeypatch.setattr(cli, "save_checkpoint", save)
+    assert cli.main(["train", "--config", path, "--out", str(tmp_path / "run"),
+                     "--resume", str(direct / TRAIN_FILES[1])]) == 0
+    assert alive_at_writes == [False, False, False]
 
 
 # sha256 of the alignment.csv and fits.json that ``analyze`` writes for the

@@ -54,8 +54,10 @@ def pretrained_base(steps=60, seed=3, stream=0):
 # Re-recorded when indexed streams came to derive in two levels, and when
 # exact mode came to cover only the ladder's products: of every emitted byte
 # only the noise:0.2 max_output_deviation in growth_report.json moved, from
-# 0.015891508591327708 to 0.015891508591327597.
-EMITTED_BYTES_SHA256 = "876534c92a915fabfa3307ebf5c919647b82befd0ebffd80f670a86f2e832acd"
+# 0.015891508591327708 to 0.015891508591327597. Re-recorded when the
+# preservation check moved to the ladder's block form on BLAS: again only
+# that deviation moved, from 0.015891508591327597 to 0.015891508591327486.
+EMITTED_BYTES_SHA256 = "598c4bec74c6dff2ce934feac6210b8c98fa5ff09f40712f2f0b4036fe21b88d"
 
 
 class TestPlanLabel:

@@ -45,9 +45,10 @@ BASE = ModelConfig(
 
 # sha256 of the exact-mode logits of a seeded TOY_CONFIG model grown by
 # noise:0.2 on one held-out window (test_exact_mode_logits_digest_pinned),
-# re-recorded when indexed streams came to derive in two levels, and again
-# when exact mode came to cover only the ladder's products.
-EXACT_LOGITS_SHA256 = "bd115660d512a44a9505f676374371f84f113b699278ea266cd0dbd615ca5107"
+# re-recorded when indexed streams came to derive in two levels, again
+# when exact mode came to cover only the ladder's products, and again when
+# it became the reference that sums every product channel by channel.
+EXACT_LOGITS_SHA256 = "49098f9eb8c43dde844cd86cc786543246f059bab7f1c792f8aad690f367ae15"
 
 
 def probe_batch(count=4, seed=17, n=12, vocab=32):
@@ -247,11 +248,11 @@ class TestPreservation:
         st.integers(0, 4),  # delta_a
         st.integers(0, 2**32 - 1),
     )
-    def test_scoped_exact_mode_over_shapes(
+    def test_block_form_preservation_over_shapes(
         self, n_heads, head_dim, n_layers, ffn_size, dm_gap, da_gap, delta_m, delta_a, seed
     ):
-        """Only the ladder's products sum channel by channel, and that is
-        enough: zero policies give exactly 0.0 at every shape, single-axis
+        """On BLAS, with only the grown ladder's products split at the base
+        widths: zero policies give exactly 0.0 at every shape, single-axis
         growth and m grown past a included, from perturbed base weights."""
         d = n_heads * head_dim
         # a width-1 layer norm outputs its bias whatever its input, so noise

@@ -7,9 +7,12 @@ call outside ``rng.py`` names a ``StreamTag`` member as its tag and
 passes any index after it, every one-argument ``RngState`` of the
 package wraps a ``derive_seed`` call, every parameter default of a
 package function that the package or the benchmark harness calls is
-passed by one of those calls, and no package module but ``training.py``
-names ``ThreadPoolExecutor`` or ``copy_context``: ``train``'s held-out
-scorer is the package's one thread pool. ``training.py`` imports none of
+passed by one of those calls, no package module but ``training.py``
+names ``ThreadPoolExecutor`` (``train``'s held-out scorer is the
+package's one thread pool), no package module names ``copy_context``
+(pool workers run in their own context), and no package module but
+``linalg.py`` names ``exact_arithmetic``, the reference arithmetic that
+only the benchmark enters. ``training.py`` imports none of
 the analysis modules (alignment, experiment, trajectory, seriesstats),
 directly or through another package module.
 
@@ -155,14 +158,11 @@ def test_no_literal_stream_tags(path):
         assert raw_rng_states(source) == []
 
 
-def thread_pools(source: str) -> list[str]:
-    """Lines that name ``ThreadPoolExecutor`` or ``copy_context``, in an
-    import, a call or an attribute: a thread pool and the context copy its
-    tasks need to inherit exact mode."""
+def naming(source: str, name: str) -> list[str]:
+    """Lines that name ``name`` in an import, a call or an attribute."""
     lines = {
         node.lineno for node in ast.walk(ast.parse(source))
-        if (node.name if isinstance(node, ast.alias) else _name(node))
-        in ("ThreadPoolExecutor", "copy_context")
+        if (node.name if isinstance(node, ast.alias) else _name(node)) == name
     }
     return [f"line {n}" for n in sorted(lines)]
 
@@ -175,15 +175,30 @@ def test_detects_a_thread_pool():
         "    pool.submit(contextvars.copy_context().run, f)\n"
         "from contextvars import copy_context as cc\n"
         "pool.map(f, xs)\n"
+        "ref = linalg.exact_arithmetic\n"
     )
-    assert thread_pools(source) == ["line 1", "line 3", "line 4", "line 5"]
+    assert naming(source, "ThreadPoolExecutor") == ["line 1", "line 3"]
+    assert naming(source, "copy_context") == ["line 4", "line 5"]
+    assert naming(source, "exact_arithmetic") == ["line 7"]
 
 
 @pytest.mark.parametrize(
     "path", [p for p in PACKAGE if p.name != "training.py"], ids=lambda p: p.name
 )
 def test_only_training_opens_a_thread_pool(path):
-    assert thread_pools(path.read_text(encoding="utf-8")) == []
+    assert naming(path.read_text(encoding="utf-8"), "ThreadPoolExecutor") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_copies_a_context(path):
+    assert naming(path.read_text(encoding="utf-8"), "copy_context") == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "linalg.py"], ids=lambda p: p.name
+)
+def test_only_linalg_names_exact_arithmetic(path):
+    assert naming(path.read_text(encoding="utf-8"), "exact_arithmetic") == []
 
 
 def package_imports(source: str) -> set[str]:

@@ -2,13 +2,15 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from growformer import ladder
 from growformer.errors import ValidationError
 from growformer.ladder import (
     attention_backward,
     attention_forward,
+    block_form,
     ladder_backward,
     ladder_forward,
     validate_hierarchy,
@@ -85,6 +87,69 @@ class TestLadderForward:
         ws = init_triple(4, 6, 8, RngState(1))
         with pytest.raises(ValidationError, match="shape mismatch: 3x5 @ 4x6"):
             ladder_forward(ws, np.zeros((3, 5)), keep_cache=False)
+
+
+class TestBlockForm:
+    """Inside ``block_form(m0, a0)`` a grown ladder's products are split at
+    the base widths; the split must be the same product, and its old block
+    must not see the new rows and columns."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 12),  # rows
+        st.integers(1, 8),  # d
+        st.integers(1, 12),  # m0
+        st.integers(1, 12),  # a0
+        st.integers(0, 10),  # delta_m
+        st.integers(0, 10),  # delta_a
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_plain_forward_on_random_blocks(self, n, d, m0, a0, dm, da, seed):
+        # every new block is random, mid_bottom and down_new included, so a
+        # dropped cross term into the old columns shows
+        assume(dm + da > 0)
+        ws = init_triple(d, m0 + dm, a0 + da, RngState(seed))
+        x = np.random.default_rng(seed).normal(size=(n, d))
+        want, _ = ladder_forward(ws, x, keep_cache=False)
+        with block_form(m0, a0):
+            got, _ = ladder_forward(ws, x, keep_cache=False)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 8), st.integers(1, 12), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    def test_bit_equal_at_the_ladders_own_widths(self, n, d, m, a, seed):
+        ws = init_triple(d, m, a, RngState(seed))
+        x = np.random.default_rng(seed).normal(size=(n, d))
+        want, want_cache = ladder_forward(ws, x, keep_cache=True)
+        with block_form(m, a):
+            got, got_cache = ladder_forward(ws, x, keep_cache=True)
+        assert got.tobytes() == want.tobytes()
+        assert [c.tobytes() for c in got_cache] == [c.tobytes() for c in want_cache]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 48),
+        st.integers(1, 48),
+        st.integers(1, 48),
+        st.integers(0, 24),
+        st.integers(0, 24),
+    )
+    def test_block_form_width_stability(self, seed, n, k, p, dk, dp):
+        """Widening by output columns of ``b`` and by input channels whose
+        ``b`` rows are zero in the old columns leaves the old (n, p) block
+        of a block-form product bit-identical, as zero-policy growth
+        needs. Rows are the sequence, which growth leaves alone."""
+        assume(dk + dp > 0)
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, k))
+        b = rng.normal(size=(k, p))
+        wide_a = np.hstack([a, rng.normal(size=(n, dk))])
+        wide_b = np.block([[b, rng.normal(size=(k, dp))],
+                           [np.zeros((dk, p)), rng.normal(size=(dk, dp))]])
+        wide = ladder._product(wide_a, wide_b, k, p)
+        assert wide[:, :p].tobytes() == matmul(a, b).tobytes()
 
 
 class TestLadderBackward:
