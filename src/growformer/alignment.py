@@ -10,9 +10,11 @@ Two distribution statistics drive everything:
                   normal approximation, from a rank sum that is exact
                   while n1 * (n1 + n2) < 2^52 (see ``u_p_score``).
 
-Their signed shifts relative to a reference snapshot combine into the
-scalar radial indicator r = sqrt(up_pct^2 + noc_pct^2); small r means the
-grown model's weight distribution still looks like the base model's.
+``snapshot_alignment`` measures both for one snapshot against the frozen
+base. Their signed shifts relative to the first snapshot of a series,
+taken in ``experiment.analyze_snapshot_series``, combine into the scalar
+radial indicator r = sqrt(up_pct^2 + noc_pct^2); small r means the grown
+model's weight distribution still looks like the base model's.
 
 Sample semantics: ``noc`` compares the frozen base projection entries
 against *all* projection entries of the current model, while ``u_p``
@@ -183,57 +185,23 @@ def snapshot_alignment(
     base_config: ModelConfig,
     current_params: dict,
     current_config: ModelConfig,
-    loss: float,
-    tokens: int,
-    reference: AlignmentSnapshot | None = None,
-) -> AlignmentSnapshot:
-    """Assemble the full per-checkpoint alignment record.
+) -> tuple[float, float]:
+    """(u_p, noc) of the current model against the frozen base: the half
+    of a snapshot's alignment record that needs neither its held-out loss
+    nor any other snapshot, so a snapshot is measured as it is made and
+    its parameters need not outlive the call.
 
-    ``loss`` is the current model's mean held-out loss, the performance
-    proxy (perf = -loss, ppl = exp(loss)). ``train`` logs it for every
-    checkpoint it returns (``LogRow.heldout_loss``, over the windows of
-    ``heldout_sequences``), so callers pass that figure rather than score
-    the checkpoint a second time.
-
-    ``reference`` is the snapshot the percent shifts are measured against;
-    None means this snapshot is its own reference (all shifts zero).
+    ``experiment.analyze_snapshot_series`` completes the record: it takes
+    every snapshot's figures and shifts them against the series' first.
+    The current model must be a growth of the base
+    (``ModelConfig.growth_from``).
     """
-    if (
-        current_config.hidden_size != base_config.hidden_size
-        or current_config.n_layers != base_config.n_layers
-        or current_config.ladder_m < base_config.ladder_m
-        or current_config.ladder_a < base_config.ladder_a
-    ):
-        raise ValidationError(
-            "current model does not extend the base model: "
-            f"base (m={base_config.ladder_m}, a={base_config.ladder_a}), "
-            f"current (m={current_config.ladder_m}, a={current_config.ladder_a})"
-        )
+    delta_m, delta_a = current_config.growth_from(base_config)
     rng = RngState(derive_seed(0, StreamTag.SUBSAMPLE))
     base_s = base_projection_sample(base_params, base_config, rng)
     cur_s = base_projection_sample(current_params, current_config, rng, "expanded-all")
     noc_val = noc(base_s, cur_s)
-
-    delta_m = current_config.ladder_m - base_config.ladder_m
-    delta_a = current_config.ladder_a - base_config.ladder_a
     if delta_m + delta_a > 0:
         new_s = new_block_sample(current_params, current_config, delta_m, delta_a, rng)
-        u_p = u_p_score(new_s, base_s)
-    else:
-        u_p = 1.0  # no new parameters: nothing can have diverged
-
-    if reference is None:
-        up_pct = noc_pct = perf_pct = 0.0
-    else:
-        up_pct = percent_shift(u_p, reference.u_p)
-        noc_pct = percent_shift(noc_val, reference.noc)
-        perf_pct = perf_gain(-loss, reference.perf)
-    return AlignmentSnapshot(
-        tokens=tokens,
-        u_p=u_p,
-        noc=noc_val,
-        loss=loss,
-        up_pct=up_pct,
-        noc_pct=noc_pct,
-        perf_pct=perf_pct,
-    )
+        return u_p_score(new_s, base_s), noc_val
+    return 1.0, noc_val  # no new parameters: nothing can have diverged

@@ -13,13 +13,18 @@ widths the config does not imply at its step, an ``ablate
 --delta-total`` below 3, a bad checkpoint such as one truncated, one
 with a missing header key, a negative counter or a matrix listed twice,
 or one whose matrices are missing, extra or misshapen for its model
-config, a missing path or a directory), reported as one ``error:`` line
-without a traceback; 2 numeric failure, such as a zero-policy ``grow``
-whose probe deviation is not exactly 0.0.
+config, a ``verify --new`` or an ``analyze`` series file that is no growth
+of its base because a field other than ``ladder_m`` and ``ladder_a``
+differs or one of those two is narrower, a missing path or a directory),
+reported as one ``error:`` line without a traceback; 2 numeric failure,
+such as a zero-policy ``grow`` whose probe deviation is not exactly 0.0.
 
 ``train`` writes each snapshot as soon as it is made and ``train_log.csv``
 at the end, so a run that fails part-way (exit 1 or 2) leaves every
 snapshot made before the failure, each resumable, and no log.
+
+``analyze`` keeps no loaded file: it measures each one's alignment and
+held-out loss as it loads it, keeps those figures, and sorts them by step.
 
 The series fits (harmonic cycle, Fisher's g, scaling law) have one home:
 the ``fits.json`` that ``analyze`` writes, as ``experiment.emit_reports``
@@ -39,9 +44,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .alignment import snapshot_alignment
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import NumericError, ValidationError
-from .experiment import SNAPSHOT_COLUMNS, SnapshotState, ablate_axes, analyze_snapshot_series, snapshot_rows
+from .experiment import SNAPSHOT_COLUMNS, ablate_axes, analyze_snapshot_series, snapshot_rows
 from .flops import breakdown_csv_rows
 from .growth import GrowthPlan, grow_model, verify_function_preservation
 from .model import ModelConfig, heldout_loss
@@ -120,12 +126,18 @@ def _cmd_analyze(args) -> int:
     if not paths:
         raise ValidationError(f"no .nxf checkpoints found in {args.series}")
     heldout = heldout_sequences(checkpoint_experiment(base))
-    base = SnapshotState.of(base)
-    # each file's step and state, loaded one at a time: no Adam moments are kept
-    loaded = [(ck.step, SnapshotState.of(ck)) for ck in map(load_checkpoint, paths)]
-    series = [state for _, state in sorted(loaded, key=lambda pair: pair[0])]
-    losses = [heldout_loss(state.model_config, state.params, heldout) for state in series]
-    snapshots, trajectory, fits = analyze_snapshot_series(base, series, losses)
+    base_params, base_config = base.params, base.model_config
+    del base  # keep the base's parameters, not its Adam moments
+
+    def measure(ck: Checkpoint) -> tuple[int, tuple[int, float, float], float]:
+        """The step, weights and held-out loss of ``ck``, which dies on return."""
+        u_p, noc = snapshot_alignment(base_params, base_config, ck.params, ck.model_config)
+        return ck.step, (ck.tokens, u_p, noc), heldout_loss(ck.model_config, ck.params, heldout)
+
+    rows = sorted((measure(load_checkpoint(path)) for path in paths), key=lambda row: row[0])
+    snapshots, trajectory, fits = analyze_snapshot_series(
+        [weights for _, weights, _ in rows], [loss for _, _, loss in rows]
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = [SNAPSHOT_COLUMNS]

@@ -3,12 +3,15 @@
 ``run_growth_experiment`` replays the production protocol at desk scale:
 grow a pretrained base with one or more plans, verify preservation (a
 hard gate for the zero policies), continue training with snapshots at a
-fixed cadence, compute the alignment snapshot series against the frozen
-base, and run the trajectory-geometry and time-series analyses over it.
+fixed cadence, measure each snapshot's alignment against the frozen
+base, and run the trajectory-geometry and time-series analyses over the
+series.
 
-``train`` hands each snapshot over as it is made. The experiment keeps
-only what the analysis reads (``SnapshotState``), which holds the
-snapshot's own parameter copy, and drops its Adam moments at once.
+``train`` hands each snapshot over as it is made, and the experiment
+measures its (u_p, noc) there (``alignment.snapshot_alignment``), so no
+snapshot's parameters or Adam moments outlive its measurement. What the
+series analysis reads of a snapshot is its (tokens, u_p, noc) and the
+held-out loss ``train`` logged for it.
 
 A series needs at least 2 checkpoints. PCA and the trajectory need 3
 states that are not all equal; a shorter or flat series still yields
@@ -22,12 +25,13 @@ in shortest round-trip form and JSON keys are sorted.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .alignment import AlignmentSnapshot, snapshot_alignment
+from .alignment import AlignmentSnapshot, perf_gain, percent_shift, snapshot_alignment
 from .checkpoint import Checkpoint
 from .errors import ValidationError
 from .growth import GrowthPlan, GrowthReport, grow_model
@@ -43,20 +47,6 @@ from .training import (
     start_checkpoint,
     train,
 )
-
-
-@dataclass(frozen=True)
-class SnapshotState:
-    """What the series analysis reads of one snapshot."""
-
-    model_config: ModelConfig
-    params: dict[str, np.ndarray]
-    tokens: int
-
-    @classmethod
-    def of(cls, ck: Checkpoint) -> "SnapshotState":
-        """The state of ``ck``, holding its arrays, not copies."""
-        return cls(ck.model_config, ck.params, ck.tokens)
 
 
 @dataclass
@@ -90,12 +80,12 @@ def continued_config(
 
 def _grow_and_continue(
     base_ckpt: Checkpoint, base_exp: ExperimentConfig, plan: GrowthPlan,
-    budget: int, cadence: int, probe,
-) -> tuple[GrowthReport, ModelConfig, list[SnapshotState], list[LogRow]]:
+    budget: int, cadence: int, probe, on_snapshot: Callable[[Checkpoint], None],
+) -> tuple[GrowthReport, ModelConfig, list[LogRow]]:
     """Grow the base under ``plan`` (gated on ``probe``), then train the
-    grown model for ``budget`` steps with snapshots every ``cadence``; the
-    snapshots come back as states. The continued config is built first, so
-    a bad one fails before any growth."""
+    grown model for ``budget`` steps with snapshots every ``cadence``, each
+    handed to ``on_snapshot`` as it is made. The continued config is built
+    first, so a bad one fails before any growth."""
     cont = continued_config(
         base_exp, base_ckpt.model_config.grown(plan.delta_m, plan.delta_a),
         derive_seed(base_exp.seed, StreamTag.CONTINUED_RUN, plan.seed), budget, cadence,
@@ -104,12 +94,8 @@ def _grow_and_continue(
         base_ckpt.params, base_ckpt.model_config, plan, probe=probe
     )
     assert new_config == cont.model, (new_config, cont.model)
-    states: list[SnapshotState] = []
-    result = train(
-        cont, resume=start_checkpoint(cont, new_params),
-        on_snapshot=lambda ck: states.append(SnapshotState.of(ck)),
-    )
-    return report, cont.model, states, result.log
+    result = train(cont, resume=start_checkpoint(cont, new_params), on_snapshot=on_snapshot)
+    return report, cont.model, result.log
 
 
 def _fit_block(fn, *args, **kwargs) -> dict:
@@ -122,42 +108,33 @@ def _fit_block(fn, *args, **kwargs) -> dict:
 
 
 def analyze_snapshot_series(
-    base: SnapshotState,
-    series: list[SnapshotState],
-    losses: list[float],
+    weights: list[tuple[int, float, float]], losses: list[float]
 ) -> tuple[list[AlignmentSnapshot], list[TrajectoryPoint], dict]:
-    """Alignment snapshots (first one is the reference), trajectory
-    geometry, and the three series fits.
+    """Alignment snapshots, trajectory geometry, and the three series fits.
 
-    ``series`` holds the continued run's states in step order, so no Adam
-    moments need stay alive for the analysis. ``losses`` holds the
-    held-out loss of each, in the same order; ``train`` logs them as
-    ``LogRow.heldout_loss``.
+    ``weights`` holds each snapshot's (tokens, u_p, noc) in step order, as
+    ``snapshot_alignment`` measured it; ``losses`` holds the held-out loss
+    of each, in the same order (``train`` logs them as
+    ``LogRow.heldout_loss``). Every shift is measured against the first
+    snapshot, whose shifts are therefore all zero.
 
-    At least 2 states are required. PCA and the trajectory need 3
+    At least 2 snapshots are required. PCA and the trajectory need 3
     states with nonzero variance; otherwise the trajectory is empty and
     ``fits["pca"]`` is ``{"degenerate": True, "reason": ...}`` in place of
     ``pca_variance_ratios`` and ``pca_loadings``.
     """
-    if len(series) < 2:
+    if len(weights) < 2:
         raise ValidationError("need at least 2 checkpoints to analyze a series")
-    if len(losses) != len(series):
-        raise ValidationError(f"got {len(losses)} held-out losses for {len(series)} checkpoints")
-    snapshots: list[AlignmentSnapshot] = []
-    reference = None
-    for state, loss in zip(series, losses, strict=True):
-        snap = snapshot_alignment(
-            base.params,
-            base.model_config,
-            state.params,
-            state.model_config,
-            loss,
-            tokens=state.tokens,
-            reference=reference,
+    if len(losses) != len(weights):
+        raise ValidationError(f"got {len(losses)} held-out losses for {len(weights)} checkpoints")
+    (_, u_p0, noc0), loss0 = weights[0], losses[0]
+    snapshots = [
+        AlignmentSnapshot(
+            tokens, u_p, noc_val, loss, up_pct=percent_shift(u_p, u_p0),
+            noc_pct=percent_shift(noc_val, noc0), perf_pct=perf_gain(-loss, -loss0),
         )
-        if reference is None:
-            reference = snap
-        snapshots.append(snap)
+        for (tokens, u_p, noc_val), loss in zip(weights, losses, strict=True)
+    ]
 
     states = np.array([s.state_vector for s in snapshots])
     try:
@@ -199,9 +176,19 @@ def run_growth_experiment(
     heldout = heldout_sequences(base_exp)
     out: dict[str, ExperimentSeries] = {}
     for label, plan in zip(labels, plans):
-        report, _, states, log = _grow_and_continue(base_ckpt, base_exp, plan, budget, cadence, heldout)
+        weights = []
+
+        def measure(ck: Checkpoint) -> None:
+            u_p, noc_val = snapshot_alignment(
+                base_ckpt.params, base_ckpt.model_config, ck.params, ck.model_config
+            )
+            weights.append((ck.tokens, u_p, noc_val))
+
+        report, _, log = _grow_and_continue(
+            base_ckpt, base_exp, plan, budget, cadence, heldout, measure
+        )
         snapshots, trajectory, fits = analyze_snapshot_series(
-            SnapshotState.of(base_ckpt), states, [row.heldout_loss for row in log]
+            weights, [row.heldout_loss for row in log]
         )
         out[label] = ExperimentSeries(
             label=label,
@@ -246,7 +233,9 @@ def ablate_axes(base_ckpt: Checkpoint, budget: int, delta_total: int | None = No
     for axis, dm, da in settings:
         plan = GrowthPlan(dm, da, "guarded-zero", derive_seed(base_exp.seed, StreamTag.ABLATION_PLAN, dm, da))
         # cadence = budget: only the endpoint matters here
-        _, new_config, _, log = _grow_and_continue(base_ckpt, base_exp, plan, budget, budget, heldout)
+        _, new_config, log = _grow_and_continue(
+            base_ckpt, base_exp, plan, budget, budget, heldout, lambda ck: None
+        )
         final_loss = log[-1].heldout_loss
         rows.append(
             {

@@ -191,21 +191,12 @@ def verify_function_preservation(
     product plus the products through the new blocks. The zero blocks of
     the two zero policies then provably contribute nothing: the result
     is exactly 0.0 for them, and strictly positive for noise inits on
-    generic probes. That holds only for a model and its growth, so the
-    two configs may differ in ``ladder_m`` and ``ladder_a`` alone; any
-    other difference is a ValidationError naming the first field.
+    generic probes. That holds only for a model and its growth, so any
+    other pair is refused by ``ModelConfig.growth_from``.
     """
     if len(probe) == 0:
         raise ValidationError("probe must be non-empty")
-    if old_config.vocab_size != new_config.vocab_size:
-        raise ValidationError("vocab size mismatch between models")
-    for name in ("context_len", "hidden_size", "n_heads", "n_layers", "ffn_size"):
-        old, new = getattr(old_config, name), getattr(new_config, name)
-        if old != new:
-            raise ValidationError(
-                f"{name} mismatch between models ({old} and {new}): growth changes only "
-                "ladder_m and ladder_a"
-            )
+    new_config.growth_from(old_config)
     worst = 0.0
     for seq in probe:
         old_logits, _ = model_forward(old_config, old_params, seq)

@@ -67,6 +67,22 @@ class ModelConfig:
     def grown(self, delta_m: int, delta_a: int) -> "ModelConfig":
         return replace(self, ladder_m=self.ladder_m + delta_m, ladder_a=self.ladder_a + delta_a)
 
+    def growth_from(self, base: "ModelConfig") -> tuple[int, int]:
+        """(delta_m, delta_a) such that ``base.grown(delta_m, delta_a)`` is
+        this config. A growth changes only ``ladder_m`` and ``ladder_a``
+        and narrows neither; any other pair is a ValidationError naming
+        its first offending field."""
+        for f in fields(self):
+            old, new = getattr(base, f.name), getattr(self, f.name)
+            ladder = f.name in ("ladder_m", "ladder_a")
+            if new < old if ladder else new != old:
+                rule = ("narrows neither ladder_m nor ladder_a" if ladder
+                        else "changes only ladder_m and ladder_a")
+                raise ValidationError(
+                    f"{f.name} mismatch between models ({old} and {new}): growth {rule}"
+                )
+        return self.ladder_m - base.ladder_m, self.ladder_a - base.ladder_a
+
 
 # Default toy configuration: smallest setup where every invariant of the
 # growth and analysis pipeline is still meaningful.

@@ -16,6 +16,7 @@ from growformer.alignment import (
     u_p_score,
 )
 from growformer.errors import ValidationError
+from growformer.experiment import analyze_snapshot_series
 from growformer.growth import GrowthPlan, grow_model
 from growformer.model import ModelConfig, heldout_loss, init_params
 from growformer.rng import RngState, seeded_gaussian, seeded_ints
@@ -149,35 +150,40 @@ def loss_of(config, params):
 class TestSnapshotAlignment:
     def test_self_comparison(self):
         params = init_params(BASE, seed=1)
-        snap = snapshot_alignment(params, BASE, params, BASE, loss_of(BASE, params), tokens=0)
-        assert snap.noc == 1.0
-        assert snap.u_p == 1.0
-        assert snap.r == 0.0 and snap.up_pct == 0.0 and snap.noc_pct == 0.0
+        assert snapshot_alignment(params, BASE, params, BASE) == (1.0, 1.0)
 
     def test_noc_decreases_with_growth_size(self):
         params = init_params(BASE, seed=2)
         nocs = []
         for dm, da in ((2, 2), (6, 8), (12, 16)):
             grown, cfg, _ = grow_model(params, BASE, GrowthPlan(dm, da, "strict-zero", 3))
-            snap = snapshot_alignment(params, BASE, grown, cfg, loss_of(cfg, grown), tokens=0)
-            assert snap.noc < 1.0
-            nocs.append(snap.noc)
+            _, noc_val = snapshot_alignment(params, BASE, grown, cfg)
+            assert noc_val < 1.0
+            nocs.append(noc_val)
         assert nocs[0] > nocs[1] > nocs[2]
 
     def test_deterministic_replay(self):
         params = init_params(BASE, seed=4)
         grown, cfg, _ = grow_model(params, BASE, GrowthPlan(3, 3, "noise:0.1", 5))
-        a = snapshot_alignment(params, BASE, grown, cfg, loss_of(cfg, grown), tokens=7)
-        b = snapshot_alignment(params, BASE, grown, cfg, loss_of(cfg, grown), tokens=7)
-        assert a == b
+        assert snapshot_alignment(params, BASE, grown, cfg) == snapshot_alignment(
+            params, BASE, grown, cfg
+        )
 
     def test_reference_shifts(self):
+        # the series completes each record against its first snapshot
         params = init_params(BASE, seed=6)
-        grown, cfg, _ = grow_model(params, BASE, GrowthPlan(3, 3, "noise:0.2", 7))
-        ref = snapshot_alignment(params, BASE, grown, cfg, loss_of(cfg, grown), tokens=0)
-        snap = snapshot_alignment(
-            params, BASE, grown, cfg, loss_of(cfg, grown), tokens=5, reference=ref
-        )
+        series = [grow_model(params, BASE, GrowthPlan(3, 3, "noise:0.2", seed))[:2]
+                  for seed in (7, 8)]
+        weights = [(5 * i, *snapshot_alignment(params, BASE, grown, cfg))
+                   for i, (grown, cfg) in enumerate(series)]
+        losses = [loss_of(cfg, grown) for grown, cfg in series]
+        snapshots, _, _ = analyze_snapshot_series(weights, losses)
+        first, snap = snapshots
+        assert first.up_pct == first.noc_pct == first.perf_pct == first.r == 0.0
+        assert (snap.tokens, snap.u_p, snap.noc, snap.loss) == (5, *weights[1][1:], losses[1])
+        assert snap.up_pct == percent_shift(snap.u_p, first.u_p)
+        assert snap.noc_pct == percent_shift(snap.noc, first.noc)
+        assert snap.perf_pct == perf_gain(-snap.loss, -first.loss) != 0.0
         assert snap.r == radial_energy(snap.up_pct, snap.noc_pct)
         assert abs(snap.ppl - math.exp(snap.loss)) < 1e-12 * snap.ppl
 
@@ -185,10 +191,8 @@ class TestSnapshotAlignment:
         params = init_params(BASE, seed=1)
         smaller = ModelConfig(32, 12, 8, 2, 1, 10, 14, 16)
         s_params = init_params(smaller, seed=1)
-        with pytest.raises(ValidationError, match="extend"):
-            snapshot_alignment(
-                params, BASE, s_params, smaller, loss_of(smaller, s_params), tokens=0
-            )
+        with pytest.raises(ValidationError, match="ladder_m mismatch between models"):
+            snapshot_alignment(params, BASE, s_params, smaller)
 
 
 class TestSubsampling:

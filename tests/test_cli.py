@@ -382,22 +382,49 @@ def test_checkpoint_off_its_parameter_layout_exits_1(name, shape, base_path, tmp
     assert err.startswith("error: ") and name in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "field, value", [("hidden_size", 6), ("n_heads", 4), ("n_layers", 2), ("ffn_size", 8)]
-)
+# a field other than the ladder widths changed, or a ladder width narrowed
+NO_GROWTH = pytest.mark.parametrize("field, value", [
+    ("hidden_size", 6), ("n_heads", 4), ("n_layers", 2), ("ffn_size", 8),
+    ("ladder_m", 9), ("ladder_a", 13),
+])
+
+
+def save_no_growth(base_run, field, value, path):
+    """Save a checkpoint of the base's growth by (2, 2) with ``field`` set to ``value``."""
+    config = replace(MODEL.grown(2, 2), **{field: value})
+    params = init_params(config, seed=0)
+    save_checkpoint(
+        replace(base_run, model_config=config, params=params, adam_m=params, adam_v=params), path
+    )
+
+
+@NO_GROWTH
 def test_verify_of_a_model_that_is_no_growth_exits_1(
     field, value, base_run, base_path, tmp_path, capsys
 ):
-    config = replace(MODEL.grown(2, 2), **{field: value})
-    params = init_params(config, seed=0)
     other = tmp_path / "other.nxf"
-    save_checkpoint(
-        replace(base_run, model_config=config, params=params, adam_m=params, adam_v=params), other
-    )
+    save_no_growth(base_run, field, value, other)
     assert cli.main(["verify", "--old", str(base_path), "--new", str(other)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} mismatch between models")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@NO_GROWTH
+def test_analyze_of_a_series_that_is_no_growth_exits_1(
+    field, value, base_run, base_path, tmp_path, capsys
+):
+    series = tmp_path / "series"
+    series.mkdir()
+    (series / "step1.nxf").write_bytes(base_path.read_bytes())
+    save_no_growth(base_run, field, value, series / "step2.nxf")
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--base", str(base_path), "--series", str(series),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} mismatch between models")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_ablate_exits_0(base_path, capsys):
@@ -520,6 +547,26 @@ def test_analyze_writes_pinned_bytes(direct_train, tmp_path, capsys):
     assert "analyzed 4 snapshots" in capsys.readouterr().out
     assert sorted(p.name for p in out.iterdir()) == ["alignment.csv", "fits.json"]
     assert files_digest(out) == ANALYZE_FILES_SHA256
+
+
+def test_analyze_keeps_no_loaded_file(direct_train, tmp_path, monkeypatch):
+    # every array of a series file is dead by the time the next file loads
+    _, run = direct_train
+    loaded = []
+
+    def load(path):
+        for refs in loaded[1:]:  # the base stays alive
+            assert all(ref() is None for ref in refs), f"a file before {Path(path).name} lives"
+        ck = load_checkpoint(path)
+        loaded.append([weakref.ref(a) for d in (ck.params, ck.adam_m, ck.adam_v)
+                       for a in d.values()])
+        return ck
+
+    monkeypatch.setattr(cli, "load_checkpoint", load)
+    assert cli.main(["analyze", "--base", str(run / TRAIN_FILES[0]), "--series", str(run),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert len(loaded) == 5
+    assert all(ref() is None for refs in loaded[1:] for ref in refs)
 
 
 def test_train_failing_mid_run_leaves_the_snapshots_made_before_it(

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from growformer import cli, experiment
+from growformer.alignment import snapshot_alignment
 from growformer.checkpoint import save_checkpoint
 from growformer.errors import ValidationError
 from growformer.experiment import (
@@ -13,6 +14,7 @@ from growformer.experiment import (
     ablate_axes,
     continued_config,
     emit_reports,
+    metrics_rows,
     plan_label,
     run_growth_experiment,
 )
@@ -128,10 +130,11 @@ class TestRunGrowthExperiment:
 
 
 class TestSnapshotMemory:
-    def test_each_snapshot_keeps_about_one_parameter_set(self):
-        # A snapshot holds the parameters and both Adam moments; the analysis
-        # reads only the parameters, so the experiment keeps only those. The
-        # wide growth makes a snapshot's arrays outweigh the corpus tables.
+    def test_each_snapshot_keeps_no_parameter_set(self):
+        # A snapshot holds the parameters and both Adam moments; the
+        # experiment measures its alignment as it is made and keeps only
+        # those figures. The wide growth makes a snapshot's arrays outweigh
+        # the corpus tables.
         base = pretrained_base(steps=2)
         plan = GrowthPlan(90, 120, "guarded-zero", seed=5)
         set_bytes = sum(p.nbytes for p in init_params(MODEL.grown(90, 120), 0).values())
@@ -144,9 +147,38 @@ class TestSnapshotMemory:
                 _, peaks[cadence] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        # keeping whole snapshots grows the peak by ~3 sets per snapshot
+        # keeping whole snapshots grows the peak by ~3 sets per snapshot,
+        # keeping their parameters by ~1
         sets = (peaks[1] - peaks[4]) / (9 - 3) / set_bytes
-        assert sets < 1.5, f"{sets:.2f} parameter sets per snapshot"
+        assert sets < 0.2, f"{sets:.2f} parameter sets per snapshot"
+
+
+class TestStreamedAlignment:
+    @pytest.mark.parametrize("policy", ["strict-zero", "guarded-zero", "noise:0.2"])
+    def test_streamed_series_is_the_series_of_the_returned_checkpoints(
+        self, policy, monkeypatch
+    ):
+        # measuring each snapshot as train makes it gives the series that
+        # measuring train's returned checkpoints after the run gives
+        base = pretrained_base(steps=10)
+        plan = GrowthPlan(4, 6, policy, seed=11)
+        streamed = run_growth_experiment(base, [plan], budget=12, cadence=4)
+
+        def train_then_hand_off(config, resume, on_snapshot):
+            result = train(config, resume=resume)
+            for ck in result.checkpoints:
+                on_snapshot(ck)
+            return result
+
+        monkeypatch.setattr(experiment, "train", train_then_hand_off)
+        batch = run_growth_experiment(base, [plan], budget=12, cadence=4)
+        (label,) = streamed
+        assert streamed[label].snapshots == batch[label].snapshots
+        assert len(batch[label].snapshots) == 4 and batch[label].trajectory
+        assert metrics_rows(streamed) == metrics_rows(batch)
+        assert json.dumps(streamed[label].fits, sort_keys=True) == json.dumps(
+            batch[label].fits, sort_keys=True
+        )
 
 
 class TestHeldoutLossReuse:
@@ -157,11 +189,11 @@ class TestHeldoutLossReuse:
         base = pretrained_base()
         seen = []
 
-        def spy(base_ckpt, series_ckpts, losses, **kwargs):
-            seen.extend(series_ckpts)
-            return analyze_snapshot_series(base_ckpt, series_ckpts, losses, **kwargs)
+        def spy(config, resume, on_snapshot):
+            return train(config, resume=resume,
+                         on_snapshot=lambda ck: (seen.append(ck), on_snapshot(ck)))
 
-        monkeypatch.setattr(experiment, "analyze_snapshot_series", spy)
+        monkeypatch.setattr(experiment, "train", spy)
         series = run_growth_experiment(
             base, [GrowthPlan(2, 2, "guarded-zero", seed=5)], budget=20, cadence=10
         )
@@ -172,11 +204,11 @@ class TestHeldoutLossReuse:
             assert snap.loss == heldout_loss(ck.model_config, ck.params, heldout)
 
     def test_wrong_number_of_losses_rejected(self):
-        base = pretrained_base(steps=10)
+        weights = [(0, 0.5, 0.9), (32, 0.4, 0.8)]
         with pytest.raises(ValidationError, match="2 checkpoints"):
-            analyze_snapshot_series(base, [base, base], [1.0])
+            analyze_snapshot_series(weights, [1.0])
         with pytest.raises(ValidationError, match="3 held-out losses"):
-            analyze_snapshot_series(base, [base, base], [1.0, 1.0, 1.0])
+            analyze_snapshot_series(weights, [1.0, 1.0, 1.0])
 
 
 class TestDegenerateSeries:
@@ -193,9 +225,10 @@ class TestDegenerateSeries:
         base = pretrained_base()
         heldout = heldout_sequences(ExperimentConfig.from_dict(base.experiment))
         losses = [heldout_loss(base.model_config, base.params, heldout)] * 3
-        snapshots, trajectory, fits = analyze_snapshot_series(
-            base, [base, base, base], losses
-        )
+        weights = (base.tokens, *snapshot_alignment(
+            base.params, base.model_config, base.params, base.model_config
+        ))
+        snapshots, trajectory, fits = analyze_snapshot_series([weights] * 3, losses)
         assert len(snapshots) == 3
         assert trajectory == []
         assert fits["pca"]["degenerate"] is True

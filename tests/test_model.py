@@ -1,12 +1,12 @@
 import os
 import tracemalloc
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from growformer.errors import ValidationError
@@ -60,6 +60,26 @@ class TestConfig:
         assert len(keys) == TINY.n_layers * 3 * 3
         assert keys[:3] == [f"blocks.0.attn.q.{s}" for s in ("w_up", "w_mid", "w_down")]
         assert param_shapes(TINY)[keys[1]] == (TINY.ladder_m, TINY.ladder_a)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.sampled_from([f.name for f in fields(ModelConfig)]),
+                           st.integers(-4, 4).filter(bool)))
+    def test_growth_from_accepts_exactly_the_growths(self, offsets):
+        # a growth widens ladder_m or ladder_a, or neither, and changes nothing else
+        try:
+            other = replace(TINY, **{k: getattr(TINY, k) + v for k, v in offsets.items()})
+        except ValidationError:
+            assume(False)
+        offending = [f.name for f in fields(ModelConfig) if f.name in offsets
+                     and (offsets[f.name] < 0 or f.name not in ("ladder_m", "ladder_a"))]
+        if offending:
+            with pytest.raises(ValidationError, match=f"^{offending[0]} mismatch between models"):
+                other.growth_from(TINY)
+        else:
+            deltas = other.growth_from(TINY)
+            assert deltas == (offsets.get("ladder_m", 0), offsets.get("ladder_a", 0))
+            assert TINY.grown(*deltas) == other
 
 
 class TestForward:
