@@ -146,11 +146,6 @@ class AlignmentSnapshot:
     perf_pct: float
 
     @property
-    def perf(self) -> float:
-        """The performance proxy, the negated held-out loss."""
-        return -self.loss
-
-    @property
     def ppl(self) -> float:
         return float(np.exp(self.loss))
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,11 +98,11 @@ def _grow_and_continue(
     return report, cont.model, result.log
 
 
-def _fit_block(fn, *args, **kwargs) -> dict:
+def _fit_block(fn, *args) -> dict:
+    """``fn(*args)`` as a fits block: its fields beside ``"degenerate": False``,
+    or ``{"degenerate": True, "reason": ...}`` when the series cannot support it."""
     try:
-        result = fn(*args, **kwargs).to_dict()
-        result.setdefault("degenerate", False)
-        return result
+        return {"degenerate": False, **asdict(fn(*args))}
     except ValidationError as exc:
         return {"degenerate": True, "reason": str(exc)}
 
@@ -152,7 +152,7 @@ def analyze_snapshot_series(
     r_values = [s.r for s in snapshots]
     fits = {
         "harmonic": _fit_block(harmonic_fit, times_kilo, r_values),
-        "fisher_g": _fit_block(fisher_g_test, r_values, detrend="linear"),
+        "fisher_g": _fit_block(fisher_g_test, r_values),
         "scaling_law": _fit_block(scaling_law_fit, [(s.r, s.ppl) for s in snapshots]),
         **pca,
     }

@@ -1,20 +1,23 @@
 """Time-series statistics for the radial-indicator trajectory.
 
+Each fit has one mode, and a series it cannot support raises
+``ValidationError`` with the reason; ``experiment.analyze_snapshot_series``
+reports that reason in place of the fit.
+
 * ``harmonic_fit``   - OLS cosine regression with the frequency chosen by
-  a dense deterministic grid search, optionally with a linear trend
-  regressor. The recorded full-scale harmonic R^2 is matched only with
-  ``trend="linear"``, which the pipeline's own ``fits.json`` does not use
-  (see ``tests/test_paper_claims.py``).
+  a dense deterministic grid search. The recorded full-scale harmonic
+  R^2 is matched only with a regressor linear in time added, which the
+  pipeline does not fit (see ``tests/test_paper_claims.py``).
 * ``fisher_g_test``  - max-share-of-periodogram test against white noise
-  on a (optionally linearly detrended) series, with the exact null
-  p-value formula. It is the only periodicity significance test.
+  on the series less its least-squares line, with the exact null p-value
+  formula. It is the only periodicity significance test.
 * ``scaling_law_fit`` - OLS of ln(ppl) on |ln(r)|.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,32 +57,17 @@ class HarmonicFit:
     freq: float
     phase: float
     r_squared: float
-    trend: str = "none"  # "none" or "linear"
-    trend_slope: float = 0.0
-    degenerate: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
-def _harmonic_design(t, f, trend):
-    cols = [np.ones_like(t), np.cos(2 * np.pi * f * t), np.sin(2 * np.pi * f * t)]
-    if trend == "linear":
-        cols.append(t)
-    return np.column_stack(cols)
-
-
-def harmonic_fit(
-    times,
-    values,
-    trend: str = "none",
-) -> HarmonicFit:
-    """Fit values ~ a0 + a1*cos(2*pi*f*t + phase) [+ slope*t] by OLS.
+def harmonic_fit(times, values) -> HarmonicFit:
+    """Fit values ~ a0 + a1*cos(2*pi*f*t + phase) by OLS.
 
     The frequency is searched on a 512-point grid over
     [1/(2*span), 1/(2*min_spacing)]; ties in the grid argmax resolve to
-    the lowest frequency. It reports no p-value; periodicity significance
-    comes from ``fisher_g_test``, whose null accounts for the search.
+    the lowest frequency. It needs 4 observations, one more than the
+    coefficients, and values that vary. It reports no p-value;
+    periodicity significance comes from ``fisher_g_test``, whose null
+    accounts for the search.
     """
     t = np.asarray(times, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
@@ -87,20 +75,13 @@ def harmonic_fit(
         raise ValidationError("times and values must be 1-D and equally long")
     if not (np.isfinite(t).all() and np.isfinite(v).all()):
         raise ValidationError("times and values must be finite")
-    n_min = 5 if trend == "linear" else 4  # one more than the coefficients
-    if t.size < n_min:
-        raise ValidationError(f"need at least {n_min} observations, got {t.size}")
+    if t.size < 4:
+        raise ValidationError(f"need at least 4 observations, got {t.size}")
     if not (np.diff(t) > 0).all():
         raise ValidationError("times must be strictly increasing")
-    if trend not in ("none", "linear"):
-        raise ValidationError(f"unknown trend mode {trend!r}")
-
     sst = float(((v - v.mean()) ** 2).sum())
     if sst == 0:
-        return HarmonicFit(
-            a0=float(v.mean()), a1=0.0, freq=0.0, phase=0.0, r_squared=0.0,
-            trend=trend, degenerate=True,
-        )
+        raise ValidationError("values have zero variance")
 
     span = t[-1] - t[0]
     min_spacing = float(np.diff(t).min())
@@ -109,7 +90,9 @@ def harmonic_fit(
     best_r2 = -np.inf
     best = None
     for f in grid:
-        design = _harmonic_design(t, f, trend)
+        design = np.column_stack(
+            [np.ones_like(t), np.cos(2 * np.pi * f * t), np.sin(2 * np.pi * f * t)]
+        )
         coef, *_ = np.linalg.lstsq(design, v, rcond=None)
         res = v - design @ coef
         r2 = 1.0 - float(res @ res) / sst
@@ -117,17 +100,13 @@ def harmonic_fit(
             best_r2 = r2
             best = (f, coef)
     f, coef = best
-    a0 = float(coef[0])
     a_cos, a_sin = float(coef[1]), float(coef[2])
-    a1 = math.hypot(a_cos, a_sin)
     phase = math.atan2(-a_sin, a_cos)
     if phase == -math.pi:
         phase = math.pi
-    slope = float(coef[3]) if trend == "linear" else 0.0
     r2 = max(min(best_r2, 1.0), 0.0)
     return HarmonicFit(
-        a0=a0, a1=a1, freq=float(f), phase=phase, r_squared=r2,
-        trend=trend, trend_slope=slope,
+        a0=float(coef[0]), a1=math.hypot(a_cos, a_sin), freq=float(f), phase=phase, r_squared=r2
     )
 
 
@@ -136,11 +115,7 @@ class FisherGResult:
     g_stat: float
     p_value: float
     fourier_term_count: int
-    detrend_mode: str
     peak_index: int  # 1-based Fourier frequency index of the max ordinate
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def fisher_g_p_value(x: float, m: int) -> float:
@@ -157,11 +132,12 @@ def fisher_g_p_value(x: float, m: int) -> float:
     return float(min(max(total, 0.0), 1.0))
 
 
-def fisher_g_test(values, detrend: str = "linear") -> FisherGResult:
-    """Max periodogram share over the Fourier frequencies, with exact p.
+def fisher_g_test(values) -> FisherGResult:
+    """Max periodogram share over the Fourier frequencies of the series
+    less its least-squares line, with exact p.
 
-    A series that is constant after detrending has an empty spectrum; it
-    reports the minimum share 1/m with p = 1.
+    A series that is a line has an empty spectrum once the line is
+    removed; it reports the minimum share 1/m with p = 1.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
@@ -171,21 +147,16 @@ def fisher_g_test(values, detrend: str = "linear") -> FisherGResult:
     n = v.size
     if n < 5:
         raise ValidationError(f"need at least 5 observations, got {n}")
-    if detrend not in ("none", "linear"):
-        raise ValidationError(f"unknown detrend mode {detrend!r}")
-    x = v.copy()
-    if detrend == "linear":
-        t = np.arange(n, dtype=np.float64)
-        design = np.column_stack([np.ones(n), t])
-        coef, *_ = np.linalg.lstsq(design, x, rcond=None)
-        x = x - design @ coef
+    design = np.column_stack([np.ones(n), np.arange(n, dtype=np.float64)])
+    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
+    x = v - design @ coef
     m = (n - 1) // 2
     spectrum = np.abs(np.fft.rfft(x)[1 : m + 1]) ** 2 / n
     total = spectrum.sum()
     if total == 0:
-        return FisherGResult(1.0 / m, 1.0, m, detrend, 1)
+        return FisherGResult(1.0 / m, 1.0, m, 1)
     g = float(spectrum.max() / total)
-    return FisherGResult(g, fisher_g_p_value(g, m), m, detrend, int(np.argmax(spectrum)) + 1)
+    return FisherGResult(g, fisher_g_p_value(g, m), m, int(np.argmax(spectrum)) + 1)
 
 
 @dataclass
@@ -195,9 +166,6 @@ class ScalingFit:
     r_squared: float
     n_used: int
     n_excluded: int  # pairs dropped because r == 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def scaling_law_fit(pairs) -> ScalingFit:

@@ -1,8 +1,10 @@
 """Reference computations the tests compare the package against.
 
 None of them is part of the program: a central-difference gradient for
-the analytic backward passes, and the stationary unigram entropy of a
-``markov-k2`` table for the corpus generator.
+the analytic backward passes, the stationary unigram entropy of a
+``markov-k2`` table for the corpus generator, and the harmonic fit with
+a linear trend regressor that the paper's recorded R^2 needs and the
+pipeline's ``seriesstats.harmonic_fit`` does not fit.
 """
 
 from typing import Callable
@@ -61,3 +63,21 @@ def unigram_entropy(stream: np.ndarray) -> float:
     p = counts / counts.sum()
     nz = p[p > 0]
     return float(-(nz * np.log(nz)).sum())
+
+
+def harmonic_fit_with_trend(times, values) -> tuple[float, float]:
+    """(R^2, frequency) of values ~ a0 + a1*cos(2*pi*f*t + phase) + slope*t
+    by OLS, with f searched on ``seriesstats.harmonic_fit``'s 512-point grid
+    (the lowest frequency wins a tie)."""
+    t = np.asarray(times, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
+    sst = float(((v - v.mean()) ** 2).sum())
+    best_r2, best_f = -np.inf, None
+    for f in np.linspace(1.0 / (2.0 * (t[-1] - t[0])), 1.0 / (2.0 * np.diff(t).min()), 512):
+        design = np.column_stack([np.ones_like(t), np.cos(2 * np.pi * f * t),
+                                  np.sin(2 * np.pi * f * t), t])
+        res = v - design @ np.linalg.lstsq(design, v, rcond=None)[0]
+        r2 = 1.0 - float(res @ res) / sst
+        if r2 > best_r2:
+            best_r2, best_f = r2, float(f)
+    return max(min(best_r2, 1.0), 0.0), best_f

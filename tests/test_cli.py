@@ -535,8 +535,9 @@ def test_train_resume_frees_the_loaded_checkpoint_before_the_first_write(
 
 # sha256 of the alignment.csv and fits.json that ``analyze`` writes for the
 # snapshots of ``direct_train`` against its first, recorded while the
-# command still held every loaded checkpoint whole
-ANALYZE_FILES_SHA256 = "af3a66f2178a46e36f4a58b94ba6cc2c828440d5b9587d813eca0f422bdc7ba9"
+# command still held every loaded checkpoint whole, and re-recorded when the
+# harmonic block of fits.json lost its constant "trend" and "trend_slope" keys
+ANALYZE_FILES_SHA256 = "164b1a504a78a6b2860a50a37e28503a5838ec93f9b39bc43fa126ddb12bd9ef"
 
 
 def test_analyze_writes_pinned_bytes(direct_train, tmp_path, capsys):

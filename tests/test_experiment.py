@@ -2,8 +2,11 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from growformer import cli, experiment
 from growformer.alignment import snapshot_alignment
@@ -59,7 +62,10 @@ def pretrained_base(steps=60, seed=3, stream=0):
 # 0.015891508591327708 to 0.015891508591327597. Re-recorded when the
 # preservation check moved to the ladder's block form on BLAS: again only
 # that deviation moved, from 0.015891508591327597 to 0.015891508591327486.
-EMITTED_BYTES_SHA256 = "598c4bec74c6dff2ce934feac6210b8c98fa5ff09f40712f2f0b4036fe21b88d"
+# Re-recorded when each series fit came to one mode: every fits.json lost
+# its constant "trend", "trend_slope" and "detrend_mode" keys, and no other
+# byte moved.
+EMITTED_BYTES_SHA256 = "33e0fc0710e9af15fc064a1f4b220a8fc49c7a88d1269c73d9c1db795cecd9cb"
 
 
 class TestPlanLabel:
@@ -211,9 +217,22 @@ class TestHeldoutLossReuse:
             analyze_snapshot_series(weights, [1.0, 1.0, 1.0])
 
 
+@st.composite
+def snapshot_series(draw):
+    """(weights, losses) of 2 to 8 snapshots whose first ``flat`` share the
+    first's (u_p, noc): r is short, flat, constant-then-varying or random."""
+    n = draw(st.integers(2, 8))
+    flat = draw(st.integers(1, n))
+    stat = st.floats(0.05, 1.0)
+    pairs = [(draw(stat), draw(stat))]
+    pairs = pairs * flat + [(draw(stat), draw(stat)) for _ in range(n - flat)]
+    losses = draw(st.lists(st.floats(1.0, 5.0), min_size=n, max_size=n))
+    return [(32 * i, u_p, noc) for i, (u_p, noc) in enumerate(pairs)], losses
+
+
 class TestDegenerateSeries:
-    """Series that PCA cannot fit keep every snapshot and report a
-    flagged ``pca`` block instead of raising."""
+    """Series that PCA or a series fit cannot support keep every snapshot
+    and report a flagged block with its reason instead of raising."""
 
     def _pair_series(self):
         base = pretrained_base()
@@ -234,6 +253,35 @@ class TestDegenerateSeries:
         assert fits["pca"]["degenerate"] is True
         assert "zero total variance" in fits["pca"]["reason"]
         assert "pca_variance_ratios" not in fits
+
+    def test_flat_series_fits_say_why(self):
+        # four equal snapshots: r is 0 throughout
+        weights = [(32 * i, 0.5, 0.9) for i in range(4)]
+        _, _, fits = analyze_snapshot_series(weights, [2.0] * 4)
+        assert fits["harmonic"] == {"degenerate": True, "reason": "values have zero variance"}
+        assert fits["fisher_g"] == {
+            "degenerate": True, "reason": "need at least 5 observations, got 4"
+        }
+        assert fits["scaling_law"] == {
+            "degenerate": True, "reason": "all pairs excluded (every r was zero)"
+        }
+
+    @settings(max_examples=40, deadline=None)
+    @given(snapshot_series())
+    @example(([(32 * i, 0.5, 0.9) for i in range(6)], [2.0] * 6))
+    def test_every_fits_block_has_one_shape(self, series):
+        # a fit either says why it could not be made, and nothing else, or
+        # carries its fields with no reason
+        _, _, fits = analyze_snapshot_series(*series)
+        assert {"harmonic", "fisher_g", "scaling_law"} <= set(fits)
+        for key, block in fits.items():
+            if not isinstance(block, dict):
+                continue  # pca_variance_ratios, pca_loadings
+            if block["degenerate"] is True:
+                assert set(block) == {"degenerate", "reason"}, key
+                assert isinstance(block["reason"], str) and block["reason"], key
+            else:
+                assert block["degenerate"] is False and "reason" not in block, key
 
     def test_emit_reports_keeps_every_row(self, tmp_path):
         emit_reports(self._pair_series(), tmp_path)
@@ -354,9 +402,9 @@ class TestEmitReports:
     def test_fits_json_is_the_fit_of_its_own_metrics_rows(self, tmp_path):
         # each plan's fits.json holds the seriesstats fits of that plan's
         # metrics.csv rows alone, and its bytes do not depend on the other plans
-        def fit_block(fn, *args, **kwargs):
+        def fit_block(fn, *args):
             try:
-                return {"degenerate": False, **fn(*args, **kwargs).to_dict()}
+                return {"degenerate": False, **asdict(fn(*args))}
             except ValidationError as exc:
                 return {"degenerate": True, "reason": str(exc)}
 
@@ -378,7 +426,7 @@ class TestEmitReports:
             ppl = [float(row["ppl"]) for row in mine]
             want = {
                 "harmonic": fit_block(harmonic_fit, tokens, r),
-                "fisher_g": fit_block(fisher_g_test, r, detrend="linear"),
+                "fisher_g": fit_block(fisher_g_test, r),
                 "scaling_law": fit_block(scaling_law_fit, list(zip(r, ppl))),
             }
             fits_bytes = (tmp_path / "both" / label / "fits.json").read_bytes()

@@ -304,9 +304,6 @@ def test_detects_a_default_no_caller_passes():
 # defaults that no package or benchmark call passes, and why each stays
 UNPASSED_DEFAULT_ALLOWED = {
     "cli.main.argv",  # None reads sys.argv, as the console script and ``-m`` run need
-    # the paper's recorded harmonic R^2 is matched only with trend="linear"
-    # (tests/test_paper_claims.py), and fits.json records the trend fields
-    "seriesstats.harmonic_fit.trend",
 }
 
 
@@ -348,6 +345,20 @@ def unreferenced_definitions(module: str, used: set[str]) -> list[str]:
     ]
 
 
+def unreferenced_members(module: str, used: set[str]) -> list[str]:
+    """``Class.member`` for each non-dunder method or property of a
+    top-level class whose name nothing references."""
+    return [
+        f"{cls.name}.{node.name}"
+        for cls in ast.parse(module).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    ]
+
+
 def unreferenced_assignments(module: str, loaded: set[str]) -> list[str]:
     targets = []
     for node in ast.parse(module).body:
@@ -366,11 +377,15 @@ def unreferenced_assignments(module: str, loaded: set[str]) -> list[str]:
 
 
 def unreferenced(module: str, referrers: list[str]) -> list[str]:
-    """Top-level definitions, then assigned names, of ``module`` that no
-    source in ``referrers`` references."""
+    """Top-level definitions, then class members, then assigned names, of
+    ``module`` that no source in ``referrers`` references."""
     used = set().union(*(references(source) for source in referrers))
     loaded = set().union(*(loads(source) for source in referrers))
-    return unreferenced_definitions(module, used) + unreferenced_assignments(module, loaded)
+    return (
+        unreferenced_definitions(module, used)
+        + unreferenced_members(module, used)
+        + unreferenced_assignments(module, loaded)
+    )
 
 
 def test_detects_an_unreferenced_definition():
@@ -391,6 +406,22 @@ def test_detects_an_unreferenced_definition():
         ROOT / "tests/oracles.py",
     ]
     assert [is_program(path) for path in program + not_program] == [True] * 2 + [False] * 4
+
+
+def test_detects_an_unreferenced_member():
+    module = (
+        "class Kept:\n"
+        "    def __post_init__(self):\n        pass\n\n"
+        "    def called(self):\n        pass\n\n"
+        "    @property\n    def read(self):\n        return 0\n\n"
+        "    @property\n    def unread(self):\n        return 0\n\n"
+        "    def spanned(self):\n        pass\n\n"
+        "    def tested(self):\n        pass\n"
+    )
+    user = "k = Kept()\nk.called()\nk.read\nSPANS = {('m', 'spanned'): ()}\n"
+    test = "Kept().tested()\n"
+    assert unreferenced(module, [module, user, test]) == ["Kept.unread"]
+    assert unreferenced(module, [module, user]) == ["Kept.unread", "Kept.tested"]
 
 
 def test_detects_an_unreferenced_assignment():

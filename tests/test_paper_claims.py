@@ -102,9 +102,9 @@ Notes, one per row:
   F from R^2 itself: ``harmonic_fit`` reports no F or p, because an
   F-test at a grid-searched frequency is not calibrated, and periodicity
   significance comes from Fisher's g alone. The recorded R^2 is matched
-  (0.701) only with ``trend="linear"``, whose dof is (3, 7). The
-  pipeline's own ``fits.json`` fits without a trend and gets 0.498 on
-  this series.
+  (0.701) only with a linear trend regressor, whose dof is (3, 7).
+  ``oracles.harmonic_fit_with_trend`` fits it; the pipeline does not,
+  and its ``harmonic_fit`` gets 0.498 on this series.
 * REPORTED_FISHER_G: the linearly detrended zero-path r gives g 0.48755
   and p 0.34480, the recorded 0.4876 and 0.3448 at their 4 decimals.
 * REPORTED_SCALING: ``scaling_law_fit`` on the recorded zero path gives
