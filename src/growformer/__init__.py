@@ -11,7 +11,6 @@ on top.
 
 from .alignment import (
     AlignmentSnapshot,
-    WeightSample,
     noc,
     perf_gain,
     percent_shift,
@@ -44,7 +43,6 @@ __all__ = [
     "RngState",
     "TOY_CONFIG",
     "ValidationError",
-    "WeightSample",
     "attention_forward",
     "fisher_g_test",
     "grow_model",

@@ -25,6 +25,10 @@ drawn is a pure function of ``(seed, position, n, limit)``, not of the
 values, and is memoised: every snapshot of a series draws the same
 positions from populations of the same size, so only the first snapshot
 pays for the shuffle.
+
+Populations are plain flat float64 arrays, unchecked here: they are
+finite by the loader's gate (``checkpoint.load_checkpoint``) and because
+``train`` stops on a non-finite loss, and no width is 0, so none is empty.
 """
 
 from __future__ import annotations
@@ -43,26 +47,9 @@ SUBSAMPLE_LIMIT = 100_000
 BINS = 128
 
 
-@dataclass
-class WeightSample:
-    """A flat population of parameter values with provenance."""
-
-    values: np.ndarray
-    source: str
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).ravel()
-        if self.values.size == 0:
-            raise ValidationError(f"weight sample {self.source!r} is empty")
-        if not np.isfinite(self.values).all():
-            raise ValidationError(f"weight sample {self.source!r} has non-finite entries")
-
-
-def noc(f_sample: WeightSample, g_sample: WeightSample) -> float:
-    """Histogram overlap coefficient in [0, 1] over ``BINS`` shared bins;
-    symmetric in its arguments."""
-    f = f_sample.values
-    g = g_sample.values
+def noc(f: np.ndarray, g: np.ndarray) -> float:
+    """Histogram overlap coefficient in [0, 1] of two flat float64
+    populations over ``BINS`` shared bins; symmetric in its arguments."""
     lo = min(f.min(), g.min())
     hi = max(f.max(), g.max())
     if lo == hi:
@@ -76,8 +63,9 @@ def noc(f_sample: WeightSample, g_sample: WeightSample) -> float:
     return float(overlap / (f.size * g.size))
 
 
-def u_p_score(new_sample: WeightSample, base_sample: WeightSample) -> float:
-    """Two-sided Mann-Whitney p-value for the location of ``new`` vs ``base``.
+def u_p_score(x: np.ndarray, y: np.ndarray) -> float:
+    """Two-sided Mann-Whitney p-value for the location of the flat float64
+    population ``x`` (the new entries) against ``y`` (the frozen base).
 
     The normal approximation with tie and continuity corrections, the
     only path: an exact null distribution matters only for a sample of
@@ -85,13 +73,11 @@ def u_p_score(new_sample: WeightSample, base_sample: WeightSample) -> float:
     (d < m < a) every growth adds at least 3 new entries per projection
     (9 per layer) against a base of at least 33.
 
-    r1, the rank sum of ``new``, is exact in any summation order: a new
+    r1, the rank sum of ``x``, is exact in any summation order: a new
     entry whose tie group of ``count`` ends at pooled sorted slot ``end`` - 1
     has the half-integer rank (2 * end - count + 1) / 2, and float64 holds
     2 * r1 exactly while n1 * (n1 + n2) < 2^52 (2^35 at ``SUBSAMPLE_LIMIT``).
     """
-    x = new_sample.values
-    y = base_sample.values
     n1, n2 = x.size, y.size
     if n1 < 2 or n2 < 2:
         raise ValidationError(f"both samples need >= 2 entries, got {n1} and {n2}")
@@ -158,21 +144,10 @@ class AlignmentSnapshot:
         return np.array([self.up_pct, self.noc_pct, self.perf_pct])
 
 
-def base_projection_sample(
-    params: dict, config: ModelConfig, rng: RngState, source: str = "base-snapshot"
-) -> WeightSample:
-    """Subsample of every Q/K/V projection entry, labelled ``source``."""
+def base_projection_sample(params: dict, config: ModelConfig, rng: RngState) -> np.ndarray:
+    """Subsample of every Q/K/V projection entry."""
     vals = np.concatenate([params[k].ravel() for k in projection_keys(config)])
-    return WeightSample(subsample(rng, vals, SUBSAMPLE_LIMIT), source)
-
-
-def new_block_sample(
-    params: dict, config: ModelConfig, delta_m: int, delta_a: int, rng: RngState
-) -> WeightSample:
-    """Subsample of every entry a growth by (delta_m, delta_a) created."""
-    blocks = new_block_slices(params, config, delta_m, delta_a)
-    vals = np.concatenate([b.ravel() for _, _, b in blocks])
-    return WeightSample(subsample(rng, vals, SUBSAMPLE_LIMIT), "new-blocks-only")
+    return subsample(rng, vals, SUBSAMPLE_LIMIT)
 
 
 def snapshot_alignment(
@@ -194,9 +169,9 @@ def snapshot_alignment(
     delta_m, delta_a = current_config.growth_from(base_config)
     rng = RngState(derive_seed(0, StreamTag.SUBSAMPLE))
     base_s = base_projection_sample(base_params, base_config, rng)
-    cur_s = base_projection_sample(current_params, current_config, rng, "expanded-all")
-    noc_val = noc(base_s, cur_s)
+    noc_val = noc(base_s, base_projection_sample(current_params, current_config, rng))
     if delta_m + delta_a > 0:
-        new_s = new_block_sample(current_params, current_config, delta_m, delta_a, rng)
-        return u_p_score(new_s, base_s), noc_val
+        blocks = new_block_slices(current_params, current_config, delta_m, delta_a)
+        new = np.concatenate([b.ravel() for _, _, b in blocks])
+        return u_p_score(subsample(rng, new, SUBSAMPLE_LIMIT), base_s), noc_val
     return 1.0, noc_val  # no new parameters: nothing can have diverged

@@ -12,7 +12,12 @@ bit-exactly, and the loader reads exactly what the writer writes: a
 header key missing (``experiment`` included, which must be an object)
 or unknown, at the top level or in the RNG block, another dtype tag, a
 truncated or padded file, a negative or non-int counter or RNG field,
-an unknown RNG algorithm, or a matrix listed twice is a ValidationError.
+an unknown RNG algorithm, a matrix listed twice, or a NaN or infinite
+entry in any matrix, a parameter or an Adam moment, is a ValidationError.
+That last check names the file and the matrix, and it is the one gate
+for a checkpoint's values: nothing downstream checks them again. It is
+no corruption check, since a bit flipped in a weight usually leaves it
+finite.
 
 Shape contract: the parameters and both Adam moments each hold exactly
 the matrices that ``model.param_shapes`` lists for the header's model
@@ -140,6 +145,8 @@ def load_checkpoint(path) -> Checkpoint:
         if base in groups[prefix]:
             raise ValidationError(f"{path}: matrix {name!r} appears twice")
         mat = np.frombuffer(payload, dtype=_F8).reshape(rows, cols)
+        if not np.isfinite(mat).all():
+            raise ValidationError(f"{path}: matrix {name!r} holds a non-finite value")
         groups[prefix][base] = mat.astype(np.float64)
     if off != len(data):
         raise ValidationError(f"{path}: {len(data) - off} trailing bytes after the last matrix")

@@ -12,10 +12,11 @@ trigger outside the schedule, a ``--resume`` checkpoint whose
 widths the config does not imply at its step, an ``ablate
 --delta-total`` below 3, a bad checkpoint such as one truncated, one
 with a missing header key, a negative counter or a matrix listed twice,
-or one whose matrices are missing, extra or misshapen for its model
-config, a ``verify --new`` or an ``analyze`` series file that is no growth
-of its base because a field other than ``ladder_m`` and ``ladder_a``
-differs or one of those two is narrower, a missing path or a directory),
+one whose matrices are missing, extra or misshapen for its model config,
+or a checkpoint holding a NaN or infinite value, a ``verify --new`` or
+an ``analyze`` series file that is no growth of its base because a field
+other than ``ladder_m`` and ``ladder_a`` differs or one of those two is
+narrower, a missing path or a directory),
 reported as one ``error:`` line without a traceback; 2 numeric failure,
 such as a zero-policy ``grow`` whose probe deviation is not exactly 0.0.
 

@@ -52,7 +52,6 @@ from .training import (
 @dataclass
 class ExperimentSeries:
     label: str
-    plan: GrowthPlan
     growth_report: GrowthReport
     snapshots: list[AlignmentSnapshot]
     trajectory: list[TrajectoryPoint]
@@ -192,7 +191,6 @@ def run_growth_experiment(
         )
         out[label] = ExperimentSeries(
             label=label,
-            plan=plan,
             growth_report=report,
             snapshots=snapshots,
             trajectory=trajectory,

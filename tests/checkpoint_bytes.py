@@ -30,3 +30,17 @@ def as_f4(data: bytes) -> bytes:
         out += [data[off:tag], b"f4", payload.astype("<f4").tobytes()]
         off = tag + 2 + 8 * rows * cols
     return b"".join(out)
+
+
+def with_entry(data: bytes, name: str, value: float) -> bytes:
+    """The checkpoint bytes with the first entry of matrix ``name`` (``p/``,
+    ``m/`` or ``v/`` prefixed) overwritten by ``value``."""
+    (json_len,) = struct.unpack("<I", data[8:12])
+    off = 12 + json_len + 4
+    while True:
+        (name_len,) = struct.unpack("<I", data[off : off + 4])
+        tag = off + 12 + name_len
+        rows, cols = struct.unpack("<II", data[tag - 8 : tag])
+        if data[off + 4 : off + 4 + name_len].decode("utf-8") == name:
+            return data[: tag + 2] + struct.pack("<d", value) + data[tag + 10 :]
+        off = tag + 2 + 8 * rows * cols

@@ -10,7 +10,7 @@ from growformer.errors import ValidationError
 from growformer.model import ModelConfig, init_params, param_shapes
 from growformer.rng import RngState
 
-from checkpoint_bytes import with_header
+from checkpoint_bytes import with_entry, with_header
 
 CFG = ModelConfig(
     vocab_size=16, context_len=8, hidden_size=8, n_heads=2, n_layers=1,
@@ -116,6 +116,17 @@ def test_trailing_bytes_rejected(tmp_path):
     save_checkpoint(tiny_checkpoint(), path)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ValidationError, match="trailing"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("group", ["p/", "m/", "v/"])
+def test_non_finite_entry_rejected_naming_file_and_matrix(group, value, tmp_path):
+    path = tmp_path / "bad.nxf"
+    save_checkpoint(tiny_checkpoint(), path)
+    path.write_bytes(with_entry(path.read_bytes(), f"{group}ln_f.g", value))
+    message = f"{path}: matrix '{group}ln_f.g' holds a non-finite value"
+    with pytest.raises(ValidationError, match=re.escape(message)):
         load_checkpoint(path)
 
 

@@ -27,7 +27,7 @@ from growformer.training import (
     train,
 )
 
-from checkpoint_bytes import as_f4, with_header
+from checkpoint_bytes import as_f4, with_entry, with_header
 
 MODEL = ModelConfig(
     vocab_size=64, context_len=16, hidden_size=8, n_heads=2, n_layers=1,
@@ -570,6 +570,33 @@ def test_analyze_keeps_no_loaded_file(direct_train, tmp_path, monkeypatch):
     assert all(ref() is None for refs in loaded[1:] for ref in refs)
 
 
+def test_train_resume_from_a_non_finite_adam_moment_exits_1_writing_nothing(
+    direct_train, tmp_path, capsys
+):
+    path, direct = direct_train
+    bad = tmp_path / "bad.nxf"
+    bad.write_bytes(with_entry((direct / TRAIN_FILES[1]).read_bytes(), "m/tok_emb", np.nan))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", path, "--out", str(out), "--resume", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: matrix 'm/tok_emb' holds a non-finite value\n"
+    assert not list(out.glob("*"))
+
+
+def test_analyze_of_a_series_file_holding_a_nan_exits_1_naming_it(direct_train, tmp_path, capsys):
+    _, run = direct_train
+    series, out = tmp_path / "series", tmp_path / "out"
+    series.mkdir()
+    for name in TRAIN_FILES[:-1]:
+        (series / name).write_bytes((run / name).read_bytes())
+    bad = series / TRAIN_FILES[2]
+    bad.write_bytes(with_entry(bad.read_bytes(), "p/blocks.0.attn.q.w_up", np.nan))
+    assert cli.main(["analyze", "--base", str(run / TRAIN_FILES[0]), "--series", str(series),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: matrix 'p/blocks.0.attn.q.w_up' holds a non-finite value\n"
+    assert not out.exists()
+
+
 def test_train_failing_mid_run_leaves_the_snapshots_made_before_it(
     direct_train, tmp_path, monkeypatch, capsys
 ):
@@ -714,6 +741,7 @@ def test_checkpoint_without_experiment_config_exits_1_for_grow_and_verify(
     assert not (tmp_path / "grown.nxf").exists() and not (tmp_path / "out").exists()
 
 
+# ``{bad}`` in a message stands for the rewritten file's path
 @pytest.mark.parametrize(
     "rewrite, message",
     [
@@ -728,9 +756,16 @@ def test_checkpoint_without_experiment_config_exits_1_for_grow_and_verify(
          "checkpoint config: unknown key 'dtype'"),
         (lambda d: with_header(d, lambda h: h["rng"].update(dtype="f8")),
          "rng config: unknown key 'dtype'"),
+        (lambda d: with_entry(d, "p/blocks.0.attn.q.w_up", np.nan),
+         "{bad}: matrix 'p/blocks.0.attn.q.w_up' holds a non-finite value"),
+        (lambda d: with_entry(d, "p/blocks.0.attn.q.w_up", np.inf),
+         "{bad}: matrix 'p/blocks.0.attn.q.w_up' holds a non-finite value"),
+        (lambda d: with_entry(d, "m/tok_emb", np.nan),
+         "{bad}: matrix 'm/tok_emb' holds a non-finite value"),
     ],
     ids=["f4-tag", "model-dtype-key", "experiment-arithmetic-key", "experiment-out_dir-key",
-         "header-dtype-key", "rng-dtype-key"],
+         "header-dtype-key", "rng-dtype-key", "nan-parameter", "inf-parameter",
+         "nan-adam-moment"],
 )
 def test_base_checkpoint_no_writer_produces_exits_1(rewrite, message, base_path, tmp_path, capsys):
     bad = tmp_path / "bad.nxf"
@@ -738,6 +773,6 @@ def test_base_checkpoint_no_writer_produces_exits_1(rewrite, message, base_path,
     for argv in base_checkpoint_commands(bad, base_path, tmp_path):
         assert cli.main(argv) == 1, argv[0]
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err, argv[0]
+        assert err.startswith("error: ") and message.format(bad=bad) in err, argv[0]
         assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "grown.nxf").exists() and not (tmp_path / "out").exists()

@@ -260,13 +260,18 @@ def unpassed_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
     """``module.function.parameter`` for every parameter with a default of
     a function in ``modules`` (module name to source) that a call in
     ``callers`` names, where no such call passes it by position or by
-    keyword. A ``*args`` or ``**kwargs`` spread passes every parameter."""
+    keyword. A ``*args`` or ``**kwargs`` spread passes every parameter. A
+    call whose first argument is a bare name, the ``wrap(fn, *args)`` shape,
+    also counts as a call of that name with the other arguments."""
     calls = {}
     for source in callers:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 calls.setdefault(name, []).append(node)
+                if node.args and isinstance(node.args[0], ast.Name):
+                    wrapped = ast.Call(node.args[0], node.args[1:], node.keywords)
+                    calls.setdefault(node.args[0].id, []).append(wrapped)
     found = []
     for module, source in modules.items():
         for fn in ast.walk(ast.parse(source)):
@@ -299,6 +304,12 @@ def test_detects_a_default_no_caller_passes():
     )
     caller = "f(0, c=1)\nspread(*args)\nK().method(5)\n"
     assert unpassed_defaults({"m": module}, [caller]) == ["m.f.b", "m.f.d", "m.method.w"]
+
+
+def test_detects_a_default_no_wrapped_call_passes():
+    module = "def f(a, b=2):\n    pass\n\n\ndef g(a, b=2):\n    pass\n"
+    caller = "wrap(f, 1)\nwrap(g, 1, b=3)\n"
+    assert unpassed_defaults({"m": module}, [caller]) == ["m.f.b"]
 
 
 # defaults that no package or benchmark call passes, and why each stays
