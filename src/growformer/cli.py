@@ -27,6 +27,10 @@ snapshot made before the failure, each resumable, and no log.
 ``analyze`` keeps no loaded file: it measures each one's alignment and
 held-out loss as it loads it, keeps those figures, and sorts them by step.
 
+``ablate`` is four guarded-zero plans of ``experiment.run_growth_experiment``
+at cadence = budget: it refuses what that driver refuses, and prints each
+plan's final held-out perplexity.
+
 The series fits (harmonic cycle, Fisher's g, scaling law) have one home:
 the ``fits.json`` that ``analyze`` writes, as ``experiment.emit_reports``
 does for each plan.
@@ -41,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +76,16 @@ def _load_model_config(path: str) -> ModelConfig:
     return ModelConfig.from_dict(blob)
 
 
+def _load_base(path: str) -> tuple[Checkpoint, ExperimentConfig]:
+    """The checkpoint at ``path`` and the experiment config its header
+    carries, refusing a bad config block with the file's path."""
+    ck = load_checkpoint(path)
+    try:
+        return ck, checkpoint_experiment(ck)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def _cmd_train(args) -> int:
     config = ExperimentConfig.from_dict(_read_json(args.config))
     out = Path(args.out)
@@ -89,9 +104,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_grow(args) -> int:
-    ck = load_checkpoint(args.ckpt)
+    ck, base_exp = _load_base(args.ckpt)
     plan = GrowthPlan(args.dm, args.da, args.init, seed=args.seed)
-    probe = heldout_sequences(checkpoint_experiment(ck))
+    probe = heldout_sequences(base_exp)
     new_params, new_config, report = grow_model(ck.params, ck.model_config, plan, probe=probe)
     grown = Checkpoint(
         model_config=new_config,
@@ -104,14 +119,14 @@ def _cmd_grow(args) -> int:
         experiment=ck.experiment,
     )
     save_checkpoint(grown, args.out)
-    print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+    print(json.dumps(asdict(report), sort_keys=True, indent=2))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    old = load_checkpoint(args.old)
+    old, old_exp = _load_base(args.old)
     new = load_checkpoint(args.new)
-    probe = heldout_sequences(checkpoint_experiment(old))
+    probe = heldout_sequences(old_exp)
     deviation = verify_function_preservation(
         old.params, old.model_config, new.params, new.model_config, probe
     )
@@ -122,11 +137,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    base = load_checkpoint(args.base)
+    base, base_exp = _load_base(args.base)
     paths = sorted(Path(args.series).glob("*.nxf"))
     if not paths:
         raise ValidationError(f"no .nxf checkpoints found in {args.series}")
-    heldout = heldout_sequences(checkpoint_experiment(base))
+    heldout = heldout_sequences(base_exp)
     base_params, base_config = base.params, base.model_config
     del base  # keep the base's parameters, not its Adam moments
 
@@ -159,7 +174,7 @@ def _cmd_flops(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    ck = load_checkpoint(args.ckpt)
+    ck, _ = _load_base(args.ckpt)  # a bad experiment block is refused naming the file
     rows = ablate_axes(ck, budget=args.budget, delta_total=args.delta_total)
     print("axis,order,m,a,ppl")
     for row in rows:

@@ -5,7 +5,9 @@ grow a pretrained base with one or more plans, verify preservation (a
 hard gate for the zero policies), continue training with snapshots at a
 fixed cadence, measure each snapshot's alignment against the frozen
 base, and run the trajectory-geometry and time-series analyses over the
-series.
+series. ``ablate_axes``, the paper's axis ablation, is four guarded-zero
+plans of ``run_growth_experiment`` at cadence = budget, each row read
+from its series' last snapshot.
 
 ``train`` hands each snapshot over as it is made, and the experiment
 measures its (u_p, noc) there (``alignment.snapshot_alignment``), so no
@@ -25,7 +27,6 @@ in shortest round-trip form and JSON keys are sorted.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -41,7 +42,6 @@ from .seriesstats import fisher_g_test, harmonic_fit, scaling_law_fit
 from .trajectory import TrajectoryPoint, pca_fit, trajectory_series
 from .training import (
     ExperimentConfig,
-    LogRow,
     checkpoint_experiment,
     heldout_sequences,
     start_checkpoint,
@@ -75,26 +75,6 @@ def continued_config(
     return replace(
         base_config, model=model, seed=seed, corpus=corpus, schedule=schedule, growth=None
     )
-
-
-def _grow_and_continue(
-    base_ckpt: Checkpoint, base_exp: ExperimentConfig, plan: GrowthPlan,
-    budget: int, cadence: int, probe, on_snapshot: Callable[[Checkpoint], None],
-) -> tuple[GrowthReport, ModelConfig, list[LogRow]]:
-    """Grow the base under ``plan`` (gated on ``probe``), then train the
-    grown model for ``budget`` steps with snapshots every ``cadence``, each
-    handed to ``on_snapshot`` as it is made. The continued config is built
-    first, so a bad one fails before any growth."""
-    cont = continued_config(
-        base_exp, base_ckpt.model_config.grown(plan.delta_m, plan.delta_a),
-        derive_seed(base_exp.seed, StreamTag.CONTINUED_RUN, plan.seed), budget, cadence,
-    )
-    new_params, new_config, report = grow_model(
-        base_ckpt.params, base_ckpt.model_config, plan, probe=probe
-    )
-    assert new_config == cont.model, (new_config, cont.model)
-    result = train(cont, resume=start_checkpoint(cont, new_params), on_snapshot=on_snapshot)
-    return report, cont.model, result.log
 
 
 def _fit_block(fn, *args) -> dict:
@@ -166,7 +146,10 @@ def run_growth_experiment(
 ) -> dict[str, ExperimentSeries]:
     """Grow/verify/continue/analyze once per plan. The result is keyed by
     ``plan_label``, which leaves out the plan's seed, so plans that share
-    a label are refused before any of them runs."""
+    a label are refused before any of them runs, as is a budget below one
+    step."""
+    if budget < 1:
+        raise ValidationError("budget must be at least one step")
     labels = [plan_label(plan) for plan in plans]
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
@@ -175,6 +158,15 @@ def run_growth_experiment(
     heldout = heldout_sequences(base_exp)
     out: dict[str, ExperimentSeries] = {}
     for label, plan in zip(labels, plans):
+        # the continued config first, so a bad one fails before any growth
+        cont = continued_config(
+            base_exp, base_ckpt.model_config.grown(plan.delta_m, plan.delta_a),
+            derive_seed(base_exp.seed, StreamTag.CONTINUED_RUN, plan.seed), budget, cadence,
+        )
+        new_params, new_config, report = grow_model(
+            base_ckpt.params, base_ckpt.model_config, plan, probe=heldout
+        )
+        assert new_config == cont.model, (new_config, cont.model)
         weights = []
 
         def measure(ck: Checkpoint) -> None:
@@ -183,9 +175,7 @@ def run_growth_experiment(
             )
             weights.append((ck.tokens, u_p, noc_val))
 
-        report, _, log = _grow_and_continue(
-            base_ckpt, base_exp, plan, budget, cadence, heldout, measure
-        )
+        log = train(cont, resume=start_checkpoint(cont, new_params), on_snapshot=measure).log
         snapshots, trajectory, fits = analyze_snapshot_series(
             weights, [row.heldout_loss for row in log]
         )
@@ -209,13 +199,11 @@ def _axis_order_label(d: int, m: int, a: int) -> str:
 
 def ablate_axes(base_ckpt: Checkpoint, budget: int, delta_total: int | None = None) -> list[dict]:
     """Four matched-budget growth settings: single-axis M, single-axis A,
-    and both axes with either axis dominant. Each is grown guarded-zero,
-    trained for the budget, and reports its final held-out perplexity."""
+    and both axes with either axis dominant. Each is a guarded-zero plan
+    of ``run_growth_experiment`` at cadence = budget (only the endpoint
+    matters here) and reports its final held-out perplexity."""
     base_exp = checkpoint_experiment(base_ckpt)
-    heldout = heldout_sequences(base_exp)
     config = base_ckpt.model_config
-    if budget < 1:
-        raise ValidationError("budget must be at least one step")
     if delta_total is not None and delta_total < 3:
         # below 3 the two M+A rows coincide (2) or are single-axis growths (1)
         raise ValidationError(f"delta_total must be at least 3, got {delta_total}")
@@ -227,23 +215,21 @@ def ablate_axes(base_ckpt: Checkpoint, budget: int, delta_total: int | None = No
         ("M+A", s - minor, minor),
         ("M+A", minor, s - minor),
     ]
+    plans = [
+        GrowthPlan(dm, da, "guarded-zero", derive_seed(base_exp.seed, StreamTag.ABLATION_PLAN, dm, da))
+        for _, dm, da in settings
+    ]
+    series = run_growth_experiment(base_ckpt, plans, budget, budget)
     rows = []
-    for axis, dm, da in settings:
-        plan = GrowthPlan(dm, da, "guarded-zero", derive_seed(base_exp.seed, StreamTag.ABLATION_PLAN, dm, da))
-        # cadence = budget: only the endpoint matters here
-        _, new_config, log = _grow_and_continue(
-            base_ckpt, base_exp, plan, budget, budget, heldout, lambda ck: None
-        )
-        final_loss = log[-1].heldout_loss
+    for (axis, dm, da), plan in zip(settings, plans):
+        m, a = config.ladder_m + dm, config.ladder_a + da
         rows.append(
             {
                 "axis": axis,
-                "order": _axis_order_label(
-                    new_config.hidden_size, new_config.ladder_m, new_config.ladder_a
-                ),
-                "m": new_config.ladder_m,
-                "a": new_config.ladder_a,
-                "ppl": float(np.exp(final_loss)),
+                "order": _axis_order_label(config.hidden_size, m, a),
+                "m": m,
+                "a": a,
+                "ppl": series[plan_label(plan)].snapshots[-1].ppl,
             }
         )
     return rows
@@ -306,9 +292,7 @@ def emit_reports(series_by_label: dict[str, ExperimentSeries], out_dir) -> list[
     metrics_path.write_text("\n".join(metrics_rows(series_by_label)) + "\n", encoding="utf-8")
     written.append(metrics_path)
 
-    growth_blob = {
-        label: s.growth_report.to_dict() for label, s in series_by_label.items()
-    }
+    growth_blob = {label: asdict(s.growth_report) for label, s in series_by_label.items()}
     growth_path = out / "growth_report.json"
     growth_path.write_text(
         json.dumps(growth_blob, sort_keys=True, indent=2) + "\n", encoding="utf-8"

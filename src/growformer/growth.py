@@ -32,7 +32,7 @@ past a, and nothing above depends on the order of the grown widths.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,9 +102,6 @@ class GrowthReport:
     block_init: dict[str, str]
     max_output_deviation: float | None = None
     new_block_grad_norms: dict[str, float] | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _describe(block: np.ndarray) -> str:

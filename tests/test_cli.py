@@ -427,10 +427,18 @@ def test_analyze_of_a_series_that_is_no_growth_exits_1(
     assert not out.exists()
 
 
+# sha256 of the stdout of ``growformer ablate --budget 2 --delta-total 8``
+# on the module's base, recorded while each row still trained its grown
+# model outside ``run_growth_experiment``; the ppl cells are pinned here alone
+ABLATE_STDOUT_SHA256 = "0185a3bc1e743f124fc6546c8e873d08a08bf7015666abbbf30f17ab2c39f436"
+
+
 def test_ablate_exits_0(base_path, capsys):
     assert cli.main(["ablate", "--ckpt", str(base_path), "--budget", "2",
                      "--delta-total", "8"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ABLATE_STDOUT_SHA256
+    lines = out.splitlines()
     assert lines[0] == "axis,order,m,a,ppl"
     assert [line.split(",")[:4] for line in lines[1:]] == [
         ["M", "M>A>D", "18", "14"],
@@ -749,9 +757,9 @@ def test_checkpoint_without_experiment_config_exits_1_for_grow_and_verify(
         (lambda d: with_header(d, lambda h: h["model"].update(dtype="f4")),
          "model config: unknown key 'dtype'"),
         (lambda d: with_header(d, lambda h: h["experiment"].update(arithmetic="f8")),
-         "experiment config: unknown key 'arithmetic'"),
+         "{bad}: experiment config: unknown key 'arithmetic'"),
         (lambda d: with_header(d, lambda h: h["experiment"].update(out_dir=None)),
-         "experiment config: unknown key 'out_dir'"),
+         "{bad}: experiment config: unknown key 'out_dir'"),
         (lambda d: with_header(d, lambda h: h.update(dtype="f8")),
          "checkpoint config: unknown key 'dtype'"),
         (lambda d: with_header(d, lambda h: h["rng"].update(dtype="f8")),

@@ -134,6 +134,23 @@ class TestRunGrowthExperiment:
         with pytest.raises(ValidationError, match=f"share the series label {plan_label(plans[0])}"):
             run_growth_experiment(base, plans, budget=2, cadence=2)
 
+    @pytest.mark.parametrize("drive", [
+        lambda base: run_growth_experiment(
+            base, [GrowthPlan(2, 2, "guarded-zero", seed=5)], budget=0, cadence=1
+        ),
+        lambda base: ablate_axes(base, budget=0, delta_total=8),
+    ], ids=["run_growth_experiment", "ablate_axes"])
+    def test_budget_0_rejected_before_growth_or_training(self, drive, monkeypatch):
+        base = pretrained_base(steps=2)
+
+        def no_training(*args, **kwargs):
+            pytest.fail("grew or trained before refusing a budget of 0 steps")
+
+        monkeypatch.setattr(experiment, "grow_model", no_training)
+        monkeypatch.setattr(experiment, "train", no_training)
+        with pytest.raises(ValidationError, match="^budget must be at least one step$"):
+            drive(base)
+
 
 class TestSnapshotMemory:
     def test_each_snapshot_keeps_no_parameter_set(self):

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -386,7 +387,7 @@ class TestReportWithProbe:
         _, _, report = grow_model(params, BASE, plan, probe=probe_batch())
         assert report.max_output_deviation == 0.0
         assert report.new_block_grad_norms is not None
-        blob = report.to_dict()
+        blob = asdict(report)
         assert blob["init_policy"] == "strict-zero"
         assert blob["new_block_grad_norms"]["down_new"] == 0.0
 

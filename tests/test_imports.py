@@ -12,7 +12,9 @@ names ``ThreadPoolExecutor`` (``train``'s held-out scorer is the
 package's one thread pool), no package module names ``copy_context``
 (pool workers run in their own context), and no package module but
 ``linalg.py`` names ``exact_arithmetic``, the reference arithmetic that
-only the benchmark enters. ``training.py`` imports none of
+only the benchmark enters, and no package function but ``training.train``
+and ``experiment.run_growth_experiment`` names ``start_checkpoint`` (the
+one path that trains a grown model). ``training.py`` imports none of
 the analysis modules (alignment, experiment, trajectory, seriesstats),
 directly or through another package module.
 
@@ -187,6 +189,47 @@ def test_detects_a_thread_pool():
 )
 def test_only_training_opens_a_thread_pool(path):
     assert naming(path.read_text(encoding="utf-8"), "ThreadPoolExecutor") == []
+
+
+def functions_naming(source: str, name: str) -> list[str]:
+    """The top-level functions and methods (``f``, ``Class.f``) that name
+    ``name`` in a call or an attribute, or pass it on; ``<module>`` for
+    module-level code that does. An import alone names nothing."""
+    found = []
+    for node in ast.parse(source).body:
+        for scope in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if any(_name(n) == name for n in ast.walk(scope)):
+                owner = getattr(scope, "name", "<module>")
+                found.append(owner if scope is node else f"{node.name}.{owner}")
+    return found
+
+
+def test_detects_a_function_naming_start_checkpoint():
+    source = (
+        "from .training import start_checkpoint\n"
+        "def train(config, params):\n"
+        "    return start_checkpoint(config, params)\n"
+        "def fine_tune(cont, params):\n"
+        "    return train(cont, resume=training.start_checkpoint(cont, params))\n"
+        "def helper(configs):\n"
+        "    return [train(c, None) for c in configs]\n"
+        "class Runner:\n"
+        "    def go(self):\n"
+        "        return map(start_checkpoint, self.configs)\n"
+        "CK = start_checkpoint(config, params)\n"
+    )
+    assert functions_naming(source, "start_checkpoint") == [
+        "train", "fine_tune", "Runner.go", "<module>"
+    ]
+
+
+def test_only_run_growth_experiment_trains_from_a_start_checkpoint():
+    # train starts a fresh run from one; run_growth_experiment continues a grown model
+    found = {
+        f"{path.stem}.{owner}" for path in PACKAGE
+        for owner in functions_naming(path.read_text(encoding="utf-8"), "start_checkpoint")
+    }
+    assert found == {"training.train", "experiment.run_growth_experiment"}
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
